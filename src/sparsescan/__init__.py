@@ -9,19 +9,19 @@ accounting that separates token-wise from dense work.
 
 from .errors import ConfigError, FormatError, OrderingError, ShapeError, \
     SparseScanError, ValidationError
-from .event_io import EdgeSegment, Event, EventStream, SceneSpec, VoxelGrid, \
+from .event_io import EdgeSegment, EventStream, SceneSpec, VoxelGrid, \
     build_voxel_grid, event_spatial_ratio, generate_synthetic_scene, \
     load_events, save_events, scene_preset
 from .stca import GaussianConfig, StcaResult, accumulate_temporal_scores, \
     build_sparsification_map, compute_threshold, downsample_map, \
     gaussian_aggregate, max_pool2d, pool_to_tokens, run_stca
 from .sparsify import TokenSet, gather_tokens, kept_ratio, scatter_tokens
-from .scan_order import IplConfig, bidi_orders, cross_orders, invert, ipl_order
+from .scan_order import IplConfig, cross_orders, invert, ipl_order
 from .s6 import S6Discretized, S6Params, ScanGradients, discretize_zoh, \
     init_s6_params, s6_forward, selective_scan_backward, \
     selective_scan_parallel, selective_scan_seq, softplus
 from .backbone import BackboneConfig, BackboneParams, backbone_forward, \
-    cast_params, convlstm_step, gci_forward, init_backbone_params, \
+    convlstm_step, gci_forward, init_backbone_params, \
     init_lstm_states, load_checkpoint, patch_embed, save_checkpoint, \
     sparse_mlp, sparse_ss2d, stage_kept_ratios
 from .flops import BlockCost, FlopsMeter, FlopsReport, count_analytic, \
@@ -31,13 +31,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackboneConfig", "BackboneParams", "BlockCost", "ConfigError",
-    "EdgeSegment", "Event", "EventStream", "FlopsMeter", "FlopsReport",
+    "EdgeSegment", "EventStream", "FlopsMeter", "FlopsReport",
     "FormatError", "GaussianConfig", "IplConfig", "OrderingError",
     "S6Discretized", "S6Params", "ScanGradients", "SceneSpec", "ShapeError",
     "SparseScanError", "StcaResult", "TokenSet", "ValidationError",
     "VoxelGrid", "accumulate_temporal_scores", "backbone_forward",
-    "bidi_orders", "build_sparsification_map", "build_voxel_grid",
-    "cast_params", "compute_threshold", "convlstm_step", "count_analytic",
+    "build_sparsification_map", "build_voxel_grid", "compute_threshold",
+    "convlstm_step", "count_analytic",
     "cross_orders", "discretize_zoh", "downsample_map",
     "event_spatial_ratio", "gather_tokens", "gaussian_aggregate",
     "gci_forward", "generate_synthetic_scene", "init_backbone_params",

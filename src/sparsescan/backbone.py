@@ -17,7 +17,7 @@ JSON manifest mapping names to byte offsets and shapes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,8 @@ from .s6 import S6Params, init_s6_params, s6_forward
 from .scan_order import IplConfig, invert, ipl_order
 from .sparsify import TokenSet, gather_tokens, kept_ratio
 from .stca import downsample_map, max_pool2d
+
+_CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
 
 
 @dataclass(frozen=True)
@@ -462,23 +464,6 @@ def iter_arrays(obj, prefix=""):
     # scalars and None carry no learnable state
 
 
-def map_arrays(obj, fn):
-    """Rebuild a parameter tree with fn applied to every ndarray leaf."""
-    if isinstance(obj, np.ndarray):
-        return fn(obj)
-    if is_dataclass(obj):
-        return replace(obj, **{f.name: map_arrays(getattr(obj, f.name), fn) for f in fields(obj)})
-    if isinstance(obj, list):
-        return [map_arrays(v, fn) for v in obj]
-    if isinstance(obj, tuple):
-        return tuple(map_arrays(v, fn) for v in obj)
-    return obj
-
-
-def cast_params(params: BackboneParams, dtype) -> BackboneParams:
-    return map_arrays(params, lambda a: a.astype(dtype))
-
-
 def save_checkpoint(params: BackboneParams, path: str | Path) -> None:
     """Write parameters as flat little-endian float64 plus a JSON manifest."""
     path = Path(path)
@@ -491,7 +476,7 @@ def save_checkpoint(params: BackboneParams, path: str | Path) -> None:
         chunks.append(data.tobytes())
         offset += len(chunks[-1])
     path.write_bytes(b"".join(chunks))
-    manifest = {"format": "sparsescan-checkpoint-v1", "dtype": "<f8", "entries": entries}
+    manifest = {"format": _CHECKPOINT_FORMAT, "dtype": "<f8", "entries": entries}
     Path(str(path) + ".json").write_text(json.dumps(manifest, indent=1))
 
 
@@ -502,6 +487,8 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
     if not manifest_path.exists():
         raise FormatError(f"missing checkpoint manifest {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    if manifest.get("format") != _CHECKPOINT_FORMAT:
+        raise FormatError(f"unsupported checkpoint format {manifest.get('format')!r}")
     if manifest.get("dtype") != "<f8":
         raise FormatError(f"unsupported checkpoint dtype {manifest.get('dtype')!r}")
     blob = path.read_bytes()
@@ -515,6 +502,8 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
         if slots[name].shape != shape:
             raise FormatError(f"checkpoint entry {name!r} shape {shape} != {slots[name].shape}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if not 0 <= off <= len(blob) - 8 * count:
+            raise FormatError(f"checkpoint entry {name!r} lies outside the {len(blob)}-byte blob")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
         np.copyto(slots[name], arr)
         seen.add(name)

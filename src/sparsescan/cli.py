@@ -17,8 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .backbone import BackboneConfig, backbone_forward, cast_params, \
-    init_backbone_params
+from .backbone import BackboneConfig, backbone_forward, init_backbone_params
 from .errors import ConfigError, SparseScanError
 from .event_io import EventStream, build_voxel_grid, event_spatial_ratio, \
     generate_synthetic_scene, load_events, save_events, scene_preset
@@ -125,17 +124,12 @@ def cmd_forward(args) -> int:
     voxels = [build_voxel_grid(sub, cfg.bins) for sub in
               _split_windows(stream, args.timesteps)]
     params = init_backbone_params(cfg, seed=args.seed)
-    run_params = params
-    vox_in = voxels
-    if args.precision == "single":
-        run_params = cast_params(params, np.float32)
-        vox_in = [v.values.astype(np.float32) for v in voxels]
     t0 = time.perf_counter()
-    outputs, _ = backbone_forward(vox_in, res.keep, res.scores, cfg, run_params,
+    outputs, _ = backbone_forward(voxels, res.keep, res.scores, cfg, params,
                                   parallel=args.parallel)
     wall = time.perf_counter() - t0
     print(f"{len(voxels)} timestep(s), kept ratio {kept_ratio(res.keep):.3f}, "
-          f"forward {1000 * wall:.1f} ms ({args.precision})")
+          f"forward {1000 * wall:.1f} ms")
     for s, out in enumerate(outputs[-1]):
         print(f"  stage{s + 1} out {out.shape}, rms {np.sqrt(np.mean(out ** 2)):.4f}")
     if args.report:
@@ -162,6 +156,8 @@ def _bench_worker_count(n_scenes: int) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.scenes < 1:
+        raise ConfigError("--scenes must be at least 1")
     cfg = BackboneConfig()
     params = init_backbone_params(cfg, seed=args.seed)
     spec = scene_preset(args.preset)
@@ -253,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--timesteps", type=int, default=1)
     f.add_argument("-B", "--bins", type=int, default=10, help="voxel time bins")
     f.add_argument("--beta", type=float, default=1.0)
-    f.add_argument("--precision", choices=("double", "single"), default="double")
     f.add_argument("--parallel", action="store_true",
-                   help="use the parallel scan kernels")
+                   help="use the recursive-doubling scan, a check on the "
+                        "sequential one (not a speed option)")
     f.add_argument("--report", help="write a FLOPs report JSON here")
     f.set_defaults(func=cmd_forward)
 

@@ -23,7 +23,6 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,13 +31,6 @@ from .errors import ConfigError, FormatError, OrderingError, ValidationError
 _BIN_MAGIC = b"EVT1"
 _BIN_HEADER = struct.Struct("<4sHHQ")
 _BIN_RECORD = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u4"), ("p", "i1"), ("pad", "V3")])
-
-
-class Event(NamedTuple):
-    x: int
-    y: int
-    t: int
-    p: int
 
 
 @dataclass
@@ -89,10 +81,6 @@ class EventStream:
     @property
     def span(self) -> int:
         return self.window_end - self.window_start
-
-    def events(self) -> Iterator[Event]:
-        for x, y, t, p in zip(self.xs, self.ys, self.ts, self.ps):
-            yield Event(int(x), int(y), int(t), int(p))
 
 
 @dataclass(frozen=True)

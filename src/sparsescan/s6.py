@@ -18,10 +18,11 @@ dt_t = softplus(W_dt x_t + b_dt) per lane, b_t = W_b x_t,
 c_t = W_c x_t, and a = -exp(log_a) elementwise, so 0 < abar <= 1 and
 the recurrence is unconditionally stable.
 
-Three evaluation paths share one output stage: a sequential scan, a
-work-efficient parallel scan over the associative operator
-(a1, b1) . (a2, b2) = (a1 a2, a2 b1 + b2), and a manual reverse-mode
-adjoint of the recurrence.
+Two forward scans share one output stage: a sequential loop, and a
+recursive-doubling (Hillis-Steele) scan over the associative operator
+(a1, b1) . (a2, b2) = (a1 a2, a2 b1 + b2), which takes ceil(log2 T)
+whole-array passes and O(T log T) work, with h0 folded into step 0. A
+manual reverse-mode adjoint of the recurrence completes the kernels.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ class S6Discretized:
     abar: np.ndarray     # (T, L, N)
     bx: np.ndarray       # (T, L, N), bbar already folded with the input
     c: np.ndarray        # (T, N)
-
-    @property
-    def n_steps(self) -> int:
-        return self.abar.shape[0]
 
 
 def init_s6_params(n_lanes: int, n_state: int, rng: np.random.Generator,
@@ -126,17 +123,6 @@ def parameterize(x: np.ndarray, p: S6Params,
     return S6Discretized(abar=abar, bx=bx, c=c_t)
 
 
-def _emit_outputs(hs, c, skip, x, meter, label):
-    """Shared output stage: y_t = <c_t, h_t> (+ skip * x_t)."""
-    t_len, lanes, n = hs.shape
-    y = np.einsum("tln,tn->tl", hs, c)
-    meter.macs(label, t_len * lanes * n)
-    if skip is not None:
-        y = y + skip * x
-        meter.macs(label, t_len * lanes)
-    return y
-
-
 def _scan_states_seq(d: S6Discretized, h0: np.ndarray | None) -> np.ndarray:
     t_len, lanes, n = d.abar.shape
     hs = np.empty_like(d.abar)
@@ -147,78 +133,59 @@ def _scan_states_seq(d: S6Discretized, h0: np.ndarray | None) -> np.ndarray:
     return hs
 
 
+def _scan_states_doubling(d: S6Discretized, h0: np.ndarray | None,
+                          meter: FlopsMeter, label: str) -> np.ndarray:
+    """Recursive-doubling inclusive scan of h_t = abar_t h_{t-1} + bx_t.
+
+    After the pass with shift k, hs[t] holds the recurrence summed over the
+    last 2k steps and a[t] the product of the last 2k abars, so ceil(log2 T)
+    passes finish the scan; h0 enters as part of step 0.
+    """
+    t_len = d.abar.shape[0]
+    a = d.abar.copy()
+    hs = d.bx.copy()
+    if h0 is not None:
+        hs[:1] += a[:1] * h0
+        meter.macs(label, hs[:1].size)
+    k = 1
+    while k < t_len:
+        hs[k:] += a[k:] * hs[:-k]
+        meter.macs(label, hs[k:].size)
+        if 2 * k < t_len:
+            # numpy buffers overlapping ufunc operands: a[:-k] is read before a[k:] is written
+            a[k:] *= a[:-k]
+            meter.elem(label, a[k:].size)
+        k *= 2
+    return hs
+
+
+def _scan_outputs(hs, d: S6Discretized, h0, skip, x, meter, label):
+    """Shared output stage: y_t = <c_t, h_t> (+ skip * x_t), and h_T."""
+    t_len, lanes, n = hs.shape
+    y = np.einsum("tln,tn->tl", hs, d.c)
+    meter.macs(label, t_len * lanes * n)
+    if skip is not None:
+        y = y + skip * x
+        meter.macs(label, t_len * lanes)
+    last = hs[-1] if t_len else (np.zeros((lanes, n)) if h0 is None else h0.copy())
+    return y, last
+
+
 def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
                        skip: np.ndarray | None = None, x: np.ndarray | None = None,
                        meter: FlopsMeter = NULL_METER, label: str = "s6"):
     """Evaluate the recurrence step by step. Returns (y, h_T)."""
     hs = _scan_states_seq(d, h0)
-    t_len, lanes, n = hs.shape
-    meter.macs(label, t_len * lanes * n)
-    y = _emit_outputs(hs, d.c, skip, x, meter, label)
-    last = hs[-1] if t_len else (np.zeros((lanes, n)) if h0 is None else h0.copy())
-    return y, last
-
-
-def _associative_scan(a: np.ndarray, b: np.ndarray, meter, label):
-    """Inclusive scan of (a, b) pairs under (a1,b1).(a2,b2) = (a1 a2, a2 b1 + b2).
-
-    Blelloch up-sweep/down-sweep over the leading axis, padded to a power
-    of two with the identity (1, 0). Work-efficient: O(T) pair products.
-    """
-    t_len = a.shape[0]
-    padded = 1 << max(0, (t_len - 1).bit_length())
-    acc_a = np.ones((padded,) + a.shape[1:], dtype=a.dtype)
-    acc_b = np.zeros_like(acc_a)
-    acc_a[:t_len] = a
-    acc_b[:t_len] = b
-    per = int(np.prod(a.shape[1:], dtype=np.int64))
-
-    stride = 1
-    while stride < padded:
-        right = np.arange(2 * stride - 1, padded, 2 * stride)
-        left = right - stride
-        acc_b[right] = acc_a[right] * acc_b[left] + acc_b[right]
-        acc_a[right] = acc_a[right] * acc_a[left]
-        meter.macs(label, right.size * per)
-        meter.elem(label, right.size * per)
-        stride *= 2
-
-    acc_a[-1] = 1.0
-    acc_b[-1] = 0.0
-    stride = padded // 2
-    while stride >= 1:
-        right = np.arange(2 * stride - 1, padded, 2 * stride)
-        left = right - stride
-        keep_a = acc_a[left].copy()
-        keep_b = acc_b[left].copy()
-        acc_a[left] = acc_a[right]
-        acc_b[left] = acc_b[right]
-        acc_b[right] = keep_a * acc_b[right] + keep_b
-        acc_a[right] = acc_a[right] * keep_a
-        meter.macs(label, right.size * per)
-        meter.elem(label, right.size * per)
-        stride //= 2
-
-    inc_a = a * acc_a[:t_len]
-    inc_b = a * acc_b[:t_len] + b
-    meter.macs(label, t_len * per)
-    meter.elem(label, t_len * per)
-    return inc_a, inc_b
+    meter.macs(label, hs.size)
+    return _scan_outputs(hs, d, h0, skip, x, meter, label)
 
 
 def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
                             skip: np.ndarray | None = None, x: np.ndarray | None = None,
                             meter: FlopsMeter = NULL_METER, label: str = "s6"):
-    """Parallel-scan evaluation; matches the sequential path to rounding."""
-    t_len, lanes, n = d.abar.shape
-    if t_len == 0:
-        return selective_scan_seq(d, h0, skip, x, meter, label)
-    inc_a, inc_b = _associative_scan(d.abar, d.bx, meter, label)
-    h_init = np.zeros((lanes, n)) if h0 is None else h0
-    hs = inc_a * h_init + inc_b
-    meter.macs(label, t_len * lanes * n)
-    y = _emit_outputs(hs, d.c, skip, x, meter, label)
-    return y, hs[-1]
+    """Recursive-doubling evaluation; matches the sequential path to rounding."""
+    hs = _scan_states_doubling(d, h0, meter, label)
+    return _scan_outputs(hs, d, h0, skip, x, meter, label)
 
 
 @dataclass

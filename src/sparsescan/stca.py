@@ -36,8 +36,8 @@ class GaussianConfig:
     def __post_init__(self):
         if self.radius < 0:
             raise ConfigError("aggregation radius must be non-negative")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def gaussian_aggregate(token_scores: np.ndarray, cfg: GaussianConfig = GaussianC
 
 def compute_threshold(token_scores: np.ndarray, beta: float) -> float:
     """alpha = sum(scores) / (beta * token count), the scaled mean score."""
-    if beta <= 0:
-        raise ConfigError("sparsity factor beta must be positive")
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"sparsity factor beta must be positive and finite, got {beta}")
     return float(token_scores.sum() / (beta * token_scores.size))
 
 

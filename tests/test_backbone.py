@@ -18,7 +18,6 @@ from sparsescan.backbone import (
     LstmState,
     backbone_forward,
     bidi_channel_scan,
-    cast_params,
     convlstm_step,
     gci_forward,
     init_backbone_params,
@@ -385,6 +384,25 @@ class TestCheckpoint:
         names = {e["name"] for e in manifest["entries"]}
         assert "w_embed" in names
 
+    def test_truncated_blob_rejected(self, tmp_path):
+        params = init_backbone_params(SMALL, seed=26)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError):
+            load_checkpoint(path, SMALL)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        params = init_backbone_params(SMALL, seed=27)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        manifest_path = tmp_path / "model.ckpt.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = "sparsescan-checkpoint-v0"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError):
+            load_checkpoint(path, SMALL)
+
     def test_wrong_geometry_rejected(self, tmp_path):
         params = init_backbone_params(SMALL, seed=25)
         path = tmp_path / "model.ckpt"
@@ -394,10 +412,3 @@ class TestCheckpoint:
                                inner_expand=2, ipl_k=(2, 2, 2, 1))
         with pytest.raises(FormatError):
             load_checkpoint(path, other)
-
-    def test_cast_to_single_precision(self):
-        params = init_backbone_params(SMALL, seed=26)
-        single = cast_params(params, np.float32)
-        assert all(a.dtype == np.float32 for _, a in iter_arrays(single))
-        # original untouched
-        assert all(a.dtype == np.float64 for _, a in iter_arrays(params))

@@ -62,6 +62,13 @@ class TestStca:
         assert s.shape == (16, 16)
         assert (s >= 0).all()
 
+    @pytest.mark.parametrize("flag", ["--beta", "--sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_value_rejected(self, tmp_path, capsys, flag, value):
+        scene = run_gen(tmp_path)
+        assert main(["stca", str(scene), flag, value]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_input_not_mutated(self, tmp_path):
         scene = run_gen(tmp_path)
         digest = hashlib.sha256(scene.read_bytes()).hexdigest()
@@ -107,11 +114,9 @@ class TestForward:
         blk = doc["blocks"]["stage1.ss2d"]
         assert blk["sparse"] / blk["dense"] == pytest.approx(kept, abs=0.02)
 
-    def test_single_precision_runs(self, tmp_path):
+    def test_nan_beta_rejected(self, tmp_path):
         scene = run_gen(tmp_path)
-        rc = main(["forward", str(scene), "--precision", "single",
-                   "--timesteps", "2"])
-        assert rc == 0
+        assert main(["forward", str(scene), "--beta", "nan"]) == 1
 
     def test_bad_timesteps_rejected(self, tmp_path):
         scene = run_gen(tmp_path)
@@ -145,6 +150,12 @@ class TestBench:
         out = capsys.readouterr().out
         assert "saved" in out
         assert "1 worker(s)" in out
+
+    @pytest.mark.parametrize("scenes", ["0", "-3"])
+    def test_nonpositive_scene_count_rejected(self, scenes, capsys):
+        rc = main(["bench", "--scenes", scenes])
+        assert rc == 1
+        assert "--scenes" in capsys.readouterr().err
 
     def test_bad_thread_env_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv(THREADS_ENV, "zero")

@@ -169,6 +169,15 @@ class TestParallelScan:
         assert ys.tobytes() == yp.tobytes()
         assert hs.tobytes() == hp.tobytes()
 
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(28)
+        d = random_disc(rng, 37, 3, 4)
+        h0 = rng.standard_normal((3, 4))
+        before = [d.abar.copy(), d.bx.copy(), d.c.copy(), h0.copy()]
+        selective_scan_parallel(d, h0=h0)
+        for was, now in zip(before, [d.abar, d.bx, d.c, h0]):
+            assert was.tobytes() == now.tobytes()
+
     def test_operator_associativity(self):
         rng = np.random.default_rng(26)
         op = lambda p, q: (p[0] * q[0], q[0] * p[1] + q[1])

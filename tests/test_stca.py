@@ -121,6 +121,11 @@ class TestGaussianAggregate:
         assert out[2, 2] == pytest.approx(3.0 * DELTA_GAIN, rel=1e-12)
         assert DELTA_GAIN == pytest.approx(0.20418, abs=1e-5)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError):
+            GaussianConfig(sigma=sigma)
+
     def test_tiny_sigma_is_identity(self):
         m = np.arange(12.0).reshape(3, 4)
         out = gaussian_aggregate(m, GaussianConfig(radius=1, sigma=1e-9))
@@ -151,6 +156,11 @@ class TestThresholdAndMap:
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(ConfigError):
             compute_threshold(np.ones((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_nonfinite_beta_rejected(self, beta):
+        with pytest.raises(ConfigError):
+            compute_threshold(np.ones((2, 2)), beta)
 
     def test_map_hand_case(self):
         m = np.array([[2.0, 0.0], [0.0, 2.0]])

@@ -23,7 +23,7 @@ from .s6 import S6Discretized, S6Params, ScanGradients, discretize_zoh, \
 from .backbone import BackboneConfig, BackboneParams, backbone_forward, \
     convlstm_step, gci_forward, init_backbone_params, \
     init_lstm_states, load_checkpoint, patch_embed, save_checkpoint, \
-    sparse_mlp, sparse_ss2d, stage_kept_ratios
+    sparse_mlp, sparse_ss2d
 from .flops import BlockCost, FlopsMeter, FlopsReport, count_analytic, \
     is_token_wise, measure
 
@@ -47,5 +47,4 @@ __all__ = [
     "s6_forward", "save_checkpoint", "save_events", "scatter_tokens",
     "scene_preset", "selective_scan_backward", "selective_scan_parallel",
     "selective_scan_seq", "softplus", "sparse_mlp", "sparse_ss2d",
-    "stage_kept_ratios",
 ]

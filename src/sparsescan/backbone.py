@@ -5,8 +5,9 @@ stages. A stage applies a sparse multi-direction scan block, a token
 mixer (a sparse MLP in the early stages, a global channel-interaction
 block in the late ones), and a convolutional LSTM whose state persists
 across timesteps; the stage output is the mixer output plus the LSTM
-response. Between stages, features are merged 2x2 and projected, and the
-keep mask and score map are max-pooled to the coarser grid.
+response. Between stages, features are merged 2x2 and projected; the
+keep mask and score map of every stage are max-pooled from the inputs
+once per call.
 
 Sparse blocks compute only at kept token positions and pass discarded
 positions through bit-unchanged. All parameters live in plain float64
@@ -28,7 +29,7 @@ from .flops import NULL_METER, FlopsMeter
 from .nn import conv2d_same, depthwise_conv2d, gelu, layer_norm, patchify, sigmoid, silu
 from .s6 import S6Params, init_s6_params, s6_forward
 from .scan_order import IplConfig, invert, ipl_order
-from .sparsify import TokenSet, gather_tokens, kept_ratio
+from .sparsify import TokenSet, gather_tokens, scatter_tokens
 from .stca import downsample_map, max_pool2d
 
 _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
@@ -231,22 +232,16 @@ def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
     return tok.T.reshape(w.shape[0], h // patch, wd // patch)
 
 
-def _sparse_depthwise(tokens: np.ndarray, coords: np.ndarray, grid_shape, kernel, bias):
-    """3x3 depthwise pass over kept positions; missing neighbors read as 0."""
-    n, d = tokens.shape
-    h, w = grid_shape
-    idx = np.full((h, w), -1, dtype=np.int64)
-    idx[coords[:, 0], coords[:, 1]] = np.arange(n)
+def _sparse_depthwise(tokens: np.ndarray, ts: TokenSet, kernel, bias):
+    """3x3 depthwise pass over ts's kept positions; missing neighbors read as 0."""
+    index = np.pad(ts.index, 1, constant_values=-1)
+    rows, cols = ts.coords[:, 0] + 1, ts.coords[:, 1] + 1
     out = tokens * kernel[:, 1, 1]
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
             if dy == 0 and dx == 0:
                 continue
-            ny = coords[:, 0] + dy
-            nx = coords[:, 1] + dx
-            ok = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-            j = np.full(n, -1, dtype=np.int64)
-            j[ok] = idx[ny[ok], nx[ok]]
+            j = index[rows + dy, cols + dx]
             hit = j >= 0
             if hit.any():
                 out[hit] += tokens[j[hit]] * kernel[:, 1 + dy, 1 + dx]
@@ -277,25 +272,18 @@ def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dPara
     gate = silu(t @ p.w_gate.T + p.b_gate)
     meter.macs(label, 2 * n * c * d)
     meter.elem(label, 3 * n * d)
-    u = silu(_sparse_depthwise(pre, ts.coords, ts.grid_shape, p.dw_kernel, p.dw_bias))
+    u = silu(_sparse_depthwise(pre, ts, p.dw_kernel, p.dw_bias))
     meter.macs(label, 9 * n * d)
     meter.elem(label, 2 * n * d)
-    fwd = np.arange(n, dtype=np.int64)
-    orders = (fwd, fwd[::-1].copy(), ipl_order(ts, scores, IplConfig(p.ipl_k)))
-    params = (p.s6_fwd, p.s6_bwd, p.s6_ipl)
-    acc = np.zeros_like(u)
-    for perm, sp in zip(orders, params):
-        y, _ = s6_forward(u[perm], sp, parallel=parallel, meter=meter, label=label)
-        acc += y[invert(perm)]
-    meter.elem(label, 3 * n * d)
-    upd = (acc * gate) @ p.w_out.T + p.b_out
+    acc = bidi_scan(u, p.s6_fwd, p.s6_bwd, meter, label, parallel)
+    perm = ipl_order(ts, scores, IplConfig(p.ipl_k))
+    y, _ = s6_forward(u[perm], p.s6_ipl, parallel=parallel, meter=meter, label=label)
+    acc += y[invert(perm)]
+    meter.elem(label, n * d)
+    ts.tokens += (acc * gate) @ p.w_out.T + p.b_out
     meter.macs(label, n * d * c)
-    meter.elem(label, n * d + n * c)
-    out = x.copy()
-    rows, cols = ts.coords[:, 0], ts.coords[:, 1]
-    out[:, rows, cols] = x[:, rows, cols] + upd.T
-    meter.elem(label, n * c)
-    return out
+    meter.elem(label, n * d + 2 * n * c)
+    return scatter_tokens(ts, x)
 
 
 def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
@@ -314,31 +302,26 @@ def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
     hmid = gelu(t @ p.w1.T + p.b1)
     meter.macs(label, n * c * e)
     meter.elem(label, 2 * n * e)
-    upd = hmid @ p.w2.T + p.b2
+    ts.tokens += hmid @ p.w2.T + p.b2
     meter.macs(label, n * e * c)
-    meter.elem(label, n * c)
-    out = x.copy()
-    rows, cols = ts.coords[:, 0], ts.coords[:, 1]
-    out[:, rows, cols] = x[:, rows, cols] + upd.T
-    meter.elem(label, n * c)
-    return out
+    meter.elem(label, 2 * n * c)
+    return scatter_tokens(ts, x)
 
 
-def bidi_channel_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
-                      meter: FlopsMeter = NULL_METER, label: str = "gci",
-                      parallel: bool = False) -> np.ndarray:
-    """Scan the channel axis in both directions and sum.
+def bidi_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
+              meter: FlopsMeter = NULL_METER, label: str = "scan",
+              parallel: bool = False) -> np.ndarray:
+    """Scan axis 0 forward and backward and sum the two outputs.
 
-    The sequence elements are whole channels: x is flattened to (C, H*W)
-    so each step carries one channel's spatial layout as its lane vector.
+    Trailing axes are flattened into the lane vector, so a (C, H, W) map
+    scans its channels with one spatial layout per step.
     """
-    c, h, w = x.shape
-    seq = x.reshape(c, h * w)
-    yf, _ = s6_forward(seq, s6_fwd, parallel=parallel, meter=meter, label=label)
+    seq = x.reshape(len(x), -1)
+    y, _ = s6_forward(seq, s6_fwd, parallel=parallel, meter=meter, label=label)
     yb, _ = s6_forward(seq[::-1], s6_bwd, parallel=parallel, meter=meter, label=label)
-    y = yf + yb[::-1]
-    meter.elem(label, c * h * w)
-    return y.reshape(c, h, w)
+    y += yb[::-1]
+    meter.elem(label, y.size)
+    return y.reshape(x.shape)
 
 
 def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
@@ -359,7 +342,7 @@ def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
     b1_in = silu(depthwise_conv2d(pre, p.dw_kernel, p.dw_bias, pad_mode="edge"))
     meter.macs(label, 9 * s * c)
     meter.elem(label, 2 * s * c)
-    b1 = bidi_channel_scan(b1_in, p.s6_fwd, p.s6_bwd, meter, label, parallel)
+    b1 = bidi_scan(b1_in, p.s6_fwd, p.s6_bwd, meter, label, parallel)
     b2 = p.w_mix @ flat + p.b_mix[:, None]
     meter.macs(label, s * c * c)
     meter.elem(label, s * c)
@@ -399,16 +382,14 @@ def downsample_features(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return y.T.reshape(w.shape[0], h // 2, wd // 2)
 
 
-def stage_keep_maps(keep: np.ndarray, n_stages: int) -> list[np.ndarray]:
-    """Keep mask per stage: the input mask, then successive 2x downsamples."""
-    maps = [keep]
+def stage_maps(keep: np.ndarray, scores: np.ndarray,
+               n_stages: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(keep, scores) per stage: the inputs, then successive 2x max-pools."""
+    maps = [(keep, scores)]
     for _ in range(n_stages - 1):
-        maps.append(downsample_map(maps[-1], 2))
+        k_map, s_map = maps[-1]
+        maps.append((downsample_map(k_map, 2), max_pool2d(s_map, 2)))
     return maps
-
-
-def stage_kept_ratios(keep: np.ndarray, n_stages: int) -> list[float]:
-    return [kept_ratio(m) for m in stage_keep_maps(keep, n_stages)]
 
 
 def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
@@ -426,15 +407,15 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
         raise ShapeError(f"keep mask and scores must have shape {grid0}")
     if states is None:
         states = init_lstm_states(cfg, dtype=params.w_embed.dtype)
+    maps = stage_maps(keep, scores, cfg.n_stages)
     outputs = []
     for vox in voxels:
         values = vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox)
         if values.shape != (2 * cfg.bins, cfg.height, cfg.width):
             raise ShapeError(f"voxel grid shape {values.shape} does not match config")
         x = patch_embed(values, cfg.patch, params.w_embed, params.b_embed, meter)
-        k_map, s_map = keep, scores
         stage_outs = []
-        for s, sp in enumerate(params.stages):
+        for s, (sp, (k_map, s_map)) in enumerate(zip(params.stages, maps)):
             tag = f"stage{s + 1}"
             x = sparse_ss2d(x, k_map, s_map, sp.ss2d, meter, f"{tag}.ss2d", parallel)
             if isinstance(sp.mixer, GciParams):
@@ -445,8 +426,6 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
             stage_outs.append(x)
             if sp.down_w is not None:
                 x = downsample_features(x, sp.down_w, sp.down_b, meter, f"{tag}.down")
-                k_map = downsample_map(k_map, 2)
-                s_map = max_pool2d(s_map, 2)
         outputs.append(stage_outs)
     return outputs, states
 
@@ -486,7 +465,12 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
     manifest_path = Path(str(path) + ".json")
     if not manifest_path.exists():
         raise FormatError(f"missing checkpoint manifest {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        entries = [(e["name"], e["offset"], tuple(e["shape"])) for e in manifest["entries"]]
+    except (ValueError, KeyError, TypeError):
+        # not JSON, not an object, or an entry without name/offset/shape
+        raise FormatError(f"malformed checkpoint manifest {manifest_path}") from None
     if manifest.get("format") != _CHECKPOINT_FORMAT:
         raise FormatError(f"unsupported checkpoint format {manifest.get('format')!r}")
     if manifest.get("dtype") != "<f8":
@@ -495,16 +479,15 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
     params = init_backbone_params(cfg, seed=0)
     slots = dict(iter_arrays(params))
     seen = set()
-    for entry in manifest["entries"]:
-        name, off, shape = entry["name"], entry["offset"], tuple(entry["shape"])
-        if name not in slots:
+    for name, off, shape in entries:
+        if not isinstance(name, str) or name not in slots:
             raise FormatError(f"checkpoint entry {name!r} has no slot in this config")
         if slots[name].shape != shape:
             raise FormatError(f"checkpoint entry {name!r} shape {shape} != {slots[name].shape}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if not 0 <= off <= len(blob) - 8 * count:
+        if not isinstance(off, int) or not 0 <= off <= len(blob) - 8 * count:
             raise FormatError(f"checkpoint entry {name!r} lies outside the {len(blob)}-byte blob")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(slots[name].shape)
         np.copyto(slots[name], arr)
         seen.add(name)
     missing = set(slots) - seen

@@ -175,9 +175,12 @@ def _load_csv(path: Path) -> EventStream:
         if len(parts) != 4:
             raise FormatError(f"{path} line {i}: expected 4 fields, got {len(parts)}")
         try:
-            rows.append(tuple(int(v) for v in parts))
+            row = tuple(int(v) for v in parts)
         except ValueError:
             raise FormatError(f"{path} line {i}: non-integer field in {line!r}") from None
+        if not all(-2**63 <= v < 2**63 for v in row):
+            raise FormatError(f"{path} line {i}: field outside int64 in {line!r}")
+        rows.append(row)
     data = np.array(rows, dtype=np.int64).reshape(-1, 4)
     t0 = meta.get("T0", 0)
     t1 = meta.get("T1", int(data[:, 2].max()) if len(rows) else 0)
@@ -236,6 +239,8 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
     independently per pixel (Poisson counts, uniform timestamps), so
     they are spatially isolated and temporally discontinuous.
     """
+    if spec.width < 1 or spec.height < 1:
+        raise ConfigError(f"scene size {spec.width}x{spec.height} must be positive")
     if spec.duration_us <= 0:
         raise ConfigError("scene duration must be positive")
     if spec.noise_rate < 0:

@@ -119,7 +119,7 @@ def _s6_cost(t, lanes, n_state):
 
 def _ss2d_cost(n_tok, c, d, n_state):
     macs = 2 * n_tok * c * d + 9 * n_tok * d + n_tok * d * c
-    elem = 8 * n_tok * c + 3 * n_tok * d + 2 * n_tok * d + 3 * n_tok * d \
+    elem = 8 * n_tok * c + 3 * n_tok * d + 2 * n_tok * d + 2 * n_tok * d \
         + n_tok * d + n_tok * c + n_tok * c
     for _ in range(3):
         m, e = _s6_cost(n_tok, d, n_state)
@@ -195,7 +195,8 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
     """Instrumented dense and sparse forward runs over the same inputs."""
     import numpy as np
 
-    from .backbone import backbone_forward, stage_kept_ratios
+    from .backbone import backbone_forward, stage_maps
+    from .sparsify import kept_ratio
 
     sparse_meter = FlopsMeter()
     backbone_forward(voxels, keep, scores, cfg, params,
@@ -205,4 +206,5 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
                      states=None, meter=dense_meter, parallel=parallel)
     blocks = {name: BlockCost(dense=flops, sparse=sparse_meter.flops.get(name, 0))
               for name, flops in dense_meter.flops.items()}
-    return FlopsReport(blocks=blocks, kept_ratios=stage_kept_ratios(keep, cfg.n_stages))
+    ratios = [kept_ratio(k_map) for k_map, _ in stage_maps(keep, scores, cfg.n_stages)]
+    return FlopsReport(blocks=blocks, kept_ratios=ratios)

@@ -52,10 +52,7 @@ def ipl_order(ts: TokenSet, scores: np.ndarray, cfg: IplConfig = IplConfig()) ->
     window_order = np.argsort(-maxima, kind="stable")
     flat = np.arange(h * w, dtype=np.int64).reshape(h, w)
     windows = flat.reshape(h // k, k, w // k, k).transpose(0, 2, 1, 3).reshape(-1, k * k)
-    sequence = windows[window_order].ravel()
-    lookup = np.full(h * w, -1, dtype=np.int64)
-    lookup[ts.coords[:, 0] * w + ts.coords[:, 1]] = np.arange(len(ts))
-    hits = lookup[sequence]
+    hits = ts.index.ravel()[windows[window_order].ravel()]
     return hits[hits >= 0]
 
 

@@ -9,6 +9,7 @@ to the base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,13 @@ class TokenSet:
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """(H, W) int64 map of each kept token's row; -1 where discarded."""
+        idx = np.full(self.grid_shape, -1, dtype=np.int64)
+        idx[self.coords[:, 0], self.coords[:, 1]] = np.arange(len(self))
+        return idx
 
 
 def gather_tokens(x: np.ndarray, keep: np.ndarray) -> TokenSet:

@@ -16,8 +16,9 @@ from sparsescan.backbone import (
     BackboneConfig,
     ConvLstmParams,
     LstmState,
+    _sparse_depthwise,
     backbone_forward,
-    bidi_channel_scan,
+    bidi_scan,
     convlstm_step,
     gci_forward,
     init_backbone_params,
@@ -31,8 +32,9 @@ from sparsescan.backbone import (
 )
 from sparsescan.errors import FormatError, ShapeError
 from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
-from sparsescan.nn import gelu, layer_norm, sigmoid
+from sparsescan.nn import depthwise_conv2d, gelu, layer_norm, sigmoid
 from sparsescan.s6 import init_s6_params, s6_forward
+from sparsescan.sparsify import gather_tokens
 from sparsescan.stca import run_stca
 
 SMALL = BackboneConfig(height=32, width=32, patch=4, bins=2,
@@ -72,6 +74,29 @@ class TestPatchEmbed:
         col = 1 * 4 + 0 * 2 + 1  # channel-major flattening of the patch
         np.testing.assert_allclose(out[:, 0, 0], w[:, col])
         assert not out[:, 0, 1:].any()
+
+
+class TestSparseDepthwise:
+    @pytest.mark.parametrize("p_keep", [0.2, 0.5, 0.8, 1.0])
+    def test_kept_positions_match_dense_conv(self, p_keep):
+        """Equals a zero-padded dense 3x3 depthwise conv of the map with
+        discarded positions zeroed, read at the kept positions."""
+        rng = np.random.default_rng(int(p_keep * 10))
+        d, h, w = 5, 7, 6
+        kernel = rng.standard_normal((d, 3, 3))
+        bias = rng.standard_normal(d)
+        for _ in range(5):
+            x = rng.standard_normal((d, h, w))
+            keep = rng.random((h, w)) < p_keep
+            keep[[0, -1], rng.integers(w)] = True
+            keep[rng.integers(h), [0, -1]] = True
+            ts = gather_tokens(x, keep)
+            assert ts.index.dtype == np.int64
+            np.testing.assert_array_equal(ts.index[keep], np.arange(len(ts)))
+            assert (ts.index[~keep] == -1).all()
+            got = _sparse_depthwise(ts.tokens, ts, kernel, bias)
+            want = depthwise_conv2d(np.where(keep, x, 0.0), kernel, bias, pad_mode="constant")
+            np.testing.assert_allclose(got, want[:, keep].T, rtol=1e-12, atol=1e-12)
 
 
 class TestSparseSs2d:
@@ -151,7 +176,7 @@ class TestBidiChannelScan:
         x = rng.standard_normal((1, 2, 3))
         for f in ("log_a", "w_dt", "b_dt", "w_b", "w_c", "skip"):
             getattr(p2_src, f)[:] = getattr(p1, f)
-        out = bidi_channel_scan(x, p1, p2_src)
+        out = bidi_scan(x, p1, p2_src)
         single, _ = s6_forward(x.reshape(1, s), p1)
         np.testing.assert_allclose(out, 2 * single.reshape(x.shape),
                                    rtol=1e-12)
@@ -165,7 +190,7 @@ class TestBidiChannelScan:
             p.w_c[:] = 0.0
             p.skip[:] = 0.0
         x = rng.standard_normal((3, 2, 2))
-        out = bidi_channel_scan(x, p1, p2)
+        out = bidi_scan(x, p1, p2)
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_flip_symmetry(self):
@@ -175,8 +200,8 @@ class TestBidiChannelScan:
         p1 = init_s6_params(s, 4, rng)
         p2 = init_s6_params(s, 4, rng)
         x = rng.standard_normal((4, 2, 3))
-        direct = bidi_channel_scan(x, p1, p2)
-        swapped = bidi_channel_scan(x[::-1].copy(), p2, p1)[::-1]
+        direct = bidi_scan(x, p1, p2)
+        swapped = bidi_scan(x[::-1].copy(), p2, p1)[::-1]
         np.testing.assert_allclose(swapped, direct, rtol=1e-10, atol=1e-12)
 
 
@@ -400,6 +425,29 @@ class TestCheckpoint:
         manifest = json.loads(manifest_path.read_text())
         manifest["format"] = "sparsescan-checkpoint-v0"
         manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError):
+            load_checkpoint(path, SMALL)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: "{not json",
+        lambda m: json.dumps([m]),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "entries"}),
+        lambda m: json.dumps({**m, "entries": {"w_embed": 0}}),
+        lambda m: json.dumps({**m, "entries": ["w_embed"]}),
+        lambda m: json.dumps({**m, "entries": [{"offset": 0, "shape": [8]}]}),
+        lambda m: json.dumps({**m, "entries": [{"name": "b_embed", "shape": [8]}]}),
+        lambda m: json.dumps({**m, "entries": [{"name": "b_embed", "offset": 0}]}),
+        lambda m: json.dumps({**m, "entries": [{"name": ["b_embed"], "offset": 0,
+                                                "shape": [8]}]}),
+        lambda m: json.dumps({**m, "entries": [{"name": "b_embed", "offset": "0",
+                                                "shape": [8]}]}),
+    ], ids=["not-json", "not-object", "no-entries", "entries-not-list", "entry-not-object",
+            "no-name", "no-offset", "no-shape", "list-name", "string-offset"])
+    def test_malformed_manifest_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_backbone_params(SMALL, seed=28), path)
+        manifest_path = tmp_path / "model.ckpt.json"
+        manifest_path.write_text(corrupt(json.loads(manifest_path.read_text())))
         with pytest.raises(FormatError):
             load_checkpoint(path, SMALL)
 

@@ -40,6 +40,15 @@ class TestGen:
         assert rc == 0
         assert truth.read_bytes().startswith(b"P5")
 
+    @pytest.mark.parametrize("flag,value", [("--width", "-5"), ("--height", "0")])
+    def test_nonpositive_size_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.bin"
+        rc = main(["gen", "--preset", "sparse30", flag, value, "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "positive" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestStca:
     def test_mask_dimensions(self, tmp_path):

@@ -63,6 +63,14 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="4"):
             load_events(p)
 
+    @pytest.mark.parametrize("field", ["2,3,1180591620717411303424,1",
+                                       "-9223372036854775809,3,20,1"])
+    def test_field_outside_int64_reports_line_number(self, tmp_path, field):
+        p = tmp_path / "big.csv"
+        p.write_text(f"W=8,H=8\nx,y,t,p\n1,2,10,1\n\n{field}\n")
+        with pytest.raises(FormatError, match="line 5"):
+            load_events(p)
+
     def test_decreasing_timestamps_rejected(self, tmp_path):
         p = tmp_path / "ord.csv"
         p.write_text("W=8,H=8\nx,y,t,p\n1,1,500,1\n1,1,400,1\n")

@@ -31,6 +31,7 @@ from .errors import ConfigError, FormatError, OrderingError, ValidationError
 _BIN_MAGIC = b"EVT1"
 _BIN_HEADER = struct.Struct("<4sHHQ")
 _BIN_RECORD = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u4"), ("p", "i1"), ("pad", "V3")])
+_INT64 = range(-2**63, 2**63)
 
 
 @dataclass
@@ -150,8 +151,10 @@ def save_events(stream: EventStream, path: str | Path, format: str | None = None
 
 
 def _load_csv(path: Path) -> EventStream:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text (byte offset {exc.start})") from None
     if len(lines) < 2:
         raise FormatError(f"{path}: expected a geometry line and a column header")
     meta = {}
@@ -163,6 +166,8 @@ def _load_csv(path: Path) -> EventStream:
             meta[key.strip()] = int(value)
         except ValueError:
             raise FormatError(f"{path} line 1: non-integer value in {item!r}") from None
+        if meta[key.strip()] not in _INT64:
+            raise FormatError(f"{path} line 1: value outside int64 in {item!r}")
     if "W" not in meta or "H" not in meta:
         raise FormatError(f"{path} line 1: geometry line must define W and H")
     if lines[1].strip() != "x,y,t,p":
@@ -178,7 +183,7 @@ def _load_csv(path: Path) -> EventStream:
             row = tuple(int(v) for v in parts)
         except ValueError:
             raise FormatError(f"{path} line {i}: non-integer field in {line!r}") from None
-        if not all(-2**63 <= v < 2**63 for v in row):
+        if not all(v in _INT64 for v in row):
             raise FormatError(f"{path} line {i}: field outside int64 in {line!r}")
         rows.append(row)
     data = np.array(rows, dtype=np.int64).reshape(-1, 4)
@@ -217,13 +222,15 @@ def _load_bin(path: Path) -> EventStream:
 def _save_bin(stream: EventStream, path: Path) -> None:
     if stream.width > 0xFFFF or stream.height > 0xFFFF:
         raise ValidationError("sensor geometry exceeds u16 range")
-    offsets = stream.ts - stream.window_start
-    if stream.n_events and offsets.max() > 0xFFFFFFFF:
+    if stream.span > 0xFFFFFFFFFFFFFFFF:
+        raise ValidationError("window span exceeds u64 range")
+    # timestamps are sorted; Python ints, since ts - window_start can leave int64
+    if stream.n_events and int(stream.ts[-1]) - stream.window_start > 0xFFFFFFFF:
         raise ValidationError("window offsets exceed u32 range")
     rec = np.zeros(stream.n_events, dtype=_BIN_RECORD)
     rec["x"] = stream.xs
     rec["y"] = stream.ys
-    rec["t"] = offsets
+    rec["t"] = stream.ts - stream.window_start
     rec["p"] = stream.ps
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(_BIN_MAGIC, stream.width, stream.height, stream.span))

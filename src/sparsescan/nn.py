@@ -9,12 +9,8 @@ from .errors import ShapeError
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh saturates instead of overflowing, so this holds for every x
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def silu(x):

@@ -4,11 +4,12 @@ Per lane l with diagonal state of size N, the continuous system
 dh/dt = a h + b x is discretized per step with a zero-order hold over
 the input-dependent step size:
 
-    abar = exp(dt * a)
-    bbar = ((exp(dt * a) - 1) / a) * b
+    abar = exp(z)
+    bbar = dt * b * phi1(z),    z = dt * a,  phi1(z) = expm1(z) / z
 
-with the series limit bbar = dt * b * (1 + dt * a / 2) when |dt * a|
-falls below 1e-8 (the closed form divides by a). The recurrence is
+with phi1(0) = 1. Since expm1 is accurate for tiny z, this one form is
+exact through a = 0, dt = 0 and subnormal a, and never divides by a.
+The recurrence is
 
     h_t = abar_t * h_{t-1} + bbar_t * x_t
     y_t = <c_t, h_t> + skip * x_t
@@ -33,8 +34,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .flops import NULL_METER, FlopsMeter
-
-_SERIES_CUTOFF = 1e-8
 
 
 @dataclass
@@ -84,21 +83,17 @@ def init_s6_params(n_lanes: int, n_state: int, rng: np.random.Generator,
 
 
 def discretize_zoh(a, b, dt):
-    """Zero-order-hold discretization, broadcast over array arguments.
+    """Zero-order-hold (abar, bbar) in the phi1 form above.
 
-    Returns (abar, bbar). The series branch keeps bbar continuous through
-    a = 0: near the cutoff the two branches agree to about 1e-8 relative.
+    The three arguments broadcast to one shape, which both results take.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    dt = np.asarray(dt, dtype=np.float64)
+    a, b, dt = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (a, b, dt)))
     z = dt * a
     abar = np.exp(z)
-    small = np.abs(z) < _SERIES_CUTOFF
-    safe_a = np.where(small, 1.0, a)
-    exact = np.expm1(z) / safe_a * b
-    series = dt * b * (1.0 + 0.5 * z)
-    return abar, np.where(small, series, exact)
+    bbar = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)   # phi1(z)
+    bbar *= b
+    bbar *= dt
+    return abar, bbar
 
 
 def softplus(x):
@@ -116,8 +111,8 @@ def parameterize(x: np.ndarray, p: S6Params,
     b_t = x @ p.w_b.T                                # (T, N)
     c_t = x @ p.w_c.T                                # (T, N)
     a = -np.exp(p.log_a)                             # (L, N)
-    abar, bbar = discretize_zoh(a[None, :, :], b_t[:, None, :], dt[:, :, None])
-    bx = bbar * x[:, :, None]
+    abar, bx = discretize_zoh(a[None, :, :], b_t[:, None, :], dt[:, :, None])
+    bx *= x[:, :, None]
     meter.macs(label, t_len * lanes * lanes + 2 * t_len * n * lanes)
     meter.elem(label, 2 * t_len * lanes + 6 * t_len * lanes * n)
     return S6Discretized(abar=abar, bx=bx, c=c_t)

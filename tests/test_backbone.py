@@ -8,6 +8,7 @@ and the stage shape/state contracts.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,25 @@ class TestGci:
         p.dw_kernel[:] = center
         collapsed = gci_forward(x, p)
         np.testing.assert_allclose(full, collapsed, rtol=1e-10, atol=1e-12)
+
+
+class TestSigmoid:
+    def test_half_at_zero(self):
+        assert sigmoid(np.array(0.0)) == 0.5
+
+    def test_symmetric_and_matches_logistic(self):
+        x = np.linspace(-700.0, 700.0, 2801)
+        y = sigmoid(x)
+        # 2**-53 is one rounding of a value near 1, which 1 - y itself incurs
+        np.testing.assert_allclose(sigmoid(-x), 1.0 - y, rtol=0, atol=2**-53)
+        ref = [1.0 / (1.0 + math.exp(-v)) for v in x]
+        np.testing.assert_allclose(y, ref, rtol=0, atol=2**-52)
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = sigmoid(np.array([-1e4, 1e4]))
+        assert y.tolist() == [0.0, 1.0]
 
 
 class TestConvLstm:

@@ -78,6 +78,15 @@ class TestStca:
         assert main(["stca", str(scene), flag, value]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix,suffix", [(b"\xef\xbb\xbf", b""), (b"", b"1,2,\xff,1\n")],
+                             ids=["utf8-bom", "byte-ff"])
+    def test_non_ascii_csv_rejected(self, tmp_path, capsys, prefix, suffix):
+        scene = run_gen(tmp_path, "scene.csv")
+        scene.write_bytes(prefix + scene.read_bytes() + suffix)
+        assert main(["stca", str(scene)]) == 1
+        err = capsys.readouterr().err
+        assert "not ASCII" in err and str(scene) in err and "Traceback" not in err
+
     def test_input_not_mutated(self, tmp_path):
         scene = run_gen(tmp_path)
         digest = hashlib.sha256(scene.read_bytes()).hexdigest()

@@ -6,7 +6,10 @@ Frozen example values come first in each class; statistical checks
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sparsescan.errors import SparseScanError
 from sparsescan.event_io import (
     EventStream,
     FormatError,
@@ -71,6 +74,14 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="line 5"):
             load_events(p)
 
+    @pytest.mark.parametrize("geometry", ["W=8,H=8,T0=0,T1=1180591620717411303424",
+                                          "W=-9223372036854775809,H=8"])
+    def test_geometry_outside_int64_reports_line_one(self, tmp_path, geometry):
+        p = tmp_path / "geo.csv"
+        p.write_text(f"{geometry}\nx,y,t,p\n1,2,10,1\n")
+        with pytest.raises(FormatError, match="line 1"):
+            load_events(p)
+
     def test_decreasing_timestamps_rejected(self, tmp_path):
         p = tmp_path / "ord.csv"
         p.write_text("W=8,H=8\nx,y,t,p\n1,1,500,1\n1,1,400,1\n")
@@ -125,6 +136,50 @@ class TestBinaryFormat:
         p.write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(FormatError):
             load_events(p)
+
+    # a span beyond the u64 header field; an offset 2**62 + 2**63 that int64 wraps
+    @pytest.mark.parametrize("t0,t1,t", [(0, 2**70, 5), (-2**63, 2**62, 2**62)])
+    def test_window_beyond_format_range_rejected(self, tmp_path, t0, t1, t):
+        s = make_stream([1], [2], [t], [1], t0=t0, t1=t1)
+        with pytest.raises(ValidationError, match="range"):
+            save_events(s, tmp_path / "w.bin")
+
+
+fuzz_settings = settings(max_examples=100, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+fuzz_int = st.one_of(st.integers(-2, 12), st.integers())
+
+
+def loads_or_rejects(path, data: bytes):
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_events(path), EventStream)
+    except SparseScanError:
+        pass
+
+
+class TestLoaderFuzz:
+    """Any file content ends in an EventStream or a SparseScanError."""
+
+    @fuzz_settings
+    @given(data=st.one_of(st.binary(max_size=64),
+                          st.binary(max_size=60).map(lambda b: b"EVT1" + b)))
+    def test_binary_bytes(self, tmp_path, data):
+        loads_or_rejects(tmp_path / "f.bin", data)
+
+    @fuzz_settings
+    @given(data=st.binary(max_size=64))
+    def test_csv_bytes(self, tmp_path, data):
+        loads_or_rejects(tmp_path / "f.csv", data)
+
+    @fuzz_settings
+    @given(geometry=st.lists(st.tuples(st.sampled_from(["W", "H", "T0", "T1"]), fuzz_int),
+                             max_size=5),
+           rows=st.lists(st.lists(fuzz_int, min_size=3, max_size=5), max_size=6))
+    def test_csv_integer_lines(self, tmp_path, geometry, rows):
+        lines = [",".join(f"{k}={v}" for k, v in geometry), "x,y,t,p"]
+        lines += [",".join(map(str, row)) for row in rows]
+        loads_or_rejects(tmp_path / "f.csv", "\n".join(lines).encode())
 
 
 class TestStreamValidation:

@@ -59,16 +59,20 @@ class TestDiscretizeZoh:
         assert bbar == 0.0
 
     def test_series_branch_continuity(self):
-        dt, b = 1.0, 1.0
-        for a in (1e-9, -1e-9):
+        b = 1.0
+        # a subnormal a gives a subnormal z, where phi1(z) = 1 holds exactly
+        for a, dt, tol in ((1e-9, 1.0, 1e-8), (-1e-9, 1.0, 1e-8), (-1e-310, 0.3, 1e-15)):
             _, bbar = discretize_zoh(a, b, dt)
-            assert abs(bbar - dt * b) <= 1e-8 * abs(dt * b) + 1e-12
+            assert abs(bbar - dt * b) <= tol * abs(dt * b)
 
     def test_broadcasting(self):
-        a = np.array([-1.0, -2.0])
-        abar, bbar = discretize_zoh(a, 1.0, 0.5)
-        np.testing.assert_allclose(abar, np.exp(0.5 * a))
-        np.testing.assert_allclose(bbar, np.expm1(0.5 * a) / a)
+        dt = 0.5
+        for a in (np.array([-1.0, -2.0]), np.array([0.0, -1.0, 0.0, 2.0, -3.0]),
+                  -np.logspace(math.log10(2e-300), math.log10(1400.0), 301)):  # z in [-700, -1e-300]
+            abar, bbar = discretize_zoh(a, 1.0, dt)
+            np.testing.assert_allclose(abar, np.exp(dt * a))
+            ref = [math.expm1(dt * v) / v if v else dt for v in a]
+            np.testing.assert_allclose(bbar, ref, rtol=1e-14, atol=0)
 
 
 class TestParameterize:

@@ -13,8 +13,8 @@ from .event_io import EdgeSegment, EventStream, SceneSpec, VoxelGrid, \
     build_voxel_grid, event_spatial_ratio, generate_synthetic_scene, \
     load_events, save_events, scene_preset
 from .stca import GaussianConfig, StcaResult, accumulate_temporal_scores, \
-    build_sparsification_map, compute_threshold, downsample_map, \
-    gaussian_aggregate, max_pool2d, pool_to_tokens, run_stca
+    build_sparsification_map, compute_threshold, gaussian_aggregate, \
+    max_pool2d, pool_to_tokens, run_stca
 from .sparsify import TokenSet, gather_tokens, kept_ratio, scatter_tokens
 from .scan_order import IplConfig, cross_orders, invert, ipl_order
 from .s6 import S6Discretized, S6Params, ScanGradients, discretize_zoh, \
@@ -38,7 +38,7 @@ __all__ = [
     "VoxelGrid", "accumulate_temporal_scores", "backbone_forward",
     "build_sparsification_map", "build_voxel_grid", "compute_threshold",
     "convlstm_step", "count_analytic",
-    "cross_orders", "discretize_zoh", "downsample_map",
+    "cross_orders", "discretize_zoh",
     "event_spatial_ratio", "gather_tokens", "gaussian_aggregate",
     "gci_forward", "generate_synthetic_scene", "init_backbone_params",
     "init_lstm_states", "init_s6_params", "invert", "ipl_order",

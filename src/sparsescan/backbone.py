@@ -22,15 +22,16 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FormatError, ShapeError
 from .event_io import VoxelGrid
 from .flops import NULL_METER, FlopsMeter
 from .nn import conv2d_same, depthwise_conv2d, gelu, layer_norm, patchify, sigmoid, silu
 from .s6 import S6Params, init_s6_params, s6_forward
-from .scan_order import IplConfig, invert, ipl_order
+from .scan_order import IplConfig, ipl_order
 from .sparsify import TokenSet, gather_tokens, scatter_tokens
-from .stca import downsample_map, max_pool2d
+from .stca import max_pool2d
 
 _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
 
@@ -157,6 +158,8 @@ def _linear_init(rng, out_dim, in_dim):
 
 def init_backbone_params(cfg: BackboneConfig, seed: int = 0) -> BackboneParams:
     cfg.validate()
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     c1 = cfg.channels[0]
     in_dim = 2 * cfg.bins * cfg.patch * cfg.patch
@@ -210,12 +213,11 @@ def init_backbone_params(cfg: BackboneConfig, seed: int = 0) -> BackboneParams:
                           b_embed=np.zeros(c1), stages=stages)
 
 
-def init_lstm_states(cfg: BackboneConfig, dtype=np.float64) -> list[LstmState]:
+def init_lstm_states(cfg: BackboneConfig) -> list[LstmState]:
     out = []
     for s, c in enumerate(cfg.channels):
         gh, gw = cfg.grid(s)
-        out.append(LstmState(h=np.zeros((c, gh, gw), dtype=dtype),
-                             c=np.zeros((c, gh, gw), dtype=dtype)))
+        out.append(LstmState(h=np.zeros((c, gh, gw)), c=np.zeros((c, gh, gw))))
     return out
 
 
@@ -233,19 +235,16 @@ def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
 
 
 def _sparse_depthwise(tokens: np.ndarray, ts: TokenSet, kernel, bias):
-    """3x3 depthwise pass over ts's kept positions; missing neighbors read as 0."""
+    """3x3 depthwise pass over ts's kept positions; missing neighbors read as 0.
+
+    Each kept token's 3x3 window of the padded grid index names its nine
+    neighbours' rows, with -1 for a discarded or off-grid one, which reads
+    the zero row appended to the tokens.
+    """
     index = np.pad(ts.index, 1, constant_values=-1)
-    rows, cols = ts.coords[:, 0] + 1, ts.coords[:, 1] + 1
-    out = tokens * kernel[:, 1, 1]
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            j = index[rows + dy, cols + dx]
-            hit = j >= 0
-            if hit.any():
-                out[hit] += tokens[j[hit]] * kernel[:, 1 + dy, 1 + dx]
-    return out + bias
+    nbr = sliding_window_view(index, (3, 3))[ts.coords[:, 0], ts.coords[:, 1]]   # (n, 3, 3)
+    padded = np.vstack([tokens, np.zeros((1, tokens.shape[1]))])
+    return np.einsum("nkd,dk->nd", padded[nbr.reshape(-1, 9)], kernel.reshape(-1, 9)) + bias
 
 
 def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
@@ -278,7 +277,7 @@ def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dPara
     acc = bidi_scan(u, p.s6_fwd, p.s6_bwd, meter, label, parallel)
     perm = ipl_order(ts, scores, IplConfig(p.ipl_k))
     y, _ = s6_forward(u[perm], p.s6_ipl, parallel=parallel, meter=meter, label=label)
-    acc += y[invert(perm)]
+    acc[perm] += y
     meter.elem(label, n * d)
     ts.tokens += (acc * gate) @ p.w_out.T + p.b_out
     meter.macs(label, n * d * c)
@@ -388,7 +387,7 @@ def stage_maps(keep: np.ndarray, scores: np.ndarray,
     maps = [(keep, scores)]
     for _ in range(n_stages - 1):
         k_map, s_map = maps[-1]
-        maps.append((downsample_map(k_map, 2), max_pool2d(s_map, 2)))
+        maps.append((max_pool2d(k_map, 2), max_pool2d(s_map, 2)))
     return maps
 
 
@@ -406,7 +405,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
     if keep.shape != grid0 or scores.shape != grid0:
         raise ShapeError(f"keep mask and scores must have shape {grid0}")
     if states is None:
-        states = init_lstm_states(cfg, dtype=params.w_embed.dtype)
+        states = init_lstm_states(cfg)
     maps = stage_maps(keep, scores, cfg.n_stages)
     outputs = []
     for vox in voxels:

@@ -3,7 +3,8 @@
 Subcommands: gen (synthetic scenes), stca (score and threshold a stream),
 scan-viz (dump a serialization order), forward (run the backbone, with an
 optional FLOPs report), bench (threaded multi-scene benchmark), selftest
-(the acceptance battery). Domain errors exit 1, usage errors exit 2.
+(the acceptance battery). Domain, file and out-of-memory errors exit 1,
+usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -271,11 +272,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SparseScanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SparseScanError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

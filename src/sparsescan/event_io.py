@@ -10,9 +10,9 @@ Two file formats are supported:
 * CSV: a geometry line ``W=<w>,H=<h>[,T0=<start>,T1=<end>]``, a column
   header ``x,y,t,p``, then one event per line as decimal integers.
 * Binary: a 16-byte little-endian header (magic ``EVT1``, u16 width,
-  u16 height, u64 window span in microseconds) followed by 12-byte
-  records (u16 x, u16 y, u32 t offset from window start, i8 polarity,
-  3 zero pad bytes). Polarity -1 is stored as the signed byte 0xFF.
+  u16 height, u64 window span in microseconds, below 2**63) followed by
+  12-byte records (u16 x, u16 y, u32 t offset from window start, i8
+  polarity, 3 zero pad bytes). Polarity -1 is stored as the signed byte 0xFF.
   The absolute window start is not stored, so a loaded binary stream
   has its window at [0, span]; saving it back is byte-identical.
 """
@@ -39,8 +39,8 @@ class EventStream:
     """A time-ordered event stream with sensor geometry and window bounds.
 
     Invariants checked at construction: coordinates inside the sensor,
-    polarities in {-1, +1}, timestamps non-decreasing and contained in
-    [window_start, window_end].
+    polarities in {-1, +1}, window bounds inside int64, timestamps
+    non-decreasing and contained in [window_start, window_end].
     """
 
     xs: np.ndarray
@@ -64,6 +64,9 @@ class EventStream:
             raise ValidationError(f"sensor geometry must be positive, got {self.width}x{self.height}")
         if self.window_end < self.window_start:
             raise ValidationError("window end precedes window start")
+        if self.window_start < _INT64.start or self.window_end >= _INT64.stop:
+            raise ValidationError(f"window [{self.window_start}, {self.window_end}] "
+                                  f"leaves the int64 range")
         if n == 0:
             return
         if self.xs.min() < 0 or self.xs.max() >= self.width or self.ys.min() < 0 or self.ys.max() >= self.height:
@@ -125,29 +128,19 @@ class SceneSpec:
     noise_rate: float  # events per pixel per second
 
 
-def load_events(path: str | Path, format: str | None = None) -> EventStream:
-    """Load an event stream, inferring the format from the extension.
-
-    ``format`` may be "csv" or "bin" to override inference.
-    """
+def load_events(path: str | Path) -> EventStream:
+    """Load an event stream: CSV for a .csv suffix, binary otherwise."""
     path = Path(path)
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "bin")
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "bin":
-        return _load_bin(path)
-    raise ConfigError(f"unknown event format {fmt!r}")
+    return _load_csv(path) if path.suffix.lower() == ".csv" else _load_bin(path)
 
 
-def save_events(stream: EventStream, path: str | Path, format: str | None = None) -> None:
+def save_events(stream: EventStream, path: str | Path) -> None:
+    """Save an event stream: CSV for a .csv suffix, binary otherwise."""
     path = Path(path)
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "bin")
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         _save_csv(stream, path)
-    elif fmt == "bin":
-        _save_bin(stream, path)
     else:
-        raise ConfigError(f"unknown event format {fmt!r}")
+        _save_bin(stream, path)
 
 
 def _load_csv(path: Path) -> EventStream:
@@ -222,8 +215,8 @@ def _load_bin(path: Path) -> EventStream:
 def _save_bin(stream: EventStream, path: Path) -> None:
     if stream.width > 0xFFFF or stream.height > 0xFFFF:
         raise ValidationError("sensor geometry exceeds u16 range")
-    if stream.span > 0xFFFFFFFFFFFFFFFF:
-        raise ValidationError("window span exceeds u64 range")
+    if stream.span >= _INT64.stop:   # loading puts the window at [0, span]
+        raise ValidationError("window span exceeds int64 range")
     # timestamps are sorted; Python ints, since ts - window_start can leave int64
     if stream.n_events and int(stream.ts[-1]) - stream.window_start > 0xFFFFFFFF:
         raise ValidationError("window offsets exceed u32 range")
@@ -248,8 +241,11 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
     """
     if spec.width < 1 or spec.height < 1:
         raise ConfigError(f"scene size {spec.width}x{spec.height} must be positive")
-    if spec.duration_us <= 0:
-        raise ConfigError("scene duration must be positive")
+    if not 0 < spec.duration_us < _INT64.stop:
+        raise ConfigError(f"scene duration must be positive and inside int64, "
+                          f"got {spec.duration_us}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if spec.noise_rate < 0:
         raise ConfigError("noise rate must be non-negative")
     rng = np.random.default_rng(seed)

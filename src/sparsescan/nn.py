@@ -22,12 +22,12 @@ def gelu(x):
     return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)))
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
-    """Normalize each row of an (n, C) matrix over its channels."""
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize each row of an (n, C) matrix over its channels (eps 1e-5)."""
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    return xc / np.sqrt(var + eps) * gain + bias
+    return xc / np.sqrt(var + 1e-5) * gain + bias
 
 
 def patchify(x: np.ndarray, patch: int) -> np.ndarray:
@@ -39,7 +39,7 @@ def patchify(x: np.ndarray, patch: int) -> np.ndarray:
     return v.transpose(1, 3, 0, 2, 4).reshape((h // patch) * (w // patch), c * patch * patch)
 
 
-def conv2d_same(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with zero padding, (Cin,H,W) -> (Cout,H,W)."""
     cin, h, wd = x.shape
     cout, cin2, kh, kw = w.shape
@@ -49,19 +49,14 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) ->
     win = sliding_window_view(pad, (kh, kw), axis=(1, 2))
     col = win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * kh * kw)
     y = col @ w.reshape(cout, -1).T
-    if bias is not None:
-        y = y + bias
     return y.T.reshape(cout, h, wd)
 
 
-def depthwise_conv2d(x: np.ndarray, k: np.ndarray, bias: np.ndarray | None = None,
+def depthwise_conv2d(x: np.ndarray, k: np.ndarray, bias: np.ndarray,
                      pad_mode: str = "constant") -> np.ndarray:
     """Per-channel 3x3 cross-correlation. pad_mode 'edge' preserves constants."""
     c, h, w = x.shape
     kh, kw = k.shape[1:]
     pad = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)), mode=pad_mode)
     win = sliding_window_view(pad, (kh, kw), axis=(1, 2))
-    y = np.einsum("chwij,cij->chw", win, k)
-    if bias is not None:
-        y = y + bias[:, None, None]
-    return y
+    return np.einsum("chwij,cij->chw", win, k) + bias[:, None, None]

@@ -22,8 +22,9 @@ the recurrence is unconditionally stable.
 Two forward scans share one output stage: a sequential loop, and a
 recursive-doubling (Hillis-Steele) scan over the associative operator
 (a1, b1) . (a2, b2) = (a1 a2, a2 b1 + b2), which takes ceil(log2 T)
-whole-array passes and O(T log T) work, with h0 folded into step 0. A
-manual reverse-mode adjoint of the recurrence completes the kernels.
+whole-array passes and O(T log T) work. Both start from the bx terms,
+with h0 folded into step 0 as abar_0 * h0. A manual reverse-mode adjoint
+of the recurrence completes the kernels.
 """
 
 from __future__ import annotations
@@ -65,11 +66,10 @@ class S6Discretized:
     c: np.ndarray        # (T, N)
 
 
-def init_s6_params(n_lanes: int, n_state: int, rng: np.random.Generator,
-                   dt_min: float = 1e-3, dt_max: float = 1e-1) -> S6Params:
-    """Standard initialization: a_n = -(n+1), log-uniform step sizes."""
+def init_s6_params(n_lanes: int, n_state: int, rng: np.random.Generator) -> S6Params:
+    """Standard initialization: a_n = -(n+1), step sizes log-uniform in [1e-3, 1e-1]."""
     log_a = np.tile(np.log(np.arange(1, n_state + 1, dtype=np.float64)), (n_lanes, 1))
-    dt = np.exp(rng.uniform(np.log(dt_min), np.log(dt_max), size=n_lanes))
+    dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=n_lanes))
     b_dt = dt + np.log1p(-np.exp(-dt))  # inverse softplus
     scale = 1.0 / np.sqrt(n_lanes)
     return S6Params(
@@ -119,12 +119,11 @@ def parameterize(x: np.ndarray, p: S6Params,
 
 
 def _scan_states_seq(d: S6Discretized, h0: np.ndarray | None) -> np.ndarray:
-    t_len, lanes, n = d.abar.shape
-    hs = np.empty_like(d.abar)
-    h = np.zeros((lanes, n)) if h0 is None else h0
-    for t in range(t_len):
-        h = d.abar[t] * h + d.bx[t]
-        hs[t] = h
+    hs = d.bx.copy()
+    if h0 is not None:
+        hs[:1] += d.abar[:1] * h0
+    for t in range(1, len(hs)):
+        hs[t] += d.abar[t] * hs[t - 1]
     return hs
 
 

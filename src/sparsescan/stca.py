@@ -81,16 +81,20 @@ def gaussian_aggregate(token_scores: np.ndarray, cfg: GaussianConfig = GaussianC
 
     Weights are exp(-(dy^2 + dx^2) / (2 sigma^2)), clipped to the map and
     renormalized per position, so constant maps are preserved and borders
-    are unbiased. sigma -> 0 recovers the identity.
+    are unbiased. sigma -> 0 recovers the identity: the centre weight is
+    always 1, and off-centre weights are 0 once 2 sigma^2 underflows.
+    Offsets beyond the map add nothing, so the radius is clamped to it.
     """
     h, w = token_scores.shape
     num = np.zeros((h, w), dtype=np.float64)
     den = np.zeros((h, w), dtype=np.float64)
-    r = cfg.radius
-    inv = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            wgt = np.exp(-(dy * dy + dx * dx) * inv)
+    ry, rx = min(cfg.radius, h - 1), min(cfg.radius, w - 1)
+    two_var = 2.0 * cfg.sigma * cfg.sigma
+    inv = 1.0 / two_var if two_var > 0.0 else np.inf
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
+            d2 = dy * dy + dx * dx
+            wgt = np.exp(-d2 * inv) if d2 else 1.0   # 0 * inf would be nan
             ys0, ys1 = max(0, -dy), min(h, h - dy)
             xs0, xs1 = max(0, -dx), min(w, w - dx)
             num[ys0:ys1, xs0:xs1] += wgt * token_scores[ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
@@ -102,7 +106,9 @@ def compute_threshold(token_scores: np.ndarray, beta: float) -> float:
     """alpha = sum(scores) / (beta * token count), the scaled mean score."""
     if not 0 < beta < np.inf:
         raise ConfigError(f"sparsity factor beta must be positive and finite, got {beta}")
-    return float(token_scores.sum() / (beta * token_scores.size))
+    # a tiny beta can overflow alpha to inf, which no score reaches
+    with np.errstate(over="ignore"):
+        return float(token_scores.sum() / (beta * token_scores.size))
 
 
 def build_sparsification_map(token_scores: np.ndarray, threshold: float) -> np.ndarray:
@@ -118,11 +124,6 @@ def max_pool2d(a: np.ndarray, factor: int) -> np.ndarray:
     if h % factor or w % factor:
         raise ShapeError(f"factor {factor} does not divide map shape {h}x{w}")
     return a.reshape(h // factor, factor, w // factor, factor).max(axis=(1, 3))
-
-
-def downsample_map(keep: np.ndarray, factor: int) -> np.ndarray:
-    """Downsample a keep mask: a coarse token survives if any fine one did."""
-    return max_pool2d(keep, factor)
 
 
 def run_stca(stream: EventStream, patch: int = 4,

@@ -148,6 +148,13 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err != ""
 
+    def test_memory_error_is_domain_error(self, monkeypatch, capsys):
+        def out_of_memory(args):
+            raise MemoryError
+        monkeypatch.setattr("sparsescan.cli.cmd_gen", out_of_memory)
+        assert main(["gen", "--preset", "sparse30", "-o", "x.bin"]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--no-such-flag"])
@@ -180,3 +187,68 @@ class TestBench:
         rc = main(["bench", "--scenes", "1"])
         assert rc == 1
         assert capsys.readouterr().err != ""
+
+
+HUGE = str(10**30)
+SCENE = "{scene}"      # replaced by a 32x32 sparse30 binary scene
+
+
+def _sweep_cases():
+    """Degenerate values for every flag that takes one, per subcommand.
+
+    Left out: values that make the program allocate or loop in proportion
+    to the value (huge gen --width/--height, forward --timesteps or -B,
+    bench --scenes), and gen --duration-us values whose events would fit
+    in memory: only durations that fail at once are fed.
+    """
+    gen = ["gen", "--preset", "noise-only", "--width", "2", "--height", "2", "-o", "{out}"]
+    stca = ["stca", SCENE, "-o", "{out}"]
+    viz = ["scan-viz", SCENE, "-o", "{out}"]
+    fwd = ["forward", SCENE]
+    table = [
+        (gen, "--seed", ["0", "-1", HUGE]),
+        (gen, "--width", ["0", "-1", "1"]),
+        (gen, "--height", ["0", "-1", "1"]),
+        (gen, "--duration-us", ["0", "-1", "1", str(2**63 - 1), str(2**63), HUGE]),
+        (stca, "--beta", ["0", "-1", "1e-320", "5e-324", "1e300"]),
+        (stca, "--sigma", ["0", "-1", "1e-100", "1e-160", "1e-200", "5e-324", "1e300"]),
+        (stca, "--radius", ["0", "-1", "100000000", HUGE]),
+        (stca + ["--sigma", "1e-300"], "--radius", ["0"]),
+        (stca, "--patch", ["0", "-1", "1", "3", HUGE]),
+        (viz, "-k", ["0", "-1", "1", HUGE]),
+        (viz, "--patch", ["0", "-1", "1", HUGE]),
+        (viz, "--beta", ["0", "1e-320", "1e300"]),
+        (viz, "--order", ["bidi-backward", "cross-col-forward"]),
+        (fwd, "--seed", ["-1", HUGE]),
+        (fwd, "--timesteps", ["0", "-1"]),
+        (fwd, "--bins", ["0", "-1", "1"]),
+        (fwd, "--beta", ["0", "1e-320", "1e300"]),
+        (["bench"], "--scenes", ["0", "-1"]),
+        (["bench", "--scenes", "1"], "--seed", ["-1"]),
+        (["selftest"], "--no-such-flag", ["1"]),
+    ]
+    return [base + [flag, v] for base, flag, values in table for v in values]
+
+
+class TestSweep:
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sweep") / "scene.bin"
+        assert main(["gen", "--preset", "sparse30", "--width", "32", "--height", "32",
+                     "-o", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv", _sweep_cases(), ids=" ".join)
+    def test_degenerate_value(self, argv, scene, tmp_path, capsys):
+        argv = [a.format(scene=scene, out=tmp_path / "out.csv") for a in argv]
+        capsys.readouterr()
+        try:
+            rc = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "nan" not in out.lower()
+        if rc == 1:
+            assert err.startswith("error: ")

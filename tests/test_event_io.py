@@ -137,12 +137,20 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_events(p)
 
-    # a span beyond the u64 header field; an offset 2**62 + 2**63 that int64 wraps
+    # a window end beyond int64 (refused on construction); an offset
+    # 2**62 + 2**63 that int64 wraps
     @pytest.mark.parametrize("t0,t1,t", [(0, 2**70, 5), (-2**63, 2**62, 2**62)])
     def test_window_beyond_format_range_rejected(self, tmp_path, t0, t1, t):
-        s = make_stream([1], [2], [t], [1], t0=t0, t1=t1)
         with pytest.raises(ValidationError, match="range"):
-            save_events(s, tmp_path / "w.bin")
+            save_events(make_stream([1], [2], [t], [1], t0=t0, t1=t1), tmp_path / "w.bin")
+
+    def test_span_beyond_int64_not_saved(self, tmp_path):
+        # a loaded binary window is [0, span], which must stay inside int64
+        p = tmp_path / "w.bin"
+        save_events(EventStream([], [], [], [], 8, 8, -1, 2**63 - 2), p)
+        assert load_events(p).span == 2**63 - 1
+        with pytest.raises(ValidationError, match="range"):
+            save_events(EventStream([], [], [], [], 8, 8, -2**63, 2**63 - 1), p)
 
 
 fuzz_settings = settings(max_examples=100, deadline=None,
@@ -194,6 +202,11 @@ class TestStreamValidation:
     def test_timestamp_outside_window(self):
         with pytest.raises(ValidationError):
             make_stream([1], [1], [5000], [1], t1=2000)
+
+    @pytest.mark.parametrize("t0,t1", [(-2**63 - 5, 0), (0, 2**63), (-2**63 - 1, 2**63)])
+    def test_window_outside_int64_rejected(self, t0, t1):
+        with pytest.raises(ValidationError, match="int64"):
+            EventStream([], [], [], [], 8, 8, t0, t1)
 
     def test_span_property(self):
         s = make_stream([1], [1], [100], [1], t0=50, t1=900)

@@ -7,6 +7,7 @@ beta monotonicity).
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from sparsescan.stca import (
     accumulate_temporal_scores,
     build_sparsification_map,
     compute_threshold,
-    downsample_map,
     gaussian_aggregate,
+    max_pool2d,
     pool_to_tokens,
     read_map_csv,
     run_stca,
@@ -131,6 +132,22 @@ class TestGaussianAggregate:
         out = gaussian_aggregate(m, GaussianConfig(radius=1, sigma=1e-9))
         np.testing.assert_allclose(out, m, atol=1e-12)
 
+    # 2 sigma^2 is normal, subnormal, then underflows to 0
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-160, 1e-200, 5e-324])
+    def test_vanishing_sigma_returns_map_unchanged(self, sigma):
+        m = np.random.default_rng(2).uniform(0, 5, size=(6, 7))
+        for radius in (0, 1, 3):
+            out = gaussian_aggregate(m, GaussianConfig(radius=radius, sigma=sigma))
+            np.testing.assert_array_equal(out, m)
+
+    def test_radius_clamped_to_map(self):
+        m = np.random.default_rng(3).uniform(0, 5, size=(16, 16))
+        t0 = time.perf_counter()
+        out = gaussian_aggregate(m, GaussianConfig(radius=10**8, sigma=4.0))
+        assert time.perf_counter() - t0 < 1.0
+        want = gaussian_aggregate(m, GaussianConfig(radius=15, sigma=4.0))
+        assert out.tobytes() == want.tobytes()
+
     def test_output_max_bounded_by_input_max(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -162,6 +179,11 @@ class TestThresholdAndMap:
         with pytest.raises(ConfigError):
             compute_threshold(np.ones((2, 2)), beta)
 
+    def test_tiny_beta_keeps_nothing_without_warning(self):
+        alpha = compute_threshold(np.full((16, 16), 0.5), 1e-320)   # RuntimeWarning fails
+        assert alpha == math.inf
+        assert not build_sparsification_map(np.full((16, 16), 0.5), alpha).any()
+
     def test_map_hand_case(self):
         m = np.array([[2.0, 0.0], [0.0, 2.0]])
         np.testing.assert_array_equal(
@@ -179,17 +201,17 @@ class TestThresholdAndMap:
 class TestDownsample:
     def test_any_kept_propagates(self):
         d = np.array([[1, 0], [0, 0]], dtype=bool)
-        np.testing.assert_array_equal(downsample_map(d, 2),
+        np.testing.assert_array_equal(max_pool2d(d, 2),
                                       np.array([[True]]))
 
     def test_all_zero_stays_zero(self):
-        assert not downsample_map(np.zeros((4, 4), dtype=bool), 2).any()
+        assert not max_pool2d(np.zeros((4, 4), dtype=bool), 2).any()
 
     def test_kept_ratio_never_decreases(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             d = rng.random((8, 8)) < rng.uniform(0.05, 0.95)
-            assert kept_ratio(downsample_map(d, 2)) >= kept_ratio(d)
+            assert kept_ratio(max_pool2d(d, 2)) >= kept_ratio(d)
 
 
 def brute_force_keep(stream, patch, gauss, beta):

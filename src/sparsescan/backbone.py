@@ -5,14 +5,16 @@ stages. A stage applies a sparse multi-direction scan block, a token
 mixer (a sparse MLP in the early stages, a global channel-interaction
 block in the late ones), and a convolutional LSTM whose state persists
 across timesteps; the stage output is the mixer output plus the LSTM
-response. Between stages, features are merged 2x2 and projected; the
-keep mask and score map of every stage are max-pooled from the inputs
-once per call.
+response. Between stages, features are merged 2x2 and projected.
 
 Sparse blocks compute only at kept token positions and pass discarded
-positions through bit-unchanged. All parameters live in plain float64
-arrays; checkpoints serialize them as one flat little-endian blob plus a
-JSON manifest mapping names to byte offsets and shapes.
+positions through bit-unchanged. Each stage's token plan is built once
+per call from the keep mask and score map, max-pooled to the stage grid;
+per timestep a stage gathers its kept tokens once, runs the scan block
+and the MLP on them in place, and scatters them once, before GCI or the
+LSTM. All parameters live in plain float64 arrays; checkpoints serialize
+them as one flat little-endian blob plus a JSON manifest mapping names
+to byte offsets and shapes.
 """
 
 from __future__ import annotations
@@ -234,76 +236,109 @@ def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
     return tok.T.reshape(w.shape[0], h // patch, wd // patch)
 
 
-def _sparse_depthwise(tokens: np.ndarray, ts: TokenSet, kernel, bias):
-    """3x3 depthwise pass over ts's kept positions; missing neighbors read as 0.
+@dataclass(frozen=True)
+class StagePlan:
+    """A stage's kept tokens, built once per call from its (keep, scores):
+    coordinates and grid index, each token's 3x3 neighbour rows (-1 where
+    discarded or off-grid) and the IPL scan permutation."""
 
-    Each kept token's 3x3 window of the padded grid index names its nine
-    neighbours' rows, with -1 for a discarded or off-grid one, which reads
-    the zero row appended to the tokens.
+    keep: np.ndarray   # (H, W) bool
+    ts: TokenSet       # coordinates and grid index; no channels
+    nbr: np.ndarray    # (n, 9) int64
+    ipl: np.ndarray    # (n,) int64
+
+    @classmethod
+    def build(cls, keep: np.ndarray, scores: np.ndarray, ipl_k: int) -> StagePlan:
+        ts = gather_tokens(np.empty((0,) + keep.shape), keep)
+        index = np.pad(ts.index, 1, constant_values=-1)
+        nbr = sliding_window_view(index, (3, 3))[ts.coords[:, 0], ts.coords[:, 1]]
+        return cls(keep, ts, nbr.reshape(-1, 9), ipl_order(ts, scores, IplConfig(ipl_k)))
+
+
+def stage_plans(keep: np.ndarray, scores: np.ndarray,
+                ipl_k: tuple[int, ...]) -> list[StagePlan]:
+    """One plan per stage: the inputs, then successive 2x max-pools."""
+    plans = [StagePlan.build(keep, scores, ipl_k[0])]
+    for k in ipl_k[1:]:
+        keep, scores = max_pool2d(keep, 2), max_pool2d(scores, 2)
+        plans.append(StagePlan.build(keep, scores, k))
+    return plans
+
+
+def _sparse_depthwise(tokens: np.ndarray, nbr: np.ndarray, kernel, bias):
+    """3x3 depthwise pass over kept tokens; missing neighbours read as 0.
+
+    Row i of the (n, 9) neighbour table names token i's nine neighbours,
+    with -1 for a missing one, which reads the zero row appended to the
+    tokens.
     """
-    index = np.pad(ts.index, 1, constant_values=-1)
-    nbr = sliding_window_view(index, (3, 3))[ts.coords[:, 0], ts.coords[:, 1]]   # (n, 3, 3)
     padded = np.vstack([tokens, np.zeros((1, tokens.shape[1]))])
-    return np.einsum("nkd,dk->nd", padded[nbr.reshape(-1, 9)], kernel.reshape(-1, 9)) + bias
+    return np.einsum("nkd,dk->nd", padded[nbr], kernel.reshape(-1, 9)) + bias
 
 
-def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
+def ss2d_tokens(tokens: np.ndarray, plan: StagePlan, p: Ss2dParams,
                 meter: FlopsMeter = NULL_METER, label: str = "ss2d",
-                parallel: bool = False) -> np.ndarray:
-    """Multi-direction selective scan over kept tokens, passthrough elsewhere.
+                parallel: bool = False) -> None:
+    """Multi-direction selective scan over a stage's kept tokens, in place.
 
-    Kept tokens are normalized, projected, depthwise-mixed, serialized
+    Tokens are normalized, projected, depthwise-mixed, serialized
     forward, backward and in IPL order through three scan blocks, merged
-    by sum, gated, projected back, and added residually at their
-    positions. Discarded positions return bit-equal to the input.
+    by sum, gated, projected back and added residually.
     """
-    if keep.shape != x.shape[1:] or scores.shape != x.shape[1:]:
-        raise ShapeError("keep mask and score map must match the token grid")
-    ts = gather_tokens(x, keep)
-    n = len(ts)
+    n, c = tokens.shape
     if n == 0:
-        return x.copy()
-    c = x.shape[0]
+        return
     d = p.w_in.shape[0]
-    t = layer_norm(ts.tokens, p.norm.gain, p.norm.bias)
+    t = layer_norm(tokens, p.norm.gain, p.norm.bias)
     meter.elem(label, 8 * n * c)
     pre = t @ p.w_in.T + p.b_in
     gate = silu(t @ p.w_gate.T + p.b_gate)
     meter.macs(label, 2 * n * c * d)
     meter.elem(label, 3 * n * d)
-    u = silu(_sparse_depthwise(pre, ts, p.dw_kernel, p.dw_bias))
+    u = silu(_sparse_depthwise(pre, plan.nbr, p.dw_kernel, p.dw_bias))
     meter.macs(label, 9 * n * d)
     meter.elem(label, 2 * n * d)
     acc = bidi_scan(u, p.s6_fwd, p.s6_bwd, meter, label, parallel)
-    perm = ipl_order(ts, scores, IplConfig(p.ipl_k))
-    y, _ = s6_forward(u[perm], p.s6_ipl, parallel=parallel, meter=meter, label=label)
-    acc[perm] += y
+    y, _ = s6_forward(u[plan.ipl], p.s6_ipl, parallel=parallel, meter=meter, label=label)
+    acc[plan.ipl] += y
     meter.elem(label, n * d)
-    ts.tokens += (acc * gate) @ p.w_out.T + p.b_out
+    tokens += (acc * gate) @ p.w_out.T + p.b_out
     meter.macs(label, n * d * c)
     meter.elem(label, n * d + 2 * n * c)
+
+
+def mlp_tokens(tokens: np.ndarray, p: MlpParams,
+               meter: FlopsMeter = NULL_METER, label: str = "mlp") -> None:
+    """Two-layer MLP over a stage's kept tokens, added residually in place."""
+    n, c = tokens.shape
+    if n == 0:
+        return
+    e = p.w1.shape[0]
+    t = layer_norm(tokens, p.norm.gain, p.norm.bias)
+    meter.elem(label, 8 * n * c)
+    hmid = gelu(t @ p.w1.T + p.b1)
+    meter.macs(label, n * c * e)
+    meter.elem(label, 2 * n * e)
+    tokens += hmid @ p.w2.T + p.b2
+    meter.macs(label, n * e * c)
+    meter.elem(label, 2 * n * c)
+
+
+def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
+                meter: FlopsMeter = NULL_METER, label: str = "ss2d",
+                parallel: bool = False) -> np.ndarray:
+    """ss2d_tokens on a map's kept tokens; discarded ones return bit-equal."""
+    plan = StagePlan.build(keep, scores, p.ipl_k)
+    ts = plan.ts.regather(x)
+    ss2d_tokens(ts.tokens, plan, p, meter, label, parallel)
     return scatter_tokens(ts, x)
 
 
 def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
                meter: FlopsMeter = NULL_METER, label: str = "mlp") -> np.ndarray:
-    """Two-layer token MLP on kept tokens only, passthrough elsewhere."""
-    if keep.shape != x.shape[1:]:
-        raise ShapeError("keep mask must match the token grid")
+    """mlp_tokens on a map's kept tokens; discarded ones return bit-equal."""
     ts = gather_tokens(x, keep)
-    n = len(ts)
-    if n == 0:
-        return x.copy()
-    c = x.shape[0]
-    e = p.w1.shape[0]
-    t = layer_norm(ts.tokens, p.norm.gain, p.norm.bias)
-    meter.elem(label, 8 * n * c)
-    hmid = gelu(t @ p.w1.T + p.b1)
-    meter.macs(label, n * c * e)
-    meter.elem(label, 2 * n * e)
-    ts.tokens += hmid @ p.w2.T + p.b2
-    meter.macs(label, n * e * c)
-    meter.elem(label, 2 * n * c)
+    mlp_tokens(ts.tokens, p, meter, label)
     return scatter_tokens(ts, x)
 
 
@@ -381,16 +416,6 @@ def downsample_features(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return y.T.reshape(w.shape[0], h // 2, wd // 2)
 
 
-def stage_maps(keep: np.ndarray, scores: np.ndarray,
-               n_stages: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(keep, scores) per stage: the inputs, then successive 2x max-pools."""
-    maps = [(keep, scores)]
-    for _ in range(n_stages - 1):
-        k_map, s_map = maps[-1]
-        maps.append((max_pool2d(k_map, 2), max_pool2d(s_map, 2)))
-    return maps
-
-
 def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
                      cfg: BackboneConfig, params: BackboneParams,
                      states: list[LstmState] | None = None,
@@ -406,7 +431,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
         raise ShapeError(f"keep mask and scores must have shape {grid0}")
     if states is None:
         states = init_lstm_states(cfg)
-    maps = stage_maps(keep, scores, cfg.n_stages)
+    plans = stage_plans(keep, scores, tuple(sp.ss2d.ipl_k for sp in params.stages))
     outputs = []
     for vox in voxels:
         values = vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox)
@@ -414,13 +439,15 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
             raise ShapeError(f"voxel grid shape {values.shape} does not match config")
         x = patch_embed(values, cfg.patch, params.w_embed, params.b_embed, meter)
         stage_outs = []
-        for s, (sp, (k_map, s_map)) in enumerate(zip(params.stages, maps)):
+        for s, (sp, plan) in enumerate(zip(params.stages, plans)):
             tag = f"stage{s + 1}"
-            x = sparse_ss2d(x, k_map, s_map, sp.ss2d, meter, f"{tag}.ss2d", parallel)
+            ts = plan.ts.regather(x)
+            ss2d_tokens(ts.tokens, plan, sp.ss2d, meter, f"{tag}.ss2d", parallel)
             if isinstance(sp.mixer, GciParams):
-                x = gci_forward(x, sp.mixer, meter, f"{tag}.gci", parallel)
+                x = gci_forward(scatter_tokens(ts, x), sp.mixer, meter, f"{tag}.gci", parallel)
             else:
-                x = sparse_mlp(x, k_map, sp.mixer, meter, f"{tag}.mlp")
+                mlp_tokens(ts.tokens, sp.mixer, meter, f"{tag}.mlp")
+                x = scatter_tokens(ts, x)
             x, states[s] = convlstm_step(x, states[s], sp.lstm, meter, f"{tag}.lstm")
             stage_outs.append(x)
             if sp.down_w is not None:
@@ -487,6 +514,8 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
         if not isinstance(off, int) or not 0 <= off <= len(blob) - 8 * count:
             raise FormatError(f"checkpoint entry {name!r} lies outside the {len(blob)}-byte blob")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(slots[name].shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint entry {name!r} holds a non-finite value")
         np.copyto(slots[name], arr)
         seen.add(name)
     missing = set(slots) - seen

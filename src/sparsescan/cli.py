@@ -1,20 +1,19 @@
 """Command-line front end.
 
 Subcommands: gen (synthetic scenes), stca (score and threshold a stream),
-scan-viz (dump a serialization order), forward (run the backbone, with an
-optional FLOPs report), bench (threaded multi-scene benchmark), selftest
-(the acceptance battery). Domain, file and out-of-memory errors exit 1,
-usage errors exit 2.
+scan-viz (dump a forward, backward or IPL order), forward (run the
+backbone, with an optional FLOPs report), bench (one FLOPs and wall-time
+row per scene, printed as each scene finishes), selftest (the acceptance
+battery). Domain, file and out-of-memory errors exit 1, usage errors
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,10 +26,7 @@ from .scan_order import IplConfig, cross_orders, ipl_order
 from .sparsify import gather_tokens, kept_ratio
 from .stca import GaussianConfig, run_stca, write_map_csv, write_map_pgm
 
-THREADS_ENV = "SPARSE_SCAN_THREADS"
-
-_ORDER_CHOICES = ("bidi-forward", "bidi-backward",
-                  "cross-col-forward", "cross-col-backward", "ipl")
+_ORDER_CHOICES = ("bidi-forward", "bidi-backward", "ipl")
 
 
 def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
@@ -63,14 +59,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _gauss_from_args(args) -> GaussianConfig:
-    return GaussianConfig(radius=args.radius, sigma=args.sigma)
-
-
 def cmd_stca(args) -> int:
     stream = load_events(args.events)
-    res = run_stca(stream, patch=args.patch, gauss=_gauss_from_args(args),
-                   beta=args.beta)
+    res = run_stca(stream, patch=args.patch, beta=args.beta,
+                   gauss=GaussianConfig(radius=args.radius, sigma=args.sigma))
     if args.out:
         if args.out.endswith(".pgm"):
             write_map_pgm(res.keep, args.out)
@@ -89,13 +81,11 @@ def cmd_scan_viz(args) -> int:
     stream = load_events(args.events)
     res = run_stca(stream, patch=args.patch, beta=args.beta)
     ts = gather_tokens(np.zeros((1,) + res.keep.shape), res.keep)
-    rf, rb, cf, cb = cross_orders(ts)
-    orders = {"bidi-forward": rf, "bidi-backward": rb,
-              "cross-col-forward": cf, "cross-col-backward": cb}
     if args.order == "ipl":
         perm = ipl_order(ts, res.scores, IplConfig(args.k))
     else:
-        perm = orders[args.order]
+        fwd, bwd = cross_orders(ts)
+        perm = fwd if args.order == "bidi-forward" else bwd
     lines = ["position,row,col"]
     for i, t in enumerate(perm):
         lines.append(f"{i},{ts.coords[t, 0]},{ts.coords[t, 1]}")
@@ -142,53 +132,29 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _bench_worker_count(n_scenes: int) -> int:
-    workers = os.cpu_count() or 1
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            cap_val = int(cap)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}")
-        if cap_val < 1:
-            raise ConfigError(f"{THREADS_ENV} must be at least 1")
-        workers = min(workers, cap_val)
-    return max(1, min(workers, n_scenes))
-
-
 def cmd_bench(args) -> int:
     if args.scenes < 1:
         raise ConfigError("--scenes must be at least 1")
     cfg = BackboneConfig()
     params = init_backbone_params(cfg, seed=args.seed)
     spec = scene_preset(args.preset)
-
-    def run_one(i: int):
+    print(f"bench: {args.scenes} scene(s)")
+    print(f"{'scene':>5} {'events':>8} {'spatial':>8} {'kept':>6} "
+          f"{'sparse MF':>10} {'dense MF':>9} {'saved':>6} {'ms':>8}")
+    total_sp = total_dn = 0
+    for i in range(args.scenes):
         stream, _ = generate_synthetic_scene(spec, seed=args.seed + i)
         t0 = time.perf_counter()
         res = run_stca(stream, patch=cfg.patch)
         vox = build_voxel_grid(stream, cfg.bins)
         report = measure(cfg, params, [vox], res.scores, res.keep)
         wall = time.perf_counter() - t0
-        return (i, stream.n_events, event_spatial_ratio(stream),
-                kept_ratio(res.keep), report.sparse_total,
-                report.dense_total, report.reduction, wall)
-
-    workers = _bench_worker_count(args.scenes)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        # map() returns results in submission order, so output is
-        # deterministic regardless of which worker finishes first
-        rows = list(ex.map(run_one, range(args.scenes)))
-    header = (f"{'scene':>5} {'events':>8} {'spatial':>8} {'kept':>6} "
-              f"{'sparse MF':>10} {'dense MF':>9} {'saved':>6} {'ms':>8}")
-    print(f"bench: {args.scenes} scene(s), {workers} worker(s)")
-    print(header)
-    for i, n_ev, spatial, kept, sp, dn, red, wall in rows:
-        print(f"{i:>5} {n_ev:>8} {spatial:>8.3f} {kept:>6.3f} "
-              f"{sp / 1e6:>10.2f} {dn / 1e6:>9.2f} {100 * red:>5.1f}% "
-              f"{1000 * wall:>8.1f}")
-    total_sp = sum(r[4] for r in rows)
-    total_dn = sum(r[5] for r in rows)
+        print(f"{i:>5} {stream.n_events:>8} {event_spatial_ratio(stream):>8.3f} "
+              f"{kept_ratio(res.keep):>6.3f} {report.sparse_total / 1e6:>10.2f} "
+              f"{report.dense_total / 1e6:>9.2f} {100 * report.reduction:>5.1f}% "
+              f"{1000 * wall:>8.1f}", flush=True)
+        total_sp += report.sparse_total
+        total_dn += report.dense_total
     print(f"total sparse {total_sp / 1e6:.2f} MF, dense {total_dn / 1e6:.2f} MF, "
           f"saved {100 * (1 - total_sp / total_dn):.1f}%")
     return 0
@@ -256,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--report", help="write a FLOPs report JSON here")
     f.set_defaults(func=cmd_forward)
 
-    b = sub.add_parser("bench", help="threaded multi-scene benchmark")
+    b = sub.add_parser("bench", help="multi-scene FLOPs and wall-time table")
     b.add_argument("--scenes", type=int, default=4)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--preset", choices=("edge-noise", "sparse30", "noise-only"),

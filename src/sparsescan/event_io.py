@@ -258,8 +258,12 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
         speed = math.hypot(seg.vx, seg.vy)
         if length == 0.0 and speed == 0.0:
             raise ConfigError("segment sweeps zero area (no extent, no motion)")
-        if seg.events_per_crossing < 1:
+        count = seg.events_per_crossing
+        if count < 1:
             raise ConfigError("events_per_crossing must be at least 1")
+        if spec.duration_us < count - 1:
+            raise ConfigError(f"a {count}-event edge burst needs a window of at least "
+                              f"{count - 1} us, got {spec.duration_us} us")
         dur_s = spec.duration_us * 1e-6
         # Sample times and arc length finely enough that no pixel is skipped.
         n_steps = max(2, int(math.ceil(speed * dur_s / 0.4)) + 1)
@@ -268,7 +272,6 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
         lam = np.linspace(0.0, 1.0, n_pts)
         base_x = seg.x0 + lam * (seg.x1 - seg.x0)
         base_y = seg.y0 + lam * (seg.y1 - seg.y0)
-        count = seg.events_per_crossing
         for tau in taus:
             px = np.rint(base_x + seg.vx * tau * 1e-6).astype(np.int64)
             py = np.rint(base_y + seg.vy * tau * 1e-6).astype(np.int64)
@@ -284,7 +287,6 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
             px, py = px[first], py[first]
             visited[py, px] = True
             t0 = min(int(round(tau)), spec.duration_us - count + 1)
-            t0 = max(t0, 0)
             burst = t0 + np.arange(count, dtype=np.int64)
             for bx, by in zip(px, py):
                 xs.append(np.full(count, bx, dtype=np.int64))

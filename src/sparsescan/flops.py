@@ -195,7 +195,7 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
     """Instrumented dense and sparse forward runs over the same inputs."""
     import numpy as np
 
-    from .backbone import backbone_forward, stage_maps
+    from .backbone import backbone_forward, stage_plans
     from .sparsify import kept_ratio
 
     sparse_meter = FlopsMeter()
@@ -206,5 +206,5 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
                      states=None, meter=dense_meter, parallel=parallel)
     blocks = {name: BlockCost(dense=flops, sparse=sparse_meter.flops.get(name, 0))
               for name, flops in dense_meter.flops.items()}
-    ratios = [kept_ratio(k_map) for k_map, _ in stage_maps(keep, scores, cfg.n_stages)]
+    ratios = [kept_ratio(plan.keep) for plan in stage_plans(keep, scores, cfg.ipl_k)]
     return FlopsReport(blocks=blocks, kept_ratios=ratios)

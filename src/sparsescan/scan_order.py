@@ -32,11 +32,10 @@ class IplConfig:
             raise ConfigError("IPL window size must be at least 1")
 
 
-def cross_orders(ts: TokenSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major and column-major orders, each with its reverse."""
+def cross_orders(ts: TokenSet) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major order and its reverse."""
     rf = np.arange(len(ts), dtype=np.int64)
-    cf = np.lexsort((ts.coords[:, 0], ts.coords[:, 1])).astype(np.int64)
-    return rf, rf[::-1].copy(), cf, cf[::-1].copy()
+    return rf, rf[::-1].copy()
 
 
 def ipl_order(ts: TokenSet, scores: np.ndarray, cfg: IplConfig = IplConfig()) -> np.ndarray:

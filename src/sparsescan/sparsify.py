@@ -34,16 +34,18 @@ class TokenSet:
         idx[self.coords[:, 0], self.coords[:, 1]] = np.arange(len(self))
         return idx
 
+    def regather(self, x: np.ndarray) -> TokenSet:
+        """The tokens of a (C, H, W) map at this set's positions, as a new set."""
+        if x.ndim != 3 or x.shape[1:] != self.grid_shape:
+            raise ShapeError(f"feature map {x.shape} does not match token grid {self.grid_shape}")
+        tokens = x[:, self.coords[:, 0], self.coords[:, 1]].T.copy()
+        return TokenSet(tokens=tokens, coords=self.coords, grid_shape=self.grid_shape)
+
 
 def gather_tokens(x: np.ndarray, keep: np.ndarray) -> TokenSet:
     """Collect tokens where keep is True, scanning rows left to right."""
-    if x.ndim != 3:
-        raise ShapeError(f"feature map must be (C, H, W), got shape {x.shape}")
-    if keep.shape != x.shape[1:]:
-        raise ShapeError(f"keep mask {keep.shape} does not match grid {x.shape[1:]}")
-    coords = np.argwhere(keep)
-    tokens = x[:, coords[:, 0], coords[:, 1]].T.copy()
-    return TokenSet(tokens=tokens, coords=coords.astype(np.int64), grid_shape=keep.shape)
+    coords = np.argwhere(keep).astype(np.int64)
+    return TokenSet(np.empty((len(coords), 0)), coords, keep.shape).regather(x)
 
 
 def scatter_tokens(ts: TokenSet, base: np.ndarray) -> np.ndarray:

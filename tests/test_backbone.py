@@ -13,14 +13,18 @@ import warnings
 import numpy as np
 import pytest
 
+from sparsescan import backbone as bb
 from sparsescan.backbone import (
     BackboneConfig,
     ConvLstmParams,
+    GciParams,
     LstmState,
+    StagePlan,
     _sparse_depthwise,
     backbone_forward,
     bidi_scan,
     convlstm_step,
+    downsample_features,
     gci_forward,
     init_backbone_params,
     init_lstm_states,
@@ -35,8 +39,7 @@ from sparsescan.errors import FormatError, ShapeError
 from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
 from sparsescan.nn import depthwise_conv2d, gelu, layer_norm, sigmoid
 from sparsescan.s6 import init_s6_params, s6_forward
-from sparsescan.sparsify import gather_tokens
-from sparsescan.stca import run_stca
+from sparsescan.stca import max_pool2d, run_stca
 
 SMALL = BackboneConfig(height=32, width=32, patch=4, bins=2,
                        channels=(8, 12, 16, 24), n_state=4,
@@ -91,11 +94,11 @@ class TestSparseDepthwise:
             keep = rng.random((h, w)) < p_keep
             keep[[0, -1], rng.integers(w)] = True
             keep[rng.integers(h), [0, -1]] = True
-            ts = gather_tokens(x, keep)
-            assert ts.index.dtype == np.int64
-            np.testing.assert_array_equal(ts.index[keep], np.arange(len(ts)))
-            assert (ts.index[~keep] == -1).all()
-            got = _sparse_depthwise(ts.tokens, ts, kernel, bias)
+            plan = StagePlan.build(keep, np.zeros((h, w)), 1)
+            assert plan.ts.index.dtype == np.int64
+            np.testing.assert_array_equal(plan.ts.index[keep], np.arange(len(plan.ts)))
+            assert (plan.ts.index[~keep] == -1).all()
+            got = _sparse_depthwise(plan.ts.regather(x).tokens, plan.nbr, kernel, bias)
             want = depthwise_conv2d(np.where(keep, x, 0.0), kernel, bias, pad_mode="constant")
             np.testing.assert_allclose(got, want[:, keep].T, rtol=1e-12, atol=1e-12)
 
@@ -133,6 +136,12 @@ class TestSparseSs2d:
         with pytest.raises(ShapeError):
             sparse_ss2d(np.zeros((8, 8, 8)), np.ones((8, 8), dtype=bool),
                         np.ones((4, 4)), p)
+
+    @pytest.mark.parametrize("shape", [(8, 4, 4), (8, 8), (1, 8, 8, 8)])
+    def test_map_shape_mismatch(self, shape):
+        p = init_backbone_params(SMALL, seed=4).stages[0].ss2d
+        with pytest.raises(ShapeError):
+            sparse_ss2d(np.zeros(shape), np.ones((8, 8), dtype=bool), np.ones((8, 8)), p)
 
 
 class TestSparseMlp:
@@ -409,6 +418,73 @@ class TestBackboneForward:
         assert all(np.isfinite(o).all() for o in outs[0])
 
 
+def stage_composition(voxels, keep, scores, cfg, params, parallel):
+    """The forward pass composed from the public map-level blocks."""
+    maps = [(keep, scores)]
+    for _ in range(cfg.n_stages - 1):
+        maps.append((max_pool2d(maps[-1][0], 2), max_pool2d(maps[-1][1], 2)))
+    states = init_lstm_states(cfg)
+    outputs = []
+    for values in voxels:
+        x = patch_embed(values, cfg.patch, params.w_embed, params.b_embed)
+        stage_outs = []
+        for s, (sp, (k_map, s_map)) in enumerate(zip(params.stages, maps)):
+            x = sparse_ss2d(x, k_map, s_map, sp.ss2d, parallel=parallel)
+            if isinstance(sp.mixer, GciParams):
+                x = gci_forward(x, sp.mixer, parallel=parallel)
+            else:
+                x = sparse_mlp(x, k_map, sp.mixer)
+            x, states[s] = convlstm_step(x, states[s], sp.lstm)
+            stage_outs.append(x)
+            if sp.down_w is not None:
+                x = downsample_features(x, sp.down_w, sp.down_b)
+        outputs.append(stage_outs)
+    return outputs, states
+
+
+class TestStagePlans:
+    @pytest.fixture(scope="class")
+    def scene_inputs(self):
+        spec = scene_preset("sparse30", width=SMALL.width, height=SMALL.height)
+        streams = [generate_synthetic_scene(spec, seed=s)[0] for s in range(3)]
+        res = run_stca(streams[0], patch=SMALL.patch)
+        voxels = [build_voxel_grid(st, SMALL.bins).values for st in streams]
+        return voxels, res.keep, res.scores
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("mask", ["stca", "all"])
+    def test_forward_equals_map_level_composition(self, scene_inputs, parallel, mask):
+        voxels, keep, scores = scene_inputs
+        if mask == "all":
+            keep = np.ones_like(keep)
+        else:
+            assert 0 < keep.sum() < keep.size
+        params = init_backbone_params(SMALL, seed=40)
+        got, got_states = backbone_forward(voxels, keep, scores, SMALL, params,
+                                           parallel=parallel)
+        want, want_states = stage_composition(voxels, keep, scores, SMALL, params, parallel)
+        assert len(got) == 3
+        for step_got, step_want in zip(got, want):
+            for a, b in zip(step_got, step_want):
+                assert a.tobytes() == b.tobytes()
+        for a, b in zip(got_states, want_states):
+            assert a.h.tobytes() == b.h.tobytes() and a.c.tobytes() == b.c.tobytes()
+
+    def test_ipl_order_once_per_stage_per_call(self, monkeypatch):
+        calls = []
+        real = bb.ipl_order
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bb, "ipl_order", counting)
+        params = init_backbone_params(SMALL, seed=41)
+        voxels, keep, scores = small_inputs(seed=42)
+        backbone_forward([voxels] * 4, keep, scores, SMALL, params)
+        assert len(calls) == SMALL.n_stages
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = SMALL
@@ -469,6 +545,18 @@ class TestCheckpoint:
         manifest_path = tmp_path / "model.ckpt.json"
         manifest_path.write_text(corrupt(json.loads(manifest_path.read_text())))
         with pytest.raises(FormatError):
+            load_checkpoint(path, SMALL)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_backbone_params(SMALL, seed=29), path)
+        manifest = json.loads((tmp_path / "model.ckpt.json").read_text())
+        entry = next(e for e in manifest["entries"] if e["name"] == "stages[1].lstm.bias")
+        blob = bytearray(path.read_bytes())
+        blob[entry["offset"] + 8:entry["offset"] + 16] = np.array(value, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"'stages\[1\]\.lstm\.bias'.*non-finite"):
             load_checkpoint(path, SMALL)
 
     def test_wrong_geometry_rejected(self, tmp_path):

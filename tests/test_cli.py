@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from sparsescan.cli import THREADS_ENV, main
+from sparsescan.cli import main
+from sparsescan.event_io import generate_synthetic_scene
 from sparsescan.stca import read_map_csv
 
 
@@ -48,6 +49,20 @@ class TestGen:
         err = capsys.readouterr().err
         assert "positive" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["1", "3"])
+    def test_window_shorter_than_burst_rejected(self, tmp_path, capsys, duration):
+        out = tmp_path / "x.bin"
+        rc = main(["gen", "--preset", "sparse30", "--duration-us", duration, "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: a 5-event edge burst needs a window of at least 4 us, got {duration} us\n"
+        assert not out.exists()
+
+    def test_window_fitting_one_burst(self, tmp_path):
+        out = tmp_path / "x.bin"
+        assert main(["gen", "--preset", "sparse30", "--duration-us", "4", "-o", str(out)]) == 0
+        assert out.exists()
 
 
 class TestStca:
@@ -167,26 +182,31 @@ class TestExitCodes:
 
 
 class TestBench:
-    def test_runs_with_thread_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "1")
+    def test_runs_with_thread_cap(self, tmp_path, capsys):
         rc = main(["bench", "--scenes", "2", "--preset", "sparse30",
                    "--seed", "3"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "saved" in out
-        assert "1 worker(s)" in out
+        rows = [line.split()[0] for line in out.splitlines()[2:-1]]
+        assert rows == ["0", "1"]
+
+    def test_row_printed_before_next_scene(self, capsys, monkeypatch):
+        printed = []
+
+        def spy(spec, seed):
+            printed.append(capsys.readouterr().out)
+            return generate_synthetic_scene(spec, seed)
+
+        monkeypatch.setattr("sparsescan.cli.generate_synthetic_scene", spy)
+        assert main(["bench", "--scenes", "2", "--seed", "3"]) == 0
+        assert [line.split()[0] for line in printed[1].splitlines()] == ["0"]
 
     @pytest.mark.parametrize("scenes", ["0", "-3"])
     def test_nonpositive_scene_count_rejected(self, scenes, capsys):
         rc = main(["bench", "--scenes", scenes])
         assert rc == 1
         assert "--scenes" in capsys.readouterr().err
-
-    def test_bad_thread_env_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv(THREADS_ENV, "zero")
-        rc = main(["bench", "--scenes", "1"])
-        assert rc == 1
-        assert capsys.readouterr().err != ""
 
 
 HUGE = str(10**30)
@@ -218,7 +238,7 @@ def _sweep_cases():
         (viz, "-k", ["0", "-1", "1", HUGE]),
         (viz, "--patch", ["0", "-1", "1", HUGE]),
         (viz, "--beta", ["0", "1e-320", "1e300"]),
-        (viz, "--order", ["bidi-backward", "cross-col-forward"]),
+        (viz, "--order", ["bidi-backward"]),
         (fwd, "--seed", ["-1", HUGE]),
         (fwd, "--timesteps", ["0", "-1"]),
         (fwd, "--bins", ["0", "-1", "1"]),

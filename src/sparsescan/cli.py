@@ -19,8 +19,8 @@ import numpy as np
 
 from .backbone import BackboneConfig, backbone_forward, init_backbone_params
 from .errors import ConfigError, SparseScanError
-from .event_io import EventStream, build_voxel_grid, event_spatial_ratio, \
-    generate_synthetic_scene, load_events, save_events, scene_preset
+from .event_io import EventStream, build_voxel_grid, check_geometry_fits, \
+    event_spatial_ratio, generate_synthetic_scene, load_events, save_events, scene_preset
 from .flops import measure
 from .scan_order import IplConfig, cross_orders, ipl_order
 from .sparsify import gather_tokens, kept_ratio
@@ -47,6 +47,7 @@ def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
 
 
 def cmd_gen(args) -> int:
+    check_geometry_fits(args.out, args.width, args.height)
     spec = scene_preset(args.preset, width=args.width, height=args.height,
                         duration_us=args.duration_us)
     stream, truth = generate_synthetic_scene(spec, seed=args.seed)
@@ -103,6 +104,9 @@ def cmd_forward(args) -> int:
     if args.timesteps < 1:
         raise ConfigError("--timesteps must be at least 1")
     stream = load_events(args.events)
+    if args.timesteps > max(1, stream.span):
+        raise ConfigError(f"--timesteps {args.timesteps} exceeds the stream's span of "
+                          f"{stream.span} us; each timestep needs at least 1 us")
     cfg = BackboneConfig(height=stream.height, width=stream.width, bins=args.bins)
     # shrink IPL windows on geometries too small for the 2x2 default
     ks = []

@@ -128,19 +128,33 @@ class SceneSpec:
     noise_rate: float  # events per pixel per second
 
 
+def _is_csv(path: Path) -> bool:
+    return path.suffix.lower() == ".csv"
+
+
 def load_events(path: str | Path) -> EventStream:
     """Load an event stream: CSV for a .csv suffix, binary otherwise."""
     path = Path(path)
-    return _load_csv(path) if path.suffix.lower() == ".csv" else _load_bin(path)
+    return _load_csv(path) if _is_csv(path) else _load_bin(path)
 
 
 def save_events(stream: EventStream, path: str | Path) -> None:
     """Save an event stream: CSV for a .csv suffix, binary otherwise."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
+    check_geometry_fits(path, stream.width, stream.height)
+    if _is_csv(path):
         _save_csv(stream, path)
     else:
         _save_bin(stream, path)
+
+
+def check_geometry_fits(path: str | Path, width: int, height: int) -> None:
+    """Refuse a sensor geometry that save_events cannot store in path's format.
+
+    Binary files hold u16 sizes; CSV takes any size.
+    """
+    if not _is_csv(Path(path)) and (width > 0xFFFF or height > 0xFFFF):
+        raise ValidationError("sensor geometry exceeds u16 range")
 
 
 def _load_csv(path: Path) -> EventStream:
@@ -213,8 +227,6 @@ def _load_bin(path: Path) -> EventStream:
 
 
 def _save_bin(stream: EventStream, path: Path) -> None:
-    if stream.width > 0xFFFF or stream.height > 0xFFFF:
-        raise ValidationError("sensor geometry exceeds u16 range")
     if stream.span >= _INT64.stop:   # loading puts the window at [0, span]
         raise ValidationError("window span exceeds int64 range")
     # timestamps are sorted; Python ints, since ts - window_start can leave int64

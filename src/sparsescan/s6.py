@@ -25,10 +25,23 @@ recursive-doubling (Hillis-Steele) scan over the associative operator
 whole-array passes and O(T log T) work. Both start from the bx terms,
 with h0 folded into step 0 as abar_0 * h0. A manual reverse-mode adjoint
 of the recurrence completes the kernels.
+
+discretize_zoh and parameterize write into a given out= pair of arrays,
+and the state kernels of both scans work in place. The public functions
+allocate the arrays they return. s6_forward instead writes its (T, L, N)
+coefficients and scan states into float64 buffers owned by the calling
+thread and reused on every call: two for the sequential scan, three for
+the doubling one. Each grows to the largest T * L * N the thread has
+seen and is never shrunk, so between calls a thread holds 16 bytes
+(sequential) or 24 bytes (doubling) per element of its largest
+sequence: 8.4 MB after a dense 64x64 forward, whose stage 1 scans
+(256, 128, 16). Only y and a copy of h_T leave the call.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +95,26 @@ def init_s6_params(n_lanes: int, n_state: int, rng: np.random.Generator) -> S6Pa
     )
 
 
-def discretize_zoh(a, b, dt):
+def discretize_zoh(a, b, dt, out=None):
     """Zero-order-hold (abar, bbar) in the phi1 form above.
 
     The three arguments broadcast to one shape, which both results take.
+    out, if given, is a pair of float64 arrays of that shape to write
+    (abar, bbar) into; it must not overlap the arguments.
     """
-    a, b, dt = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (a, b, dt)))
-    z = dt * a
-    abar = np.exp(z)
-    bbar = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)   # phi1(z)
+    a, b, dt = (np.asarray(v, dtype=np.float64) for v in (a, b, dt))
+    if out is None:
+        shape = np.broadcast_shapes(a.shape, b.shape, dt.shape)
+        out = (np.empty(shape), np.empty(shape))
+    abar, bbar = out
+    z = np.multiply(dt, a, out=abar)        # z lives in abar until its exp
+    np.expm1(z, out=bbar)
+    with np.errstate(invalid="ignore"):
+        bbar /= z                           # phi1(z), 0/0 where z = 0
+    np.copyto(bbar, 1.0, where=z == 0.0)    # phi1(0) = 1
     bbar *= b
     bbar *= dt
+    np.exp(z, out=abar)
     return abar, bbar
 
 
@@ -100,54 +122,60 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def parameterize(x: np.ndarray, p: S6Params,
-                 meter: FlopsMeter = NULL_METER, label: str = "s6") -> S6Discretized:
-    """Build per-step coefficients from the input sequence x of shape (T, L)."""
+def _check_input(x: np.ndarray, p: S6Params) -> None:
     if x.ndim != 2 or x.shape[1] != p.n_lanes:
         raise ShapeError(f"expected (T, {p.n_lanes}) input, got {x.shape}")
+
+
+def parameterize(x: np.ndarray, p: S6Params, meter: FlopsMeter = NULL_METER,
+                 label: str = "s6", out=None) -> S6Discretized:
+    """Build per-step coefficients from the input sequence x of shape (T, L).
+
+    out, if given, is a pair of (T, L, N) float64 arrays that receive
+    abar and bx.
+    """
+    _check_input(x, p)
     t_len, lanes = x.shape
     n = p.n_state
     dt = softplus(x @ p.w_dt.T + p.b_dt)             # (T, L)
     b_t = x @ p.w_b.T                                # (T, N)
     c_t = x @ p.w_c.T                                # (T, N)
     a = -np.exp(p.log_a)                             # (L, N)
-    abar, bx = discretize_zoh(a[None, :, :], b_t[:, None, :], dt[:, :, None])
+    abar, bx = discretize_zoh(a[None, :, :], b_t[:, None, :], dt[:, :, None], out=out)
     bx *= x[:, :, None]
     meter.macs(label, t_len * lanes * lanes + 2 * t_len * n * lanes)
     meter.elem(label, 2 * t_len * lanes + 6 * t_len * lanes * n)
     return S6Discretized(abar=abar, bx=bx, c=c_t)
 
 
-def _scan_states_seq(d: S6Discretized, h0: np.ndarray | None) -> np.ndarray:
-    hs = d.bx.copy()
+def _scan_states_seq(abar: np.ndarray, hs: np.ndarray, h0: np.ndarray | None) -> np.ndarray:
+    """Sequential scan of h_t = abar_t h_{t-1} + bx_t in place: hs holds bx on entry."""
     if h0 is not None:
-        hs[:1] += d.abar[:1] * h0
+        hs[:1] += abar[:1] * h0
     for t in range(1, len(hs)):
-        hs[t] += d.abar[t] * hs[t - 1]
+        hs[t] += abar[t] * hs[t - 1]
     return hs
 
 
-def _scan_states_doubling(d: S6Discretized, h0: np.ndarray | None,
-                          meter: FlopsMeter, label: str) -> np.ndarray:
-    """Recursive-doubling inclusive scan of h_t = abar_t h_{t-1} + bx_t.
+def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
+                          h0: np.ndarray | None, meter: FlopsMeter, label: str) -> np.ndarray:
+    """Recursive-doubling inclusive scan of h_t = abar_t h_{t-1} + bx_t in place.
 
-    After the pass with shift k, hs[t] holds the recurrence summed over the
-    last 2k steps and a[t] the product of the last 2k abars, so ceil(log2 T)
-    passes finish the scan; h0 enters as part of step 0.
+    a holds abar and hs holds bx on entry; work is a spare array of the
+    same shape. After the pass with shift k, hs[t] holds the recurrence summed
+    over the last 2k steps and a[t] the product of the last 2k abars, so
+    ceil(log2 T) passes finish the scan; h0 enters as part of step 0.
     """
-    t_len = d.abar.shape[0]
-    a = d.abar.copy()
-    hs = d.bx.copy()
+    t_len = a.shape[0]
     if h0 is not None:
         hs[:1] += a[:1] * h0
         meter.macs(label, hs[:1].size)
     k = 1
     while k < t_len:
-        hs[k:] += a[k:] * hs[:-k]
+        hs[k:] += np.multiply(a[k:], hs[:-k], out=work[k:])
         meter.macs(label, hs[k:].size)
         if 2 * k < t_len:
-            # numpy buffers overlapping ufunc operands: a[:-k] is read before a[k:] is written
-            a[k:] *= a[:-k]
+            a[k:] = np.multiply(a[k:], a[:-k], out=work[k:])
             meter.elem(label, a[k:].size)
         k *= 2
     return hs
@@ -169,7 +197,7 @@ def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
                        skip: np.ndarray | None = None, x: np.ndarray | None = None,
                        meter: FlopsMeter = NULL_METER, label: str = "s6"):
     """Evaluate the recurrence step by step. Returns (y, h_T)."""
-    hs = _scan_states_seq(d, h0)
+    hs = _scan_states_seq(d.abar, d.bx.copy(), h0)
     meter.macs(label, hs.size)
     return _scan_outputs(hs, d, h0, skip, x, meter, label)
 
@@ -178,7 +206,8 @@ def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
                             skip: np.ndarray | None = None, x: np.ndarray | None = None,
                             meter: FlopsMeter = NULL_METER, label: str = "s6"):
     """Recursive-doubling evaluation; matches the sequential path to rounding."""
-    hs = _scan_states_doubling(d, h0, meter, label)
+    hs = _scan_states_doubling(d.abar.copy(), d.bx.copy(), np.empty_like(d.bx),
+                               h0, meter, label)
     return _scan_outputs(hs, d, h0, skip, x, meter, label)
 
 
@@ -204,7 +233,7 @@ def selective_scan_backward(d: S6Discretized, h0: np.ndarray | None,
     t_len, lanes, n = d.abar.shape
     if dy.shape != (t_len, lanes):
         raise ShapeError(f"upstream gradient must be (T, L), got {dy.shape}")
-    hs = _scan_states_seq(d, h0)
+    hs = _scan_states_seq(d.abar, d.bx.copy(), h0)
     h_init = np.zeros((lanes, n)) if h0 is None else h0
     g_abar = np.empty_like(d.abar)
     g_bx = np.empty_like(d.bx)
@@ -221,9 +250,40 @@ def selective_scan_backward(d: S6Discretized, h0: np.ndarray | None,
     return ScanGradients(abar=g_abar, bx=g_bx, c=g_c, skip=g_skip, h0=dh)
 
 
+class _Workspace(threading.local):
+    """Flat float64 buffers of the calling thread, kept between calls."""
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+
+    def arrays(self, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
+        """count arrays of this shape over the first count buffers, grown as needed."""
+        size = math.prod(shape)
+        for i in range(count):
+            if i == len(self.buffers):
+                self.buffers.append(np.empty(size))
+            elif self.buffers[i].size < size:
+                self.buffers[i] = np.empty(size)
+        return [buf[:size].reshape(shape) for buf in self.buffers[:count]]
+
+
+_workspace = _Workspace()
+
+
 def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
                meter: FlopsMeter = NULL_METER, label: str = "s6"):
-    """Parameterize and scan an (T, L) sequence. Returns (y, h_T)."""
-    d = parameterize(x, p, meter, label)
-    scan = selective_scan_parallel if parallel else selective_scan_seq
-    return scan(d, h0=None, skip=p.skip, x=x, meter=meter, label=label)
+    """Parameterize and scan an (T, L) sequence. Returns (y, h_T).
+
+    The coefficients and states live in this thread's workspace; y and
+    h_T are new arrays.
+    """
+    _check_input(x, p)
+    abar, bx, *spare = _workspace.arrays(x.shape + (p.n_state,), 3 if parallel else 2)
+    d = parameterize(x, p, meter, label, out=(abar, bx))
+    if parallel:
+        hs = _scan_states_doubling(abar, bx, spare[0], None, meter, label)
+    else:
+        hs = _scan_states_seq(abar, bx, None)
+        meter.macs(label, hs.size)
+    y, h_last = _scan_outputs(hs, d, None, p.skip, x, meter, label)
+    return y, h_last.copy()

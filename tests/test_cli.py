@@ -64,6 +64,17 @@ class TestGen:
         assert main(["gen", "--preset", "sparse30", "--duration-us", "4", "-o", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--width", "65536"), ("--height", "1000000000")])
+    def test_binary_geometry_beyond_u16_refused_before_generation(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        def generate(spec, seed):
+            raise AssertionError("scene generated")
+        monkeypatch.setattr("sparsescan.cli.generate_synthetic_scene", generate)
+        out = tmp_path / "x.bin"
+        assert main(["gen", "--preset", "sparse30", flag, value, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sensor geometry exceeds u16 range\n"
+        assert not out.exists()
+
 
 class TestStca:
     def test_mask_dimensions(self, tmp_path):
@@ -155,6 +166,22 @@ class TestForward:
         scene = run_gen(tmp_path)
         assert main(["forward", str(scene), "--timesteps", "0"]) == 1
 
+    def test_timesteps_beyond_span_refused_before_split(self, tmp_path, capsys, monkeypatch):
+        scene = tmp_path / "short.bin"
+        assert main(["gen", "--preset", "sparse30", "--width", "32", "--height", "32",
+                     "--duration-us", "6", "-o", str(scene)]) == 0
+        splits = []
+        monkeypatch.setattr("sparsescan.cli._split_windows",
+                            lambda stream, n: splits.append(n) or [stream] * n)
+        capsys.readouterr()
+        assert main(["forward", str(scene), "--timesteps", "7"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --timesteps 7 exceeds the stream's span of 6 us; "
+            "each timestep needs at least 1 us\n")
+        assert splits == []
+        assert main(["forward", str(scene), "--timesteps", "6"]) == 0
+        assert splits == [6]
+
 
 class TestExitCodes:
     def test_missing_input_is_domain_error(self, tmp_path, capsys):
@@ -217,11 +244,13 @@ def _sweep_cases():
     """Degenerate values for every flag that takes one, per subcommand.
 
     Left out: values that make the program allocate or loop in proportion
-    to the value (huge gen --width/--height, forward --timesteps or -B,
-    bench --scenes), and gen --duration-us values whose events would fit
-    in memory: only durations that fail at once are fed.
+    to the value (huge gen --width/--height with a CSV output, forward
+    --timesteps up to the stream's span, -B, bench --scenes), and gen
+    --duration-us values whose events would fit in memory: only durations
+    that fail at once are fed.
     """
     gen = ["gen", "--preset", "noise-only", "--width", "2", "--height", "2", "-o", "{out}"]
+    gen_bin = gen[:-1] + ["{out_bin}"]
     stca = ["stca", SCENE, "-o", "{out}"]
     viz = ["scan-viz", SCENE, "-o", "{out}"]
     fwd = ["forward", SCENE]
@@ -229,6 +258,8 @@ def _sweep_cases():
         (gen, "--seed", ["0", "-1", HUGE]),
         (gen, "--width", ["0", "-1", "1"]),
         (gen, "--height", ["0", "-1", "1"]),
+        (gen_bin, "--width", ["65536", HUGE]),
+        (gen_bin, "--height", ["65536", HUGE]),
         (gen, "--duration-us", ["0", "-1", "1", str(2**63 - 1), str(2**63), HUGE]),
         (stca, "--beta", ["0", "-1", "1e-320", "5e-324", "1e300"]),
         (stca, "--sigma", ["0", "-1", "1e-100", "1e-160", "1e-200", "5e-324", "1e300"]),
@@ -240,7 +271,7 @@ def _sweep_cases():
         (viz, "--beta", ["0", "1e-320", "1e300"]),
         (viz, "--order", ["bidi-backward"]),
         (fwd, "--seed", ["-1", HUGE]),
-        (fwd, "--timesteps", ["0", "-1"]),
+        (fwd, "--timesteps", ["0", "-1", "100001", HUGE]),
         (fwd, "--bins", ["0", "-1", "1"]),
         (fwd, "--beta", ["0", "1e-320", "1e300"]),
         (["bench"], "--scenes", ["0", "-1"]),
@@ -260,7 +291,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("argv", _sweep_cases(), ids=" ".join)
     def test_degenerate_value(self, argv, scene, tmp_path, capsys):
-        argv = [a.format(scene=scene, out=tmp_path / "out.csv") for a in argv]
+        argv = [a.format(scene=scene, out=tmp_path / "out.csv", out_bin=tmp_path / "out.bin")
+                for a in argv]
         capsys.readouterr()
         try:
             rc = main(argv)

@@ -5,6 +5,10 @@ h_t = abar_t * h_{t-1} + bx_t, y_t = <c_t, h_t> + skip * x_t.
 """
 
 import math
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +115,32 @@ class TestParameterize:
         with pytest.raises(ShapeError):
             parameterize(np.zeros((5, 7)), p)
 
+    def test_step_underflow_to_zero(self):
+        rng = np.random.default_rng(21)
+        p = init_s6_params(3, 4, rng)
+        p.w_dt[:] = np.eye(3)
+        p.b_dt[:] = 0.0
+        x = rng.standard_normal((4, 3))
+        x[1] = -800.0                    # softplus(-800) is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = parameterize(x, p)
+            s6_forward(x, p)
+        assert (softplus(x[1]) == 0.0).all()
+        assert (d.abar[1] == 1.0).all() and (d.bx[1] == 0.0).all()
+        assert (d.abar[[0, 2, 3]] < 1.0).all()
+
+    def test_out_buffers_receive_coefficients(self):
+        rng = np.random.default_rng(22)
+        p = init_s6_params(3, 4, rng)
+        x = rng.standard_normal((5, 3))
+        out = (np.full((5, 3, 4), np.nan), np.full((5, 3, 4), np.nan))
+        d = parameterize(x, p, out=out)
+        assert d.abar is out[0] and d.bx is out[1]
+        ref = parameterize(x, p)
+        assert d.abar.tobytes() == ref.abar.tobytes()
+        assert d.bx.tobytes() == ref.bx.tobytes()
+
 
 class TestSequentialScan:
     def test_three_step_unroll(self):
@@ -152,6 +182,16 @@ class TestSequentialScan:
         _, h = selective_scan_seq(d)
         bound = np.abs(d.bx).max(axis=(1, 2)).sum()
         assert np.abs(h).max() <= bound + 1e-9
+
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(27)
+        d = random_disc(rng, 9, 3, 4)
+        h0 = rng.standard_normal((3, 4))
+        before = [d.abar.copy(), d.bx.copy(), d.c.copy(), h0.copy()]
+        selective_scan_seq(d, h0=h0)
+        for was, now in zip(before, [d.abar, d.bx, d.c, h0]):
+            assert was.tobytes() == now.tobytes()
 
 
 class TestParallelScan:
@@ -299,3 +339,77 @@ class TestForwardWrapper:
         s6_forward(x, p, meter=meter, label="probe")
         assert meter.total() > 0
         assert any(k.startswith("probe") for k in meter.flops)
+
+
+class TestWorkspace:
+    """s6_forward keeps its (T, L, N) arrays in per-thread buffers."""
+
+    SHAPE = (81, 128, 16)    # stage-1 token count, lanes and state size
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_steady_state_allocates_less_than_one_coefficient_array(self, parallel):
+        t_len, lanes, n = self.SHAPE
+        rng = np.random.default_rng(40)
+        p = init_s6_params(lanes, n, rng)
+        x = rng.standard_normal((t_len, lanes))
+        s6_forward(x, p, parallel=parallel)
+        tracemalloc.start()
+        try:
+            s6_forward(x, p, parallel=parallel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t_len * lanes * n * 8
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_results_do_not_alias_the_workspace(self, parallel):
+        rng = np.random.default_rng(41)
+        p = init_s6_params(4, 8, rng)
+        x1, x2 = rng.standard_normal((2, 12, 4))
+        y1, h1 = s6_forward(x1, p, parallel=parallel)
+        kept = y1.copy(), h1.copy()
+        y2, h2 = s6_forward(x2, p, parallel=parallel)
+        assert y1.tobytes() == kept[0].tobytes() and h1.tobytes() == kept[1].tobytes()
+        assert not np.shares_memory(h1, h2) and not np.shares_memory(y1, y2)
+
+    def test_matches_allocating_kernels(self):
+        rng = np.random.default_rng(42)
+        p = init_s6_params(5, 6, rng)
+        x = rng.standard_normal((37, 5))
+        s6_forward(rng.standard_normal((80, 5)), p)    # a larger call grows the buffers first
+        d = parameterize(x, p)
+        for parallel, scan in ((False, selective_scan_seq), (True, selective_scan_parallel)):
+            y, h = s6_forward(x, p, parallel=parallel)
+            y_ref, h_ref = scan(d, skip=p.skip, x=x)
+            assert y.tobytes() == y_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+
+    def test_concurrent_threads_match_single_thread(self):
+        rng = np.random.default_rng(43)
+        cases = []
+        for t_len, lanes, n, parallel in ((81, 16, 16, False), (40, 24, 8, True),
+                                          (9, 32, 16, False), (130, 8, 4, True)):
+            p = init_s6_params(lanes, n, rng)
+            x = rng.standard_normal((t_len, lanes))
+            cases.append((x, p, parallel, s6_forward(x, p, parallel=parallel)))
+        start = threading.Barrier(len(cases))
+        mismatches = []
+
+        def run(x, p, parallel, want):
+            start.wait(timeout=10)
+            for _ in range(30):
+                y, h = s6_forward(x, p, parallel=parallel)
+                if y.tobytes() != want[0].tobytes() or h.tobytes() != want[1].tobytes():
+                    mismatches.append(x.shape)
+
+        threads = [threading.Thread(target=run, args=case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert mismatches == []

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,16 +41,26 @@ _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
 
 @dataclass(frozen=True)
 class BackboneConfig:
+    """Backbone geometry and widths. Left as None, ``ipl_k`` is derived per
+    stage: 2 where the stage grid is even in both dimensions and at least
+    2, else 1."""
+
+    patch: ClassVar[int] = 4
+    mlp_expand: ClassVar[int] = 4
+    gci_stages: ClassVar[tuple[int, ...]] = (3, 4)   # 1-indexed
     height: int = 64
     width: int = 64
-    patch: int = 4
     bins: int = 10
     channels: tuple[int, ...] = (32, 64, 128, 256)
     n_state: int = 16
     inner_expand: int = 4
-    mlp_expand: int = 4
-    ipl_k: tuple[int, ...] = (2, 2, 2, 2)
-    gci_stages: tuple[int, ...] = (3, 4)   # 1-indexed
+    ipl_k: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.ipl_k is None:
+            object.__setattr__(self, "ipl_k", tuple(
+                2 if gh % 2 == 0 and gw % 2 == 0 and min(gh, gw) >= 2 else 1
+                for gh, gw in map(self.grid, range(self.n_stages))))
 
     @property
     def n_stages(self) -> int:
@@ -61,10 +72,10 @@ class BackboneConfig:
         return self.height // f, self.width // f
 
     def validate(self) -> None:
-        if self.patch < 1 or self.bins < 1 or self.n_state < 1:
-            raise ConfigError("patch, bins and n_state must be positive")
-        if self.inner_expand < 1 or self.mlp_expand < 1:
-            raise ConfigError("expansion factors must be positive")
+        if self.bins < 1 or self.n_state < 1 or self.inner_expand < 1:
+            raise ConfigError("bins, n_state and inner_expand must be positive")
+        if self.n_stages < max(self.gci_stages):
+            raise ConfigError(f"need at least {max(self.gci_stages)} stages for GCI")
         if len(self.ipl_k) != self.n_stages:
             raise ConfigError("need one IPL window size per stage")
         for s in range(self.n_stages):
@@ -74,9 +85,6 @@ class BackboneConfig:
             gh, gw = self.grid(s)
             if gh % self.ipl_k[s] or gw % self.ipl_k[s]:
                 raise ConfigError(f"IPL window {self.ipl_k[s]} does not tile stage {s + 1} grid")
-        for g in self.gci_stages:
-            if not 1 <= g <= self.n_stages:
-                raise ConfigError(f"GCI stage {g} out of range")
 
 
 @dataclass
@@ -431,7 +439,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
         raise ShapeError(f"keep mask and scores must have shape {grid0}")
     if states is None:
         states = init_lstm_states(cfg)
-    plans = stage_plans(keep, scores, tuple(sp.ss2d.ipl_k for sp in params.stages))
+    plans = stage_plans(keep, scores, cfg.ipl_k)
     outputs = []
     for vox in voxels:
         values = vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox)

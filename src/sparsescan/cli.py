@@ -11,7 +11,6 @@ exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -27,6 +26,8 @@ from .sparsify import gather_tokens, kept_ratio
 from .stca import GaussianConfig, run_stca, write_map_csv, write_map_pgm
 
 _ORDER_CHOICES = ("bidi-forward", "bidi-backward", "ipl")
+# forward refuses voxel grids plus embedding weight estimated above this
+_FORWARD_BUDGET_BYTES = 1 << 30
 
 
 def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
@@ -108,12 +109,13 @@ def cmd_forward(args) -> int:
         raise ConfigError(f"--timesteps {args.timesteps} exceeds the stream's span of "
                           f"{stream.span} us; each timestep needs at least 1 us")
     cfg = BackboneConfig(height=stream.height, width=stream.width, bins=args.bins)
-    # shrink IPL windows on geometries too small for the 2x2 default
-    ks = []
-    for s in range(cfg.n_stages):
-        gh, gw = cfg.grid(s)
-        ks.append(2 if gh % 2 == 0 and gw % 2 == 0 and min(gh, gw) >= 2 else 1)
-    cfg = dataclasses.replace(cfg, ipl_k=tuple(ks))
+    # float64 (2B, H, W) grid per timestep and (C1, 2B * P * P) embedding weight
+    need = 8 * 2 * cfg.bins * (args.timesteps * cfg.height * cfg.width
+                               + cfg.channels[0] * cfg.patch ** 2)
+    if need > _FORWARD_BUDGET_BYTES:
+        raise ConfigError(f"--timesteps {args.timesteps} and -B {args.bins} need an estimated "
+                          f"{need} bytes of voxel grids and embedding weight, above the "
+                          f"{_FORWARD_BUDGET_BYTES}-byte limit")
     cfg.validate()
     res = run_stca(stream, patch=cfg.patch, beta=args.beta)
     voxels = [build_voxel_grid(sub, cfg.bins) for sub in

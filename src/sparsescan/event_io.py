@@ -15,6 +15,9 @@ Two file formats are supported:
   polarity, 3 zero pad bytes). Polarity -1 is stored as the signed byte 0xFF.
   The absolute window start is not stored, so a loaded binary stream
   has its window at [0, span]; saving it back is byte-identical.
+
+Synthetic scenes move line segments over uniform Poisson noise; each
+pixel a segment sweeps emits a burst of EVENTS_PER_CROSSING events.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ _BIN_MAGIC = b"EVT1"
 _BIN_HEADER = struct.Struct("<4sHHQ")
 _BIN_RECORD = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u4"), ("p", "i1"), ("pad", "V3")])
 _INT64 = range(-2**63, 2**63)
+EVENTS_PER_CROSSING = 5   # events in the burst of each pixel an edge sweeps
 
 
 @dataclass
@@ -95,8 +99,6 @@ class VoxelGrid:
     """
 
     values: np.ndarray
-    bins: int
-    span_us: int
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class EdgeSegment:
     """A line segment translating at a constant pixel velocity.
 
     Every pixel the segment sweeps over emits a burst of
-    ``events_per_crossing`` events at consecutive microsecond timestamps
+    ``EVENTS_PER_CROSSING`` events at consecutive microsecond timestamps
     starting when the edge first reaches it.
     """
 
@@ -114,7 +116,6 @@ class EdgeSegment:
     y1: float
     vx: float
     vy: float
-    events_per_crossing: int = 5
 
 
 @dataclass(frozen=True)
@@ -270,9 +271,7 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
         speed = math.hypot(seg.vx, seg.vy)
         if length == 0.0 and speed == 0.0:
             raise ConfigError("segment sweeps zero area (no extent, no motion)")
-        count = seg.events_per_crossing
-        if count < 1:
-            raise ConfigError("events_per_crossing must be at least 1")
+        count = EVENTS_PER_CROSSING
         if spec.duration_us < count - 1:
             raise ConfigError(f"a {count}-event edge burst needs a window of at least "
                               f"{count - 1} us, got {spec.duration_us} us")
@@ -372,7 +371,7 @@ def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
         raise ConfigError("bin count must be at least 1")
     grid = np.zeros((2 * bins, stream.height, stream.width), dtype=np.float64)
     if stream.n_events == 0:
-        return VoxelGrid(grid, bins, stream.span)
+        return VoxelGrid(grid)
     if bins == 1:
         tstar = np.zeros(stream.n_events, dtype=np.float64)
     else:
@@ -390,4 +389,4 @@ def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
     keep = up < bins
     if np.any(keep):
         np.add.at(grid, ((chan[hi] + up)[keep], stream.ys[hi][keep], stream.xs[hi][keep]), w1[hi][keep])
-    return VoxelGrid(grid, bins, stream.span)
+    return VoxelGrid(grid)

@@ -47,7 +47,6 @@ class StcaResult:
     scores: np.ndarray      # (H/P, W/P) float64, aggregated token scores
     keep: np.ndarray        # (H/P, W/P) bool
     threshold: float
-    beta: float
 
 
 def accumulate_temporal_scores(stream: EventStream) -> np.ndarray:
@@ -138,7 +137,7 @@ def run_stca(stream: EventStream, patch: int = 4,
     agg = gaussian_aggregate(tokens, gauss)
     alpha = compute_threshold(agg, beta)
     keep = build_sparsification_map(agg, alpha)
-    return StcaResult(scores=agg, keep=keep, threshold=alpha, beta=beta)
+    return StcaResult(scores=agg, keep=keep, threshold=alpha)
 
 
 def write_map_csv(a: np.ndarray, path) -> None:

@@ -35,13 +35,13 @@ from sparsescan.backbone import (
     sparse_mlp,
     sparse_ss2d,
 )
-from sparsescan.errors import FormatError, ShapeError
+from sparsescan.errors import ConfigError, FormatError, ShapeError
 from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
 from sparsescan.nn import depthwise_conv2d, gelu, layer_norm, sigmoid
 from sparsescan.s6 import init_s6_params, s6_forward
 from sparsescan.stca import max_pool2d, run_stca
 
-SMALL = BackboneConfig(height=32, width=32, patch=4, bins=2,
+SMALL = BackboneConfig(height=32, width=32, bins=2,
                        channels=(8, 12, 16, 24), n_state=4,
                        inner_expand=2, ipl_k=(2, 2, 2, 1))
 
@@ -54,6 +54,31 @@ def small_inputs(seed=0, p_keep=0.5):
     keep = rng.random(g) < p_keep
     keep.flat[0] = True
     return voxels, keep, scores
+
+
+class TestConfig:
+    # stage-4 grids 1x1, 2x2, 3x3, 5x5 and 2x3
+    @pytest.mark.parametrize("height, width, ks", [
+        (32, 32, (2, 2, 2, 1)), (64, 64, (2, 2, 2, 2)), (96, 96, (2, 2, 2, 1)),
+        (160, 160, (2, 2, 2, 1)), (64, 96, (2, 2, 2, 1))])
+    def test_ipl_windows_derived_per_stage(self, height, width, ks):
+        cfg = BackboneConfig(height=height, width=width)
+        assert cfg.ipl_k == ks
+        cfg.validate()
+
+    def test_explicit_ipl_k_kept_and_checked(self):
+        assert BackboneConfig(height=32, width=32, ipl_k=(1, 1, 1, 1)).ipl_k == (1, 1, 1, 1)
+        with pytest.raises(ConfigError, match="IPL window 2 does not tile stage 4"):
+            BackboneConfig(height=32, width=32, ipl_k=(2, 2, 2, 2)).validate()
+
+    def test_fewer_stages_than_gci_rejected(self):
+        with pytest.raises(ConfigError):
+            BackboneConfig(channels=(8, 16)).validate()
+
+    @pytest.mark.parametrize("name", ["patch", "mlp_expand", "gci_stages"])
+    def test_constants_not_settable(self, name):
+        with pytest.raises(TypeError):
+            BackboneConfig(**{name: getattr(BackboneConfig, name)})
 
 
 class TestPatchEmbed:
@@ -563,7 +588,7 @@ class TestCheckpoint:
         params = init_backbone_params(SMALL, seed=25)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
-        other = BackboneConfig(height=32, width=32, patch=4, bins=2,
+        other = BackboneConfig(height=32, width=32, bins=2,
                                channels=(16, 24, 32, 48), n_state=4,
                                inner_expand=2, ipl_k=(2, 2, 2, 1))
         with pytest.raises(FormatError):

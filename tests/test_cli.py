@@ -182,6 +182,27 @@ class TestForward:
         assert main(["forward", str(scene), "--timesteps", "6"]) == 0
         assert splits == [6]
 
+    def test_voxel_budget_refused_before_split(self, tmp_path, capsys, monkeypatch):
+        scene = tmp_path / "scene.bin"
+        assert main(["gen", "--preset", "sparse30", "--width", "32", "--height", "32",
+                     "-o", str(scene)]) == 0
+        splits = []
+        monkeypatch.setattr("sparsescan.cli._split_windows",
+                            lambda stream, n: splits.append(n) or [stream] * n)
+        # float64 bytes of T (2B, 32, 32) voxel grids plus the (32, 2B * 16) embedding weight
+        need = 8 * 2 * 3 * (2 * 32 * 32 + 32 * 16)
+        monkeypatch.setattr("sparsescan.cli._FORWARD_BUDGET_BYTES", need)
+        capsys.readouterr()
+        assert main(["forward", str(scene), "--timesteps", "2", "-B", "3"]) == 0
+        assert splits == [2]
+        for t, b in ((3, 3), (2, 4)):
+            assert main(["forward", str(scene), "--timesteps", str(t), "-B", str(b)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --timesteps {t} and -B {b} need an estimated "
+                f"{8 * 2 * b * (t * 32 * 32 + 32 * 16)} bytes of voxel grids and embedding "
+                f"weight, above the {need}-byte limit\n")
+        assert splits == [2]
+
 
 class TestExitCodes:
     def test_missing_input_is_domain_error(self, tmp_path, capsys):
@@ -209,7 +230,7 @@ class TestExitCodes:
 
 
 class TestBench:
-    def test_runs_with_thread_cap(self, tmp_path, capsys):
+    def test_prints_one_row_per_scene(self, tmp_path, capsys):
         rc = main(["bench", "--scenes", "2", "--preset", "sparse30",
                    "--seed", "3"])
         assert rc == 0
@@ -245,9 +266,9 @@ def _sweep_cases():
 
     Left out: values that make the program allocate or loop in proportion
     to the value (huge gen --width/--height with a CSV output, forward
-    --timesteps up to the stream's span, -B, bench --scenes), and gen
-    --duration-us values whose events would fit in memory: only durations
-    that fail at once are fed.
+    --timesteps and -B values whose voxel grids fit the 1 GiB forward
+    budget, bench --scenes), and gen --duration-us values whose events
+    would fit in memory: only durations that fail at once are fed.
     """
     gen = ["gen", "--preset", "noise-only", "--width", "2", "--height", "2", "-o", "{out}"]
     gen_bin = gen[:-1] + ["{out_bin}"]
@@ -271,8 +292,8 @@ def _sweep_cases():
         (viz, "--beta", ["0", "1e-320", "1e300"]),
         (viz, "--order", ["bidi-backward"]),
         (fwd, "--seed", ["-1", HUGE]),
-        (fwd, "--timesteps", ["0", "-1", "100001", HUGE]),
-        (fwd, "--bins", ["0", "-1", "1"]),
+        (fwd, "--timesteps", ["0", "-1", "50000", "100001", HUGE]),
+        (fwd, "--bins", ["0", "-1", "1", "100000", HUGE]),
         (fwd, "--beta", ["0", "1e-320", "1e300"]),
         (["bench"], "--scenes", ["0", "-1"]),
         (["bench", "--scenes", "1"], "--seed", ["-1"]),

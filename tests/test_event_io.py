@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sparsescan.errors import SparseScanError
 from sparsescan.event_io import (
+    EVENTS_PER_CROSSING,
     EventStream,
     FormatError,
     OrderingError,
@@ -279,11 +280,11 @@ class TestSceneGenerator:
         assert mask[s.ys, s.xs].all()
 
     def test_swept_pixels_emit_bursts(self):
-        """Each mask pixel gets >= events_per_crossing consecutive-us events."""
+        """Each mask pixel gets >= EVENTS_PER_CROSSING consecutive-us events."""
         base = scene_preset("edge-noise")
         spec = SceneSpec(base.width, base.height, base.duration_us,
                          base.segments, 0.0)
-        need = base.segments[0].events_per_crossing
+        need = EVENTS_PER_CROSSING
         s, mask = generate_synthetic_scene(spec, seed=3)
         for y, x in zip(*np.nonzero(mask)):
             t = np.sort(s.ts[(s.xs == x) & (s.ys == y)])

@@ -23,7 +23,7 @@ from sparsescan.flops import (
 )
 from sparsescan.stca import run_stca
 
-SMALL = BackboneConfig(height=32, width=32, patch=4, bins=2,
+SMALL = BackboneConfig(height=32, width=32, bins=2,
                        channels=(8, 12, 16, 24), n_state=4,
                        inner_expand=2, ipl_k=(2, 2, 2, 1))
 

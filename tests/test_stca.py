@@ -290,8 +290,7 @@ class TestRunStca:
 
     def test_kept_tokens_near_object(self):
         """Noise-free single-object scene: kept tokens hug the object."""
-        seg = EdgeSegment(x0=8, y0=8, x1=8, y1=24, vx=18.0, vy=0.0,
-                          events_per_crossing=5)
+        seg = EdgeSegment(x0=8, y0=8, x1=8, y1=24, vx=18.0, vy=0.0)
         spec = SceneSpec(32, 32, 100000, (seg,), 0.0)
         s, mask = generate_synthetic_scene(spec, seed=2)
         res = run_stca(s, patch=4)

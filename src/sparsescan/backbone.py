@@ -41,9 +41,11 @@ _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Backbone geometry and widths. Left as None, ``ipl_k`` is derived per
-    stage: 2 where the stage grid is even in both dimensions and at least
-    2, else 1."""
+    """Backbone geometry and widths. ``ipl_k`` holds the IPL window sizes
+    as given (None by default); ``ipl_windows`` is what runs: ``ipl_k`` if
+    given, else derived per stage from the geometry, 2 where the stage grid
+    is even in both dimensions and at least 2, else 1. Deriving on read lets
+    ``dataclasses.replace`` of a geometry field re-derive the windows."""
 
     patch: ClassVar[int] = 4
     mlp_expand: ClassVar[int] = 4
@@ -56,15 +58,16 @@ class BackboneConfig:
     inner_expand: int = 4
     ipl_k: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if self.ipl_k is None:
-            object.__setattr__(self, "ipl_k", tuple(
-                2 if gh % 2 == 0 and gw % 2 == 0 and min(gh, gw) >= 2 else 1
-                for gh, gw in map(self.grid, range(self.n_stages))))
-
     @property
     def n_stages(self) -> int:
         return len(self.channels)
+
+    @property
+    def ipl_windows(self) -> tuple[int, ...]:
+        if self.ipl_k is not None:
+            return self.ipl_k
+        return tuple(2 if gh % 2 == 0 and gw % 2 == 0 and min(gh, gw) >= 2 else 1
+                     for gh, gw in map(self.grid, range(self.n_stages)))
 
     def grid(self, stage: int) -> tuple[int, int]:
         """Token grid (rows, cols) of a 0-indexed stage."""
@@ -76,15 +79,16 @@ class BackboneConfig:
             raise ConfigError("bins, n_state and inner_expand must be positive")
         if self.n_stages < max(self.gci_stages):
             raise ConfigError(f"need at least {max(self.gci_stages)} stages for GCI")
-        if len(self.ipl_k) != self.n_stages:
+        windows = self.ipl_windows
+        if len(windows) != self.n_stages:
             raise ConfigError("need one IPL window size per stage")
-        for s in range(self.n_stages):
+        for s, k in enumerate(windows):
             f = self.patch * (1 << s)
             if self.height % f or self.width % f:
                 raise ConfigError(f"stage {s + 1} grid does not divide {self.height}x{self.width}")
             gh, gw = self.grid(s)
-            if gh % self.ipl_k[s] or gw % self.ipl_k[s]:
-                raise ConfigError(f"IPL window {self.ipl_k[s]} does not tile stage {s + 1} grid")
+            if gh % k or gw % k:
+                raise ConfigError(f"IPL window {k} does not tile stage {s + 1} grid")
 
 
 @dataclass
@@ -185,7 +189,7 @@ def init_backbone_params(cfg: BackboneConfig, seed: int = 0) -> BackboneParams:
             s6_bwd=init_s6_params(d, cfg.n_state, rng),
             s6_ipl=init_s6_params(d, cfg.n_state, rng),
             w_out=_linear_init(rng, c, d), b_out=np.zeros(c),
-            ipl_k=cfg.ipl_k[s],
+            ipl_k=cfg.ipl_windows[s],
         )
         if (s + 1) in cfg.gci_stages:
             gh, gw = cfg.grid(s)
@@ -400,10 +404,20 @@ def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
 
 def convlstm_step(x: np.ndarray, state: LstmState, p: ConvLstmParams,
                   meter: FlopsMeter = NULL_METER, label: str = "lstm"):
-    """One convolutional LSTM step with 3x3 gates. Returns (h', new state)."""
+    """One convolutional LSTM step with 3x3 gates. Returns (h', new state).
+
+    The recurrent convolution is skipped while ``state.h`` is all zero (a
+    fresh state): it would add exact zeros. The meter still counts its MACs.
+    """
     c, h, w = x.shape
     cout = p.bias.size // 4
-    gates = conv2d_same(x, p.w_x) + conv2d_same(state.h, p.w_h) + p.bias[:, None, None]
+    if state.h.shape != (cout, h, w) or state.c.shape != (cout, h, w):
+        raise ShapeError(f"LSTM state h {state.h.shape} and c {state.c.shape} "
+                         f"must both be {(cout, h, w)}")
+    gates = conv2d_same(x, p.w_x)
+    if state.h.any():
+        gates += conv2d_same(state.h, p.w_h)
+    gates += p.bias[:, None, None]
     meter.macs(label, h * w * 9 * c * 4 * cout + h * w * 9 * cout * 4 * cout)
     meter.elem(label, h * w * 4 * cout)
     gi, gf, gg, go = (gates[i * cout:(i + 1) * cout] for i in range(4))
@@ -439,7 +453,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
         raise ShapeError(f"keep mask and scores must have shape {grid0}")
     if states is None:
         states = init_lstm_states(cfg)
-    plans = stage_plans(keep, scores, cfg.ipl_k)
+    plans = stage_plans(keep, scores, cfg.ipl_windows)
     outputs = []
     for vox in voxels:
         values = vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox)

@@ -26,8 +26,10 @@ from .sparsify import gather_tokens, kept_ratio
 from .stca import GaussianConfig, run_stca, write_map_csv, write_map_pgm
 
 _ORDER_CHOICES = ("bidi-forward", "bidi-backward", "ipl")
-# forward refuses voxel grids plus embedding weight estimated above this
-_FORWARD_BUDGET_BYTES = 1 << 30
+# gen and forward refuse work whose largest arrays are estimated above this
+_BUDGET_BYTES = 1 << 30
+# gen's per-pixel arrays: the bool swept-pixel mask and the int64 Poisson counts
+_GEN_BYTES_PER_PIXEL = 1 + 8
 
 
 def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
@@ -49,6 +51,11 @@ def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
 
 def cmd_gen(args) -> int:
     check_geometry_fits(args.out, args.width, args.height)
+    need = _GEN_BYTES_PER_PIXEL * args.width * args.height
+    # non-positive sizes are refused by generate_synthetic_scene
+    if min(args.width, args.height) > 0 and need > _BUDGET_BYTES:
+        raise ConfigError(f"a {args.width}x{args.height} scene needs an estimated {need} bytes "
+                          f"of per-pixel arrays, above the {_BUDGET_BYTES}-byte limit")
     spec = scene_preset(args.preset, width=args.width, height=args.height,
                         duration_us=args.duration_us)
     stream, truth = generate_synthetic_scene(spec, seed=args.seed)
@@ -112,10 +119,10 @@ def cmd_forward(args) -> int:
     # float64 (2B, H, W) grid per timestep and (C1, 2B * P * P) embedding weight
     need = 8 * 2 * cfg.bins * (args.timesteps * cfg.height * cfg.width
                                + cfg.channels[0] * cfg.patch ** 2)
-    if need > _FORWARD_BUDGET_BYTES:
+    if need > _BUDGET_BYTES:
         raise ConfigError(f"--timesteps {args.timesteps} and -B {args.bins} need an estimated "
                           f"{need} bytes of voxel grids and embedding weight, above the "
-                          f"{_FORWARD_BUDGET_BYTES}-byte limit")
+                          f"{_BUDGET_BYTES}-byte limit")
     cfg.validate()
     res = run_stca(stream, patch=cfg.patch, beta=args.beta)
     voxels = [build_voxel_grid(sub, cfg.bins) for sub in

@@ -206,5 +206,5 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
                      states=None, meter=dense_meter, parallel=parallel)
     blocks = {name: BlockCost(dense=flops, sparse=sparse_meter.flops.get(name, 0))
               for name, flops in dense_meter.flops.items()}
-    ratios = [kept_ratio(plan.keep) for plan in stage_plans(keep, scores, cfg.ipl_k)]
+    ratios = [kept_ratio(plan.keep) for plan in stage_plans(keep, scores, cfg.ipl_windows)]
     return FlopsReport(blocks=blocks, kept_ratios=ratios)

@@ -152,8 +152,9 @@ def _scan_states_seq(abar: np.ndarray, hs: np.ndarray, h0: np.ndarray | None) ->
     """Sequential scan of h_t = abar_t h_{t-1} + bx_t in place: hs holds bx on entry."""
     if h0 is not None:
         hs[:1] += abar[:1] * h0
-    for t in range(1, len(hs)):
-        hs[t] += abar[t] * hs[t - 1]
+    # row views, each updated in place before it becomes the next step's h_prev
+    for a_t, h_prev, h_t in zip(abar[1:], hs, hs[1:]):
+        h_t += a_t * h_prev
     return hs
 
 

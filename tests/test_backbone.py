@@ -6,6 +6,7 @@ lives in the acceptance battery, so here we only pin block behavior
 and the stage shape/state contracts.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -37,7 +38,7 @@ from sparsescan.backbone import (
 )
 from sparsescan.errors import ConfigError, FormatError, ShapeError
 from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
-from sparsescan.nn import depthwise_conv2d, gelu, layer_norm, sigmoid
+from sparsescan.nn import conv2d_same, depthwise_conv2d, gelu, layer_norm, sigmoid
 from sparsescan.s6 import init_s6_params, s6_forward
 from sparsescan.stca import max_pool2d, run_stca
 
@@ -63,13 +64,26 @@ class TestConfig:
         (160, 160, (2, 2, 2, 1)), (64, 96, (2, 2, 2, 1))])
     def test_ipl_windows_derived_per_stage(self, height, width, ks):
         cfg = BackboneConfig(height=height, width=width)
-        assert cfg.ipl_k == ks
+        assert cfg.ipl_windows == ks
         cfg.validate()
 
     def test_explicit_ipl_k_kept_and_checked(self):
-        assert BackboneConfig(height=32, width=32, ipl_k=(1, 1, 1, 1)).ipl_k == (1, 1, 1, 1)
+        cfg = BackboneConfig(height=32, width=32, ipl_k=(1, 1, 1, 1))
+        assert cfg.ipl_k == cfg.ipl_windows == (1, 1, 1, 1)
         with pytest.raises(ConfigError, match="IPL window 2 does not tile stage 4"):
             BackboneConfig(height=32, width=32, ipl_k=(2, 2, 2, 2)).validate()
+
+    def test_replaced_geometry_rederives_windows(self):
+        cfg = dataclasses.replace(BackboneConfig(), height=32, width=32)
+        assert cfg.ipl_windows == (2, 2, 2, 1)
+        cfg.validate()
+        assert cfg == BackboneConfig(height=32, width=32)
+
+    def test_explicit_ipl_k_survives_replace(self):
+        cfg = dataclasses.replace(BackboneConfig(ipl_k=(1, 1, 1, 1)), height=32, width=32)
+        assert cfg.ipl_windows == (1, 1, 1, 1)
+        with pytest.raises(ConfigError, match="IPL window 2 does not tile stage 4"):
+            dataclasses.replace(BackboneConfig(ipl_k=(2, 2, 2, 2)), height=32, width=32).validate()
 
     def test_fewer_stages_than_gci_rejected(self):
         with pytest.raises(ConfigError):
@@ -376,6 +390,68 @@ class TestConvLstm:
         assert ns.c[0, 0, 0] == pytest.approx(c_ref, rel=1e-12)
         assert h[0, 0, 0] == pytest.approx(h_ref, rel=1e-12)
 
+    @staticmethod
+    def two_conv_reference(x, state, p):
+        """The step with the recurrent convolution always taken."""
+        cout = p.bias.size // 4
+        gates = conv2d_same(x, p.w_x) + conv2d_same(state.h, p.w_h) + p.bias[:, None, None]
+        gi, gf, gg, go = (gates[i * cout:(i + 1) * cout] for i in range(4))
+        c_new = sigmoid(gf) * state.c + sigmoid(gi) * np.tanh(gg)
+        return sigmoid(go) * np.tanh(c_new), c_new
+
+    @pytest.fixture
+    def step_case(self):
+        rng = np.random.default_rng(49)
+        c = 3
+        p = ConvLstmParams(w_x=rng.standard_normal((4 * c, c, 3, 3)),
+                           w_h=rng.standard_normal((4 * c, c, 3, 3)),
+                           bias=rng.standard_normal(4 * c))
+        x = rng.standard_normal((c, 4, 5))
+        cell = rng.standard_normal((c, 4, 5))
+        return x, cell, p
+
+    def test_zero_state_matches_two_conv_reference(self, step_case):
+        x, cell, p = step_case
+        s = LstmState(h=np.zeros_like(x), c=cell)
+        h, ns = convlstm_step(x, s, p)
+        h_ref, c_ref = self.two_conv_reference(x, s, p)
+        assert h.tobytes() == h_ref.tobytes()
+        assert ns.c.tobytes() == c_ref.tobytes()
+
+    def test_one_nonzero_h_takes_recurrent_conv(self, step_case):
+        x, cell, p = step_case
+        zero = LstmState(h=np.zeros_like(x), c=cell)
+        hot = LstmState(h=np.zeros_like(x), c=cell)
+        hot.h[1, 2, 3] = 0.5
+        h0, _ = convlstm_step(x, zero, p)
+        h1, ns = convlstm_step(x, hot, p)
+        h_ref, c_ref = self.two_conv_reference(x, hot, p)
+        assert h1.tobytes() == h_ref.tobytes()
+        assert ns.c.tobytes() == c_ref.tobytes()
+        assert not np.array_equal(h1, h0)
+
+    def test_recurrent_conv_skipped_only_for_zero_h(self, step_case, monkeypatch):
+        x, cell, p = step_case
+        calls = []
+        monkeypatch.setattr(bb, "conv2d_same", lambda a, w: calls.append(w) or conv2d_same(a, w))
+        convlstm_step(x, LstmState(h=np.zeros_like(x), c=cell), p)
+        assert [w is p.w_x for w in calls] == [True]
+        calls.clear()
+        convlstm_step(x, LstmState(h=np.full_like(x, -0.0), c=cell), p)
+        assert len(calls) == 1   # -0.0 is zero
+        calls.clear()
+        convlstm_step(x, LstmState(h=np.full_like(x, 1e-300), c=cell), p)
+        assert [w is p.w_h for w in calls] == [False, True]
+
+    @pytest.mark.parametrize("h_shape, c_shape", [
+        ((3, 3, 3), (3, 4, 5)), ((3, 4, 5), (3, 3, 3)),
+        ((2, 4, 5), (2, 4, 5)), ((3, 5, 4), (3, 5, 4))])
+    def test_misshaped_state_rejected(self, step_case, h_shape, c_shape):
+        x, _, p = step_case
+        s = LstmState(h=np.zeros(h_shape), c=np.zeros(c_shape))
+        with pytest.raises(ShapeError, match=r"must both be \(3, 4, 5\)"):
+            convlstm_step(x, s, p)
+
     def test_forget_bias_initialized_positive(self):
         p = init_backbone_params(SMALL, seed=12).stages[0].lstm
         c = SMALL.channels[0]
@@ -423,6 +499,26 @@ class TestBackboneForward:
         b, _ = backbone_forward([voxels], keep, scores, cfg, params)
         for u, v in zip(a[0], b[0]):
             assert u.tobytes() == v.tobytes()
+
+    def test_default_states_match_explicit_fresh_states(self):
+        params = init_backbone_params(SMALL, seed=18)
+        voxels, keep, scores = small_inputs(seed=19)
+        a, sa = backbone_forward([voxels, voxels], keep, scores, SMALL, params)
+        b, sb = backbone_forward([voxels, voxels], keep, scores, SMALL, params,
+                                 states=init_lstm_states(SMALL))
+        for u, v in zip(a[0] + a[1], b[0] + b[1]):
+            assert u.tobytes() == v.tobytes()
+        for u, v in zip(sa, sb):
+            assert u.h.tobytes() == v.h.tobytes() and u.c.tobytes() == v.c.tobytes()
+
+    def test_caller_state_of_wrong_grid_rejected(self):
+        params = init_backbone_params(SMALL, seed=18)
+        voxels, keep, scores = small_inputs(seed=19)
+        states = init_lstm_states(SMALL)
+        c, gh, gw = states[0].h.shape
+        states[0] = LstmState(h=np.zeros((c, gh // 2, gw // 2)), c=np.zeros((c, gh // 2, gw // 2)))
+        with pytest.raises(ShapeError, match="LSTM state"):
+            backbone_forward([voxels], keep, scores, SMALL, params, states=states)
 
     def test_keep_shape_mismatch(self):
         cfg = SMALL

@@ -75,6 +75,33 @@ class TestGen:
         assert capsys.readouterr().err == "error: sensor geometry exceeds u16 range\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["x.csv", "x.bin"])
+    def test_geometry_over_budget_refused_before_generation(
+            self, tmp_path, capsys, monkeypatch, out):
+        calls = []
+        monkeypatch.setattr("sparsescan.cli.generate_synthetic_scene",
+                            lambda spec, seed: calls.append(spec) or generate_synthetic_scene(spec, seed))
+        # bool swept-pixel mask plus int64 Poisson counts: 9 bytes per pixel
+        need = 9 * 32 * 24
+        monkeypatch.setattr("sparsescan.cli._BUDGET_BYTES", need)
+        argv = ["gen", "--preset", "sparse30", "--width", "32", "-o", str(tmp_path / out)]
+        assert main(argv + ["--height", "24"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+        assert main(argv + ["--height", "25"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a 32x25 scene needs an estimated {9 * 32 * 25} bytes of per-pixel "
+            f"arrays, above the {need}-byte limit\n")
+        assert len(calls) == 1
+
+    def test_huge_csv_geometry_refused_at_once(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        side = str(10**6)
+        assert main(["gen", "--preset", "sparse30", "--width", side, "--height", side,
+                     "-o", str(out)]) == 1
+        assert "bytes of per-pixel arrays" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStca:
     def test_mask_dimensions(self, tmp_path):
@@ -191,7 +218,7 @@ class TestForward:
                             lambda stream, n: splits.append(n) or [stream] * n)
         # float64 bytes of T (2B, 32, 32) voxel grids plus the (32, 2B * 16) embedding weight
         need = 8 * 2 * 3 * (2 * 32 * 32 + 32 * 16)
-        monkeypatch.setattr("sparsescan.cli._FORWARD_BUDGET_BYTES", need)
+        monkeypatch.setattr("sparsescan.cli._BUDGET_BYTES", need)
         capsys.readouterr()
         assert main(["forward", str(scene), "--timesteps", "2", "-B", "3"]) == 0
         assert splits == [2]
@@ -265,20 +292,22 @@ def _sweep_cases():
     """Degenerate values for every flag that takes one, per subcommand.
 
     Left out: values that make the program allocate or loop in proportion
-    to the value (huge gen --width/--height with a CSV output, forward
-    --timesteps and -B values whose voxel grids fit the 1 GiB forward
-    budget, bench --scenes), and gen --duration-us values whose events
-    would fit in memory: only durations that fail at once are fed.
+    to the value (gen --width/--height whose per-pixel arrays fit the 1 GiB
+    budget, forward --timesteps and -B values whose voxel grids fit it,
+    bench --scenes), and gen --duration-us values whose events would fit
+    in memory: only durations that fail at once are fed.
     """
     gen = ["gen", "--preset", "noise-only", "--width", "2", "--height", "2", "-o", "{out}"]
     gen_bin = gen[:-1] + ["{out_bin}"]
+    gen_wide = ["gen", "--preset", "sparse30", "--width", str(10**6), "-o", "{out}"]
     stca = ["stca", SCENE, "-o", "{out}"]
     viz = ["scan-viz", SCENE, "-o", "{out}"]
     fwd = ["forward", SCENE]
     table = [
         (gen, "--seed", ["0", "-1", HUGE]),
-        (gen, "--width", ["0", "-1", "1"]),
-        (gen, "--height", ["0", "-1", "1"]),
+        (gen, "--width", ["0", "-1", "1", HUGE]),
+        (gen, "--height", ["0", "-1", "1", HUGE]),
+        (gen_wide, "--height", [str(10**6), HUGE, "-1"]),
         (gen_bin, "--width", ["65536", HUGE]),
         (gen_bin, "--height", ["65536", HUGE]),
         (gen, "--duration-us", ["0", "-1", "1", str(2**63 - 1), str(2**63), HUGE]),

@@ -131,6 +131,20 @@ class TestMeasured:
             if is_token_wise(name):
                 assert cost.sparse == 0, name
 
+    def test_recurrent_conv_counted_on_fresh_state(self):
+        """The ConvLSTM skips its recurrent conv on a zero state; the meter
+        still counts it, so measured blocks equal the analytic ones."""
+        voxels, keep, scores = small_case(seed=3)
+        params = init_backbone_params(SMALL, seed=0)
+        r = measure(SMALL, params, [voxels, voxels], scores, keep)
+        analytic = count_analytic(SMALL, r.kept_ratios, timesteps=2)
+        assert {n: (b.dense, b.sparse) for n, b in r.blocks.items()} == \
+            {n: (b.dense, b.sparse) for n, b in analytic.blocks.items()}
+        lstm = {n: b.dense for n, b in r.blocks.items() if n.endswith(".lstm")}
+        assert lstm == {"stage1.lstm": 1192960, "stage2.lstm": 668544,
+                        "stage3.lstm": 296576, "stage4.lstm": 166512}
+        assert (r.dense_total, r.sparse_total) == (4021984, 3614816)
+
     def test_reduction_on_sparse_scene(self):
         """Desk config on a ~30% spatial-ratio scene lands in [0.20, 0.35]."""
         cfg = BackboneConfig()

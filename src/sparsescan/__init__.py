@@ -16,7 +16,7 @@ from .stca import GaussianConfig, StcaResult, accumulate_temporal_scores, \
     build_sparsification_map, compute_threshold, gaussian_aggregate, \
     max_pool2d, pool_to_tokens, run_stca
 from .sparsify import TokenSet, gather_tokens, kept_ratio, scatter_tokens
-from .scan_order import IplConfig, cross_orders, invert, ipl_order
+from .scan_order import invert, ipl_order
 from .s6 import S6Discretized, S6Params, ScanGradients, discretize_zoh, \
     init_s6_params, s6_forward, selective_scan_backward, \
     selective_scan_parallel, selective_scan_seq, softplus
@@ -32,13 +32,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BackboneConfig", "BackboneParams", "BlockCost", "ConfigError",
     "EdgeSegment", "EventStream", "FlopsMeter", "FlopsReport",
-    "FormatError", "GaussianConfig", "IplConfig", "OrderingError",
+    "FormatError", "GaussianConfig", "OrderingError",
     "S6Discretized", "S6Params", "ScanGradients", "SceneSpec", "ShapeError",
     "SparseScanError", "StcaResult", "TokenSet", "ValidationError",
     "VoxelGrid", "accumulate_temporal_scores", "backbone_forward",
     "build_sparsification_map", "build_voxel_grid", "compute_threshold",
-    "convlstm_step", "count_analytic",
-    "cross_orders", "discretize_zoh",
+    "convlstm_step", "count_analytic", "discretize_zoh",
     "event_spatial_ratio", "gather_tokens", "gaussian_aggregate",
     "gci_forward", "generate_synthetic_scene", "init_backbone_params",
     "init_lstm_states", "init_s6_params", "invert", "ipl_order",

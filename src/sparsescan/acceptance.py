@@ -23,7 +23,7 @@ from .flops import count_analytic, is_token_wise, measure
 from .nn import depthwise_conv2d, gelu, layer_norm, silu
 from .s6 import S6Discretized, discretize_zoh, selective_scan_backward, \
     selective_scan_parallel, selective_scan_seq, s6_forward
-from .scan_order import IplConfig, invert, ipl_order
+from .scan_order import invert, ipl_order
 from .sparsify import gather_tokens, kept_ratio, scatter_tokens
 from .stca import GaussianConfig, gaussian_aggregate, max_pool2d, run_stca
 
@@ -279,7 +279,7 @@ def criterion_ipl_properties() -> CriterionResult:
             if rng.random() < 0.5 else rng.random((h, w))
         keep = rng.random((h, w)) < rng.uniform(0.2, 1.0)
         ts = gather_tokens(np.zeros((1, h, w)), keep)
-        perm = ipl_order(ts, scores, IplConfig(k))
+        perm = ipl_order(ts, scores, k)
         n = len(ts)
         if sorted(perm.tolist()) != list(range(n)):
             ok, detail = False, f"not a bijection at trial {trial}"
@@ -333,8 +333,7 @@ def criterion_gather_scatter() -> CriterionResult:
             break
     if ok:
         cfg = bb.BackboneConfig(height=32, width=32, channels=(8, 12, 16, 24),
-                                bins=2, n_state=4, inner_expand=2,
-                                ipl_k=(2, 2, 2, 1))
+                                bins=2, n_state=4, inner_expand=2)
         params = bb.init_backbone_params(cfg, seed=3)
         for trial in range(20):
             x = rng.normal(size=(8, 8, 8))
@@ -420,8 +419,7 @@ def criterion_dense_consistency() -> CriterionResult:
     rng = np.random.default_rng(79)
     worst = 0.0
     small = bb.BackboneConfig(height=32, width=32, channels=(8, 12, 16, 24),
-                              bins=2, n_state=4, inner_expand=2,
-                              ipl_k=(2, 2, 2, 1))
+                              bins=2, n_state=4, inner_expand=2)
     sp = bb.init_backbone_params(small, seed=5)
     ones = np.ones((8, 8), dtype=bool)
     for _ in range(5):

@@ -32,7 +32,7 @@ from .event_io import VoxelGrid
 from .flops import NULL_METER, FlopsMeter
 from .nn import conv2d_same, depthwise_conv2d, gelu, layer_norm, patchify, sigmoid, silu
 from .s6 import S6Params, init_s6_params, s6_forward
-from .scan_order import IplConfig, ipl_order
+from .scan_order import ipl_order
 from .sparsify import TokenSet, gather_tokens, scatter_tokens
 from .stca import max_pool2d
 
@@ -41,11 +41,9 @@ _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Backbone geometry and widths. ``ipl_k`` holds the IPL window sizes
-    as given (None by default); ``ipl_windows`` is what runs: ``ipl_k`` if
-    given, else derived per stage from the geometry, 2 where the stage grid
-    is even in both dimensions and at least 2, else 1. Deriving on read lets
-    ``dataclasses.replace`` of a geometry field re-derive the windows."""
+    """Backbone geometry and widths, checked at construction. Each stage's
+    IPL window (``ipl_windows``) is derived from its token grid: 2 where
+    the grid is even in both dimensions and at least 2, else 1."""
 
     patch: ClassVar[int] = 4
     mlp_expand: ClassVar[int] = 4
@@ -56,7 +54,9 @@ class BackboneConfig:
     channels: tuple[int, ...] = (32, 64, 128, 256)
     n_state: int = 16
     inner_expand: int = 4
-    ipl_k: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n_stages(self) -> int:
@@ -64,8 +64,6 @@ class BackboneConfig:
 
     @property
     def ipl_windows(self) -> tuple[int, ...]:
-        if self.ipl_k is not None:
-            return self.ipl_k
         return tuple(2 if gh % 2 == 0 and gw % 2 == 0 and min(gh, gw) >= 2 else 1
                      for gh, gw in map(self.grid, range(self.n_stages)))
 
@@ -75,20 +73,16 @@ class BackboneConfig:
         return self.height // f, self.width // f
 
     def validate(self) -> None:
-        if self.bins < 1 or self.n_state < 1 or self.inner_expand < 1:
-            raise ConfigError("bins, n_state and inner_expand must be positive")
+        if min(self.height, self.width, self.bins, self.n_state, self.inner_expand,
+               *self.channels) < 1:
+            raise ConfigError("height, width, bins, channels, n_state and inner_expand "
+                              "must be positive")
         if self.n_stages < max(self.gci_stages):
             raise ConfigError(f"need at least {max(self.gci_stages)} stages for GCI")
-        windows = self.ipl_windows
-        if len(windows) != self.n_stages:
-            raise ConfigError("need one IPL window size per stage")
-        for s, k in enumerate(windows):
+        for s in range(self.n_stages):
             f = self.patch * (1 << s)
             if self.height % f or self.width % f:
                 raise ConfigError(f"stage {s + 1} grid does not divide {self.height}x{self.width}")
-            gh, gw = self.grid(s)
-            if gh % k or gw % k:
-                raise ConfigError(f"IPL window {k} does not tile stage {s + 1} grid")
 
 
 @dataclass
@@ -171,7 +165,6 @@ def _linear_init(rng, out_dim, in_dim):
 
 
 def init_backbone_params(cfg: BackboneConfig, seed: int = 0) -> BackboneParams:
-    cfg.validate()
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -264,7 +257,7 @@ class StagePlan:
         ts = gather_tokens(np.empty((0,) + keep.shape), keep)
         index = np.pad(ts.index, 1, constant_values=-1)
         nbr = sliding_window_view(index, (3, 3))[ts.coords[:, 0], ts.coords[:, 1]]
-        return cls(keep, ts, nbr.reshape(-1, 9), ipl_order(ts, scores, IplConfig(ipl_k)))
+        return cls(keep, ts, nbr.reshape(-1, 9), ipl_order(ts, scores, ipl_k))
 
 
 def stage_plans(keep: np.ndarray, scores: np.ndarray,
@@ -447,7 +440,6 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
     Returns (outputs, states): one list of per-stage feature maps per
     timestep, and the updated LSTM states.
     """
-    cfg.validate()
     grid0 = cfg.grid(0)
     if keep.shape != grid0 or scores.shape != grid0:
         raise ShapeError(f"keep mask and scores must have shape {grid0}")

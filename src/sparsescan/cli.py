@@ -18,10 +18,11 @@ import numpy as np
 
 from .backbone import BackboneConfig, backbone_forward, init_backbone_params
 from .errors import ConfigError, SparseScanError
-from .event_io import EventStream, build_voxel_grid, check_geometry_fits, \
-    event_spatial_ratio, generate_synthetic_scene, load_events, save_events, scene_preset
+from .event_io import EVENTS_PER_CROSSING, EventStream, SceneSpec, build_voxel_grid, \
+    check_geometry_fits, event_spatial_ratio, generate_synthetic_scene, load_events, \
+    save_events, scene_preset
 from .flops import measure
-from .scan_order import IplConfig, cross_orders, ipl_order
+from .scan_order import ipl_order
 from .sparsify import gather_tokens, kept_ratio
 from .stca import GaussianConfig, run_stca, write_map_csv, write_map_pgm
 
@@ -30,6 +31,24 @@ _ORDER_CHOICES = ("bidi-forward", "bidi-backward", "ipl")
 _BUDGET_BYTES = 1 << 30
 # gen's per-pixel arrays: the bool swept-pixel mask and the int64 Poisson counts
 _GEN_BYTES_PER_PIXEL = 1 + 8
+# gen's peak bytes per event: the per-step arrays, their concatenation, the
+# sort order and the sorted copy (measured with tracemalloc at 500x500 and
+# 1000x1000: ~105 B per edge-burst event, ~126 B per noise event)
+_GEN_BYTES_PER_EVENT = 144
+
+
+def _gen_bytes(spec: SceneSpec) -> int:
+    """Estimated peak bytes of generate_synthetic_scene(spec): the per-pixel
+    arrays plus the events, each segment's bursts bounded by its swept box
+    (extent plus travel, a pixel of rounding at either end) and the noise
+    taken at its expected Poisson count."""
+    pixels = spec.width * spec.height
+    window_s = spec.duration_us * 1e-6
+    swept = sum(min(abs(g.x1 - g.x0) + abs(g.vx) * window_s + 2, spec.width)
+                * min(abs(g.y1 - g.y0) + abs(g.vy) * window_s + 2, spec.height)
+                for g in spec.segments)
+    events = EVENTS_PER_CROSSING * min(swept, pixels) + spec.noise_rate * window_s * pixels
+    return int(_GEN_BYTES_PER_PIXEL * pixels + _GEN_BYTES_PER_EVENT * events)
 
 
 def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
@@ -51,13 +70,13 @@ def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
 
 def cmd_gen(args) -> int:
     check_geometry_fits(args.out, args.width, args.height)
-    need = _GEN_BYTES_PER_PIXEL * args.width * args.height
+    spec = scene_preset(args.preset, width=args.width, height=args.height,
+                        duration_us=args.duration_us)
+    need = _gen_bytes(spec)
     # non-positive sizes are refused by generate_synthetic_scene
     if min(args.width, args.height) > 0 and need > _BUDGET_BYTES:
         raise ConfigError(f"a {args.width}x{args.height} scene needs an estimated {need} bytes "
-                          f"of per-pixel arrays, above the {_BUDGET_BYTES}-byte limit")
-    spec = scene_preset(args.preset, width=args.width, height=args.height,
-                        duration_us=args.duration_us)
+                          f"of per-pixel and event arrays, above the {_BUDGET_BYTES}-byte limit")
     stream, truth = generate_synthetic_scene(spec, seed=args.seed)
     save_events(stream, args.out)
     if args.truth:
@@ -91,10 +110,11 @@ def cmd_scan_viz(args) -> int:
     res = run_stca(stream, patch=args.patch, beta=args.beta)
     ts = gather_tokens(np.zeros((1,) + res.keep.shape), res.keep)
     if args.order == "ipl":
-        perm = ipl_order(ts, res.scores, IplConfig(args.k))
+        perm = ipl_order(ts, res.scores, args.k)
     else:
-        fwd, bwd = cross_orders(ts)
-        perm = fwd if args.order == "bidi-forward" else bwd
+        perm = np.arange(len(ts))
+        if args.order == "bidi-backward":
+            perm = perm[::-1]
     lines = ["position,row,col"]
     for i, t in enumerate(perm):
         lines.append(f"{i},{ts.coords[t, 0]},{ts.coords[t, 1]}")
@@ -123,7 +143,6 @@ def cmd_forward(args) -> int:
         raise ConfigError(f"--timesteps {args.timesteps} and -B {args.bins} need an estimated "
                           f"{need} bytes of voxel grids and embedding weight, above the "
                           f"{_BUDGET_BYTES}-byte limit")
-    cfg.validate()
     res = run_stca(stream, patch=cfg.patch, beta=args.beta)
     voxels = [build_voxel_grid(sub, cfg.bins) for sub in
               _split_windows(stream, args.timesteps)]

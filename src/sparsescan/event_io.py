@@ -299,11 +299,12 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
             visited[py, px] = True
             t0 = min(int(round(tau)), spec.duration_us - count + 1)
             burst = t0 + np.arange(count, dtype=np.int64)
-            for bx, by in zip(px, py):
-                xs.append(np.full(count, bx, dtype=np.int64))
-                ys.append(np.full(count, by, dtype=np.int64))
-                ts.append(burst)
-                ps.append(rng.choice((-1, 1), size=count).astype(np.int64))
+            # One burst per fresh pixel; a single draw yields the same
+            # polarities as one draw of `count` per pixel in turn.
+            xs.append(np.repeat(px, count))
+            ys.append(np.repeat(py, count))
+            ts.append(np.tile(burst, px.size))
+            ps.append(rng.choice((-1, 1), size=count * px.size).astype(np.int64))
 
     if spec.noise_rate > 0:
         lam = spec.noise_rate * spec.duration_us * 1e-6
@@ -334,6 +335,9 @@ def generate_synthetic_scene(spec: SceneSpec, seed: int) -> tuple[EventStream, n
 def scene_preset(name: str, width: int = 64, height: int = 64,
                  duration_us: int = 100_000) -> SceneSpec:
     """Named scene presets used by the CLI and the acceptance battery."""
+    if duration_us <= 0:   # the edge speeds below divide by it
+        raise ConfigError(f"scene duration must be positive and inside int64, "
+                          f"got {duration_us}")
     dur_s = duration_us * 1e-6
     if name == "edge-noise":
         seg = EdgeSegment(x0=10, y0=16, x1=10, y1=height * 0.75,

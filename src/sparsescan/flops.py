@@ -157,7 +157,6 @@ def _linear_cost(rows, in_dim, out_dim):
 
 def count_analytic(cfg, kept_ratios, timesteps: int = 1) -> FlopsReport:
     """Closed-form per-block FLOPs for the given per-stage kept ratios."""
-    cfg.validate()
     if len(kept_ratios) != cfg.n_stages:
         raise ConfigError(f"need {cfg.n_stages} kept ratios, got {len(kept_ratios)}")
     for r in kept_ratios:
@@ -195,8 +194,9 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
     """Instrumented dense and sparse forward runs over the same inputs."""
     import numpy as np
 
-    from .backbone import backbone_forward, stage_plans
+    from .backbone import backbone_forward
     from .sparsify import kept_ratio
+    from .stca import max_pool2d
 
     sparse_meter = FlopsMeter()
     backbone_forward(voxels, keep, scores, cfg, params,
@@ -206,5 +206,5 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
                      states=None, meter=dense_meter, parallel=parallel)
     blocks = {name: BlockCost(dense=flops, sparse=sparse_meter.flops.get(name, 0))
               for name, flops in dense_meter.flops.items()}
-    ratios = [kept_ratio(plan.keep) for plan in stage_plans(keep, scores, cfg.ipl_windows)]
+    ratios = [kept_ratio(max_pool2d(keep, 1 << s)) for s in range(cfg.n_stages)]
     return FlopsReport(blocks=blocks, kept_ratios=ratios)

@@ -14,8 +14,6 @@ relative order of the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -23,27 +21,13 @@ from .sparsify import TokenSet
 from .stca import max_pool2d
 
 
-@dataclass(frozen=True)
-class IplConfig:
-    k: int = 2
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("IPL window size must be at least 1")
-
-
-def cross_orders(ts: TokenSet) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major order and its reverse."""
-    rf = np.arange(len(ts), dtype=np.int64)
-    return rf, rf[::-1].copy()
-
-
-def ipl_order(ts: TokenSet, scores: np.ndarray, cfg: IplConfig = IplConfig()) -> np.ndarray:
-    """Importance-prioritized local order over the kept tokens."""
+def ipl_order(ts: TokenSet, scores: np.ndarray, k: int) -> np.ndarray:
+    """Importance-prioritized local order over the kept tokens, k x k windows."""
     h, w = ts.grid_shape
     if scores.shape != (h, w):
         raise ShapeError(f"score map {scores.shape} does not match grid {(h, w)}")
-    k = cfg.k
+    if k < 1:
+        raise ConfigError("IPL window size must be at least 1")
     if h % k or w % k:
         raise ShapeError(f"window size {k} does not divide grid {h}x{w}")
     maxima = max_pool2d(scores, k).ravel()

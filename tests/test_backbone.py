@@ -44,7 +44,7 @@ from sparsescan.stca import max_pool2d, run_stca
 
 SMALL = BackboneConfig(height=32, width=32, bins=2,
                        channels=(8, 12, 16, 24), n_state=4,
-                       inner_expand=2, ipl_k=(2, 2, 2, 1))
+                       inner_expand=2)
 
 
 def small_inputs(seed=0, p_keep=0.5):
@@ -63,31 +63,26 @@ class TestConfig:
         (32, 32, (2, 2, 2, 1)), (64, 64, (2, 2, 2, 2)), (96, 96, (2, 2, 2, 1)),
         (160, 160, (2, 2, 2, 1)), (64, 96, (2, 2, 2, 1))])
     def test_ipl_windows_derived_per_stage(self, height, width, ks):
-        cfg = BackboneConfig(height=height, width=width)
-        assert cfg.ipl_windows == ks
-        cfg.validate()
-
-    def test_explicit_ipl_k_kept_and_checked(self):
-        cfg = BackboneConfig(height=32, width=32, ipl_k=(1, 1, 1, 1))
-        assert cfg.ipl_k == cfg.ipl_windows == (1, 1, 1, 1)
-        with pytest.raises(ConfigError, match="IPL window 2 does not tile stage 4"):
-            BackboneConfig(height=32, width=32, ipl_k=(2, 2, 2, 2)).validate()
+        assert BackboneConfig(height=height, width=width).ipl_windows == ks
 
     def test_replaced_geometry_rederives_windows(self):
         cfg = dataclasses.replace(BackboneConfig(), height=32, width=32)
         assert cfg.ipl_windows == (2, 2, 2, 1)
-        cfg.validate()
         assert cfg == BackboneConfig(height=32, width=32)
 
-    def test_explicit_ipl_k_survives_replace(self):
-        cfg = dataclasses.replace(BackboneConfig(ipl_k=(1, 1, 1, 1)), height=32, width=32)
-        assert cfg.ipl_windows == (1, 1, 1, 1)
-        with pytest.raises(ConfigError, match="IPL window 2 does not tile stage 4"):
-            dataclasses.replace(BackboneConfig(ipl_k=(2, 2, 2, 2)), height=32, width=32).validate()
-
     def test_fewer_stages_than_gci_rejected(self):
-        with pytest.raises(ConfigError):
-            BackboneConfig(channels=(8, 16)).validate()
+        with pytest.raises(ConfigError, match="stages for GCI"):
+            BackboneConfig(channels=(8, 16))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"height": 40}, "stage 3 grid does not divide 40x64"),
+        ({"bins": 0}, "must be positive"), ({"height": 0}, "must be positive"),
+        ({"width": -64}, "must be positive"), ({"channels": (8, 0, 8, 8)}, "must be positive")])
+    def test_invalid_config_not_constructible(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            BackboneConfig(**kwargs)
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(BackboneConfig(), **kwargs)
 
     @pytest.mark.parametrize("name", ["patch", "mlp_expand", "gci_stages"])
     def test_constants_not_settable(self, name):
@@ -686,6 +681,6 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         other = BackboneConfig(height=32, width=32, bins=2,
                                channels=(16, 24, 32, 48), n_state=4,
-                               inner_expand=2, ipl_k=(2, 2, 2, 1))
+                               inner_expand=2)
         with pytest.raises(FormatError):
             load_checkpoint(path, other)

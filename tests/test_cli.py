@@ -10,9 +10,13 @@ import json
 import numpy as np
 import pytest
 
-from sparsescan.cli import main
-from sparsescan.event_io import generate_synthetic_scene
+from sparsescan.cli import _gen_bytes, main
+from sparsescan.event_io import generate_synthetic_scene, scene_preset
 from sparsescan.stca import read_map_csv
+
+
+def _refuse_generation(spec, seed):
+    raise AssertionError("scene generated")
 
 
 def run_gen(tmp_path, name="scene.evt", seed="7", preset="edge-noise"):
@@ -59,6 +63,14 @@ class TestGen:
         assert err == f"error: a 5-event edge burst needs a window of at least 4 us, got {duration} us\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset", ["sparse30", "edge-noise"])
+    def test_zero_duration_rejected(self, tmp_path, capsys, preset):
+        out = tmp_path / "x.bin"
+        assert main(["gen", "--preset", preset, "--duration-us", "0", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: scene duration must be positive and inside int64, got 0\n"
+        assert not out.exists()
+
     def test_window_fitting_one_burst(self, tmp_path):
         out = tmp_path / "x.bin"
         assert main(["gen", "--preset", "sparse30", "--duration-us", "4", "-o", str(out)]) == 0
@@ -67,9 +79,7 @@ class TestGen:
     @pytest.mark.parametrize("flag,value", [("--width", "65536"), ("--height", "1000000000")])
     def test_binary_geometry_beyond_u16_refused_before_generation(
             self, tmp_path, capsys, monkeypatch, flag, value):
-        def generate(spec, seed):
-            raise AssertionError("scene generated")
-        monkeypatch.setattr("sparsescan.cli.generate_synthetic_scene", generate)
+        monkeypatch.setattr("sparsescan.cli.generate_synthetic_scene", _refuse_generation)
         out = tmp_path / "x.bin"
         assert main(["gen", "--preset", "sparse30", flag, value, "-o", str(out)]) == 1
         assert capsys.readouterr().err == "error: sensor geometry exceeds u16 range\n"
@@ -81,25 +91,35 @@ class TestGen:
         calls = []
         monkeypatch.setattr("sparsescan.cli.generate_synthetic_scene",
                             lambda spec, seed: calls.append(spec) or generate_synthetic_scene(spec, seed))
-        # bool swept-pixel mask plus int64 Poisson counts: 9 bytes per pixel
-        need = 9 * 32 * 24
+        need = _gen_bytes(scene_preset("sparse30", width=32, height=24))
         monkeypatch.setattr("sparsescan.cli._BUDGET_BYTES", need)
         argv = ["gen", "--preset", "sparse30", "--width", "32", "-o", str(tmp_path / out)]
         assert main(argv + ["--height", "24"]) == 0
         assert len(calls) == 1
         capsys.readouterr()
         assert main(argv + ["--height", "25"]) == 1
+        over = _gen_bytes(scene_preset("sparse30", width=32, height=25))
         assert capsys.readouterr().err == (
-            f"error: a 32x25 scene needs an estimated {9 * 32 * 25} bytes of per-pixel "
-            f"arrays, above the {need}-byte limit\n")
+            f"error: a 32x25 scene needs an estimated {over} bytes of per-pixel "
+            f"and event arrays, above the {need}-byte limit\n")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("preset", ["sparse30", "edge-noise", "noise-only"])
+    def test_events_counted_in_budget(self, tmp_path, capsys, monkeypatch, preset):
+        # the per-pixel arrays alone (9 bytes per pixel) fit; the events do not
+        monkeypatch.setattr("sparsescan.cli._BUDGET_BYTES", 2 * 9 * 64 * 64)
+        monkeypatch.setattr("sparsescan.cli.generate_synthetic_scene", _refuse_generation)
+        out = tmp_path / "x.bin"
+        assert main(["gen", "--preset", preset, "-o", str(out)]) == 1
+        assert "bytes of per-pixel and event arrays" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_huge_csv_geometry_refused_at_once(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         side = str(10**6)
         assert main(["gen", "--preset", "sparse30", "--width", side, "--height", side,
                      "-o", str(out)]) == 1
-        assert "bytes of per-pixel arrays" in capsys.readouterr().err
+        assert "bytes of per-pixel and event arrays" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -170,6 +190,22 @@ class TestScanViz:
         rows = out.read_text().strip().splitlines()[1:]
         coords = {tuple(map(int, r.split(",")[1:])) for r in rows}
         assert len(coords) == len(rows)  # no coordinate repeats
+
+    def test_bidi_rows_row_major_and_reversed(self, tmp_path):
+        scene = run_gen(tmp_path)
+        mask = tmp_path / "mask.csv"
+        assert main(["stca", str(scene), "-o", str(mask)]) == 0
+        rows = {}
+        for order in ("bidi-forward", "bidi-backward"):
+            out = tmp_path / f"{order}.csv"
+            assert main(["scan-viz", str(scene), "--order", order, "-o", str(out)]) == 0
+            body = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+            np.testing.assert_array_equal(body[:, 0], np.arange(len(body)))
+            rows[order] = body[:, 1:]
+        kept = np.argwhere(read_map_csv(mask).astype(bool))
+        assert len(kept) > 1
+        np.testing.assert_array_equal(rows["bidi-forward"], kept)
+        np.testing.assert_array_equal(rows["bidi-backward"], kept[::-1])
 
 
 class TestForward:

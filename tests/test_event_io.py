@@ -4,6 +4,8 @@ Frozen example values come first in each class; statistical checks
 (Poisson noise counts) run last since they are the slow ones.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -263,6 +265,16 @@ class TestVoxelGrid:
 
 
 class TestSceneGenerator:
+    def test_frozen_sparse30_scene(self):
+        """Events and truth mask of one scene, byte for byte."""
+        s, truth = generate_synthetic_scene(scene_preset("sparse30"), seed=3)
+        digest = hashlib.sha256()
+        for a in (s.xs, s.ys, s.ts, s.ps, truth):
+            digest.update(a.tobytes())
+        assert s.n_events == 6324
+        assert digest.hexdigest() == \
+            "591b568eb8c5604b58ca0807f1e0c24ddff04bf652570e36c933e1a24e529852"
+
     def test_determinism(self):
         spec = scene_preset("edge-noise")
         a, ma = generate_synthetic_scene(spec, seed=7)

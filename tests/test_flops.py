@@ -25,7 +25,7 @@ from sparsescan.stca import run_stca
 
 SMALL = BackboneConfig(height=32, width=32, bins=2,
                        channels=(8, 12, 16, 24), n_state=4,
-                       inner_expand=2, ipl_k=(2, 2, 2, 1))
+                       inner_expand=2)
 
 
 def small_case(seed=0, p_keep=0.5):

@@ -1,7 +1,7 @@
-"""Token orderings: bidirectional raster, IPL, inversion.
+"""Token orderings: IPL and inversion.
 
 The IPL case with a hand-built 4x4 score map is the anchor; the rest are
-structural properties (bijection, reversal, window contiguity) checked
+structural properties (bijection, window contiguity) checked
 over random masks.
 """
 
@@ -10,13 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsescan.scan_order import (
-    IplConfig,
-    ShapeError,
-    cross_orders,
-    invert,
-    ipl_order,
-)
+from sparsescan.errors import ConfigError, ShapeError
+from sparsescan.scan_order import invert, ipl_order
 from sparsescan.sparsify import gather_tokens
 
 IPL_SCORES = np.array([
@@ -51,38 +46,10 @@ def random_keep(rng, h, w):
     return keep
 
 
-class TestBidi:
-    def test_full_2x2(self):
-        fwd, bwd = cross_orders(full(2, 2))
-        np.testing.assert_array_equal(fwd, [0, 1, 2, 3])
-        np.testing.assert_array_equal(bwd, [3, 2, 1, 0])
-
-    def test_single_token(self):
-        ts = token_set(np.array([[False, True], [False, False]]))
-        fwd, bwd = cross_orders(ts)
-        np.testing.assert_array_equal(fwd, [0])
-        np.testing.assert_array_equal(bwd, [0])
-
-    def test_backward_is_reverse(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            ts = token_set(random_keep(rng, 5, 7))
-            fwd, bwd = cross_orders(ts)
-            np.testing.assert_array_equal(bwd, fwd[::-1])
-
-    def test_both_bijections(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            ts = token_set(random_keep(rng, 6, 4))
-            ident = np.arange(len(ts))
-            for perm in cross_orders(ts):
-                np.testing.assert_array_equal(np.sort(perm), ident)
-
-
 class TestIpl:
     def test_frozen_4x4_case(self):
         ts = full(4, 4)
-        order = ipl_order(ts, IPL_SCORES, IplConfig(k=2))
+        order = ipl_order(ts, IPL_SCORES, 2)
         visited = [tuple(ts.coords[i]) for i in order]
         assert visited == IPL_COORDS
 
@@ -90,13 +57,13 @@ class TestIpl:
         keep = np.ones((4, 4), dtype=bool)
         keep[0, 1] = False
         ts = token_set(keep)
-        order = ipl_order(ts, IPL_SCORES, IplConfig(k=2))
+        order = ipl_order(ts, IPL_SCORES, 2)
         visited = [tuple(ts.coords[i]) for i in order]
         assert visited == [c for c in IPL_COORDS if c != (0, 1)]
 
     def test_uniform_scores_row_major_by_window(self):
         ts = full(4, 4)
-        order = ipl_order(ts, np.ones((4, 4)), IplConfig(k=2))
+        order = ipl_order(ts, np.ones((4, 4)), 2)
         visited = [tuple(ts.coords[i]) for i in order]
         expected = []
         for wi in range(2):
@@ -110,7 +77,7 @@ class TestIpl:
         rng = np.random.default_rng(14)
         keep = random_keep(rng, 4, 4)
         ts = token_set(keep)
-        order = ipl_order(ts, rng.random((4, 4)), IplConfig(k=4))
+        order = ipl_order(ts, rng.random((4, 4)), 4)
         np.testing.assert_array_equal(order, np.arange(len(ts)))
 
     def test_global_max_window_first(self):
@@ -119,7 +86,7 @@ class TestIpl:
             keep = random_keep(rng, 6, 6)
             scores = rng.random((6, 6))
             ts = token_set(keep)
-            order = ipl_order(ts, scores, IplConfig(k=2))
+            order = ipl_order(ts, scores, 2)
             top = np.unravel_index(np.argmax(scores), scores.shape)
             top_win = (top[0] // 2, top[1] // 2)
             first = tuple(ts.coords[order[0]])
@@ -135,7 +102,7 @@ class TestIpl:
             keep = random_keep(rng, 6, 6)
             scores = rng.random((6, 6))
             ts = token_set(keep)
-            order = ipl_order(ts, scores, IplConfig(k=2))
+            order = ipl_order(ts, scores, 2)
             wins = [(ts.coords[i][0] // 2, ts.coords[i][1] // 2)
                     for i in order]
             seen = []
@@ -149,11 +116,16 @@ class TestIpl:
 
     def test_non_dividing_window_rejected(self):
         with pytest.raises(ShapeError):
-            ipl_order(full(4, 4), np.ones((4, 4)), IplConfig(k=3))
+            ipl_order(full(4, 4), np.ones((4, 4)), 3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_window_below_one_rejected(self, k):
+        with pytest.raises(ConfigError, match="at least 1"):
+            ipl_order(full(4, 4), np.ones((4, 4)), k)
 
     def test_score_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ipl_order(full(4, 4), np.ones((2, 2)), IplConfig(k=2))
+            ipl_order(full(4, 4), np.ones((2, 2)), 2)
 
 
 class TestInvert:

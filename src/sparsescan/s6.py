@@ -19,23 +19,28 @@ dt_t = softplus(W_dt x_t + b_dt) per lane, b_t = W_b x_t,
 c_t = W_c x_t, and a = -exp(log_a) elementwise, so 0 < abar <= 1 and
 the recurrence is unconditionally stable.
 
-Two forward scans share one output stage: a sequential loop, and a
-recursive-doubling (Hillis-Steele) scan over the associative operator
-(a1, b1) . (a2, b2) = (a1 a2, a2 b1 + b2), which takes ceil(log2 T)
-whole-array passes and O(T log T) work. Both start from the bx terms,
-with h0 folded into step 0 as abar_0 * h0. A manual reverse-mode adjoint
-of the recurrence completes the kernels.
+There are two forward scans: a sequential loop, and a recursive-doubling
+(Hillis-Steele) scan over the associative operator
+(a1, b1) . (a2, b2) = (a1 a2, a2 b1 + b2), which takes ceil(log2 R)
+passes over R rows. Both start from the bx terms, with h0 folded into
+step 0 as abar_0 * h0. A manual reverse-mode adjoint of the recurrence
+completes the kernels.
+
+s6_forward and selective_scan_parallel cut a T-step sequence into chunks
+of rows = max(1, _CHUNK_ELEMS // (L * N)) steps, 16 at L = 128 and
+N = 16. Each chunk is scanned from the last state of the chunk before,
+so the doubling scan makes ceil(log2 rows) passes per chunk and
+O(T log rows) work in all. selective_scan_seq scans the whole sequence
+at once and is the reference both are checked against.
 
 discretize_zoh and parameterize write into a given out= pair of arrays,
 and the state kernels of both scans work in place. The public functions
-allocate the arrays they return. s6_forward instead writes its (T, L, N)
-coefficients and scan states into float64 buffers owned by the calling
-thread and reused on every call: two for the sequential scan, three for
-the doubling one. Each grows to the largest T * L * N the thread has
-seen and is never shrunk, so between calls a thread holds 16 bytes
-(sequential) or 24 bytes (doubling) per element of its largest
-sequence: 8.4 MB after a dense 64x64 forward, whose stage 1 scans
-(256, 128, 16). Only y and a copy of h_T leave the call.
+return new arrays. s6_forward projects the whole sequence once (dt, b
+and c), then per chunk discretizes, scans and contracts in float64
+buffers owned by the calling thread and reused on every call: two for
+the sequential scan, three for the doubling one. Each buffer holds one
+chunk, max(_CHUNK_ELEMS, L * N) elements at most (256 KB while
+L * N <= _CHUNK_ELEMS), whatever T is. Only y and h_T leave the call.
 """
 
 from __future__ import annotations
@@ -127,6 +132,27 @@ def _check_input(x: np.ndarray, p: S6Params) -> None:
         raise ShapeError(f"expected (T, {p.n_lanes}) input, got {x.shape}")
 
 
+def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
+    """a (L, N) and the per-step dt (T, L), b (T, N), c (T, N) of the sequence x."""
+    _check_input(x, p)
+    t_len, lanes = x.shape
+    n = p.n_state
+    dt = softplus(x @ p.w_dt.T + p.b_dt)
+    b_t = x @ p.w_b.T
+    c_t = x @ p.w_c.T
+    meter.macs(label, t_len * lanes * lanes + 2 * t_len * n * lanes)
+    meter.elem(label, 2 * t_len * lanes)
+    return -np.exp(p.log_a), dt, b_t, c_t
+
+
+def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str):
+    """abar and bx of the steps whose dt, b and input rows are given."""
+    abar, bx = discretize_zoh(a[None, :, :], b_t[:, None, :], dt[:, :, None], out=out)
+    bx *= x[:, :, None]
+    meter.elem(label, 6 * bx.size)
+    return abar, bx
+
+
 def parameterize(x: np.ndarray, p: S6Params, meter: FlopsMeter = NULL_METER,
                  label: str = "s6", out=None) -> S6Discretized:
     """Build per-step coefficients from the input sequence x of shape (T, L).
@@ -134,17 +160,8 @@ def parameterize(x: np.ndarray, p: S6Params, meter: FlopsMeter = NULL_METER,
     out, if given, is a pair of (T, L, N) float64 arrays that receive
     abar and bx.
     """
-    _check_input(x, p)
-    t_len, lanes = x.shape
-    n = p.n_state
-    dt = softplus(x @ p.w_dt.T + p.b_dt)             # (T, L)
-    b_t = x @ p.w_b.T                                # (T, N)
-    c_t = x @ p.w_c.T                                # (T, N)
-    a = -np.exp(p.log_a)                             # (L, N)
-    abar, bx = discretize_zoh(a[None, :, :], b_t[:, None, :], dt[:, :, None], out=out)
-    bx *= x[:, :, None]
-    meter.macs(label, t_len * lanes * lanes + 2 * t_len * n * lanes)
-    meter.elem(label, 2 * t_len * lanes + 6 * t_len * lanes * n)
+    a, dt, b_t, c_t = _project(x, p, meter, label)
+    abar, bx = _discretize(a, dt, b_t, x, out, meter, label)
     return S6Discretized(abar=abar, bx=bx, c=c_t)
 
 
@@ -165,7 +182,10 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
     a holds abar and hs holds bx on entry; work is a spare array of the
     same shape. After the pass with shift k, hs[t] holds the recurrence summed
     over the last 2k steps and a[t] the product of the last 2k abars, so
-    ceil(log2 T) passes finish the scan; h0 enters as part of step 0.
+    ceil(log2 R) passes finish a scan of R rows; h0 enters as part of step 0.
+    The chunked callers run it on chunks of at most _chunk_rows(L, N) rows
+    with the previous chunk's last state as h0, so a T-step sequence costs
+    O(T log rows) work over ceil(T / rows) chunks in fixed-size buffers.
     """
     t_len = a.shape[0]
     if h0 is not None:
@@ -182,11 +202,14 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
     return hs
 
 
-def _scan_outputs(hs, d: S6Discretized, h0, skip, x, meter, label):
-    """Shared output stage: y_t = <c_t, h_t> (+ skip * x_t), and h_T."""
-    t_len, lanes, n = hs.shape
+def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
+                       skip: np.ndarray | None = None, x: np.ndarray | None = None,
+                       meter: FlopsMeter = NULL_METER, label: str = "s6"):
+    """Evaluate the recurrence step by step over the whole sequence. Returns (y, h_T)."""
+    t_len, lanes, n = d.abar.shape
+    hs = _scan_states_seq(d.abar, d.bx.copy(), h0)
     y = np.einsum("tln,tn->tl", hs, d.c)
-    meter.macs(label, t_len * lanes * n)
+    meter.macs(label, 2 * hs.size)
     if skip is not None:
         y = y + skip * x
         meter.macs(label, t_len * lanes)
@@ -194,22 +217,19 @@ def _scan_outputs(hs, d: S6Discretized, h0, skip, x, meter, label):
     return y, last
 
 
-def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
-                       skip: np.ndarray | None = None, x: np.ndarray | None = None,
-                       meter: FlopsMeter = NULL_METER, label: str = "s6"):
-    """Evaluate the recurrence step by step. Returns (y, h_T)."""
-    hs = _scan_states_seq(d.abar, d.bx.copy(), h0)
-    meter.macs(label, hs.size)
-    return _scan_outputs(hs, d, h0, skip, x, meter, label)
-
-
 def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
                             skip: np.ndarray | None = None, x: np.ndarray | None = None,
                             meter: FlopsMeter = NULL_METER, label: str = "s6"):
-    """Recursive-doubling evaluation; matches the sequential path to rounding."""
-    hs = _scan_states_doubling(d.abar.copy(), d.bx.copy(), np.empty_like(d.bx),
-                               h0, meter, label)
-    return _scan_outputs(hs, d, h0, skip, x, meter, label)
+    """Recursive-doubling evaluation; matches the sequential path to rounding.
+
+    The doubling runs over the same chunks as s6_forward(parallel=True),
+    whose results it reproduces bit for bit.
+    """
+    def fill(s, e, abar, bx):
+        np.copyto(abar, d.abar[s:e])
+        np.copyto(bx, d.bx[s:e])
+
+    return _scan_chunked(fill, d.abar.shape, d.c, h0, skip, x, True, meter, label)
 
 
 @dataclass
@@ -270,21 +290,60 @@ class _Workspace(threading.local):
 
 _workspace = _Workspace()
 
+# Elements per chunk buffer: 256 KB of float64, so the two or three buffers
+# of a scan fit in a core's L2 together.
+_CHUNK_ELEMS = 32768
+
+
+def _chunk_rows(lanes: int, n: int) -> int:
+    return max(1, _CHUNK_ELEMS // (lanes * n))
+
+
+def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
+    """Scan a (T, L, N) recurrence chunk by chunk in this thread's workspace.
+
+    fill(s, e, abar, bx) writes steps s to e - 1 of abar and bx into the
+    given (e - s, L, N) buffers. Each chunk's scan starts from the last
+    state of the one before. Returns new arrays (y, h_T).
+    """
+    t_len, lanes, n = shape
+    rows = _chunk_rows(lanes, n)
+    bufs = _workspace.arrays((min(rows, t_len), lanes, n), 3 if parallel else 2)
+    y = np.empty((t_len, lanes))
+    h = h0
+    for s in range(0, t_len, rows):
+        e = min(s + rows, t_len)
+        abar, hs, *work = (buf[:e - s] for buf in bufs)
+        fill(s, e, abar, hs)
+        if parallel:
+            _scan_states_doubling(abar, hs, work[0], h, meter, label)
+        else:
+            _scan_states_seq(abar, hs, h)
+        np.einsum("tln,tn->tl", hs, c[s:e], out=y[s:e])
+        h = hs[-1].copy()        # the next chunk overwrites hs
+    if not parallel:                        # the doubling meters its own passes
+        meter.macs(label, t_len * lanes * n)
+    meter.macs(label, t_len * lanes * n)    # output contraction
+    if skip is not None:
+        y += skip * x
+        meter.macs(label, t_len * lanes)
+    if h is h0:
+        h = np.zeros((lanes, n)) if h0 is None else h0.copy()
+    return y, h
+
 
 def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
                meter: FlopsMeter = NULL_METER, label: str = "s6"):
     """Parameterize and scan an (T, L) sequence. Returns (y, h_T).
 
-    The coefficients and states live in this thread's workspace; y and
-    h_T are new arrays.
+    The projections run once over the whole sequence; discretization and
+    the scan run chunk by chunk in this thread's workspace. y and h_T
+    are new arrays.
     """
-    _check_input(x, p)
-    abar, bx, *spare = _workspace.arrays(x.shape + (p.n_state,), 3 if parallel else 2)
-    d = parameterize(x, p, meter, label, out=(abar, bx))
-    if parallel:
-        hs = _scan_states_doubling(abar, bx, spare[0], None, meter, label)
-    else:
-        hs = _scan_states_seq(abar, bx, None)
-        meter.macs(label, hs.size)
-    y, h_last = _scan_outputs(hs, d, None, p.skip, x, meter, label)
-    return y, h_last.copy()
+    a, dt, b_t, c_t = _project(x, p, meter, label)
+
+    def fill(s, e, abar, bx):
+        _discretize(a, dt[s:e], b_t[s:e], x[s:e], (abar, bx), meter, label)
+
+    return _scan_chunked(fill, x.shape + (p.n_state,), c_t, None, p.skip, x,
+                         parallel, meter, label)

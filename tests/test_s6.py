@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsescan.flops import FlopsMeter
+from sparsescan import s6
+from sparsescan.flops import FlopsMeter, _s6_cost
 from sparsescan.s6 import (
     S6Discretized,
     S6Params,
@@ -342,7 +343,7 @@ class TestForwardWrapper:
 
 
 class TestWorkspace:
-    """s6_forward keeps its (T, L, N) arrays in per-thread buffers."""
+    """s6_forward keeps its chunk arrays in per-thread buffers."""
 
     SHAPE = (81, 128, 16)    # stage-1 token count, lanes and state size
 
@@ -413,3 +414,90 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert mismatches == []
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-12)
+
+
+class TestChunks:
+    """s6_forward scans in chunks of _chunk_rows(L, N) rows, carrying h across."""
+
+    ROWS = s6._chunk_rows(128, 16)
+    WIDE = (520, 64)             # L * N above _CHUNK_ELEMS: one row per chunk
+    CASES = [(t, 128, 16) for t in (ROWS - 1, ROWS, ROWS + 1, 5 * ROWS + 3)] + [(4,) + WIDE]
+
+    def inputs(self, t_len, lanes, n, seed=50):
+        rng = np.random.default_rng(seed + t_len + lanes)
+        return rng.standard_normal((t_len, lanes)), init_s6_params(lanes, n, rng)
+
+    def test_cases_span_chunk_boundaries(self):
+        assert self.ROWS == 16
+        assert self.WIDE[0] * self.WIDE[1] > s6._CHUNK_ELEMS
+        assert s6._chunk_rows(*self.WIDE) == 1
+
+    @pytest.mark.parametrize("shape", CASES)
+    def test_sequential_matches_whole_sequence_scan(self, shape):
+        x, p = self.inputs(*shape)
+        y, h = s6_forward(x, p)
+        y_ref, h_ref = selective_scan_seq(parameterize(x, p), skip=p.skip, x=x)
+        assert y.tobytes() == y_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+
+    @pytest.mark.parametrize("shape", CASES)
+    def test_doubling_matches_parallel_kernel_and_sequential(self, shape):
+        x, p = self.inputs(*shape)
+        y, h = s6_forward(x, p, parallel=True)
+        d = parameterize(x, p)
+        y_ref, h_ref = selective_scan_parallel(d, skip=p.skip, x=x)
+        assert y.tobytes() == y_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+        y_seq, h_seq = selective_scan_seq(d, skip=p.skip, x=x)
+        assert rel_err(y, y_seq) <= 1e-12 and rel_err(h, h_seq) <= 1e-12
+
+    @pytest.mark.parametrize("shape", CASES[2:])
+    def test_parallel_carries_initial_state_across_chunks(self, shape):
+        rng = np.random.default_rng(51)
+        d = random_disc(rng, *shape, a_low=0.5)
+        h0 = 10.0 * rng.standard_normal(shape[1:])
+        y, h = selective_scan_parallel(d, h0=h0)
+        y_ref, h_ref = selective_scan_seq(d, h0=h0)
+        assert rel_err(y, y_ref) <= 1e-12 and rel_err(h, h_ref) <= 1e-12
+        y0, _ = selective_scan_parallel(d)
+        assert rel_err(y, y0) > 1e-3      # h0 still shows after the first chunk
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_workspace_stays_at_one_chunk(self, parallel):
+        t_len, lanes, n = 4000, 128, 16
+        x, p = self.inputs(t_len, lanes, n)
+        seen = {}
+
+        def run():                  # a fresh thread starts with an empty workspace
+            tracemalloc.start()
+            try:
+                seen["y"], _ = s6_forward(x, p, parallel=parallel)
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            seen["sizes"] = [buf.size for buf in s6._workspace.buffers]
+
+        th = threading.Thread(target=run)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive()
+        assert seen["y"].shape == (t_len, lanes)
+        assert seen["sizes"] and max(seen["sizes"]) <= self.ROWS * lanes * n
+        assert seen["peak"] < t_len * lanes * n * 8
+
+    def test_sequential_meter_matches_analytic_count(self):
+        t_len, lanes, n = self.CASES[3]
+        x, p = self.inputs(t_len, lanes, n)
+        meter = FlopsMeter()
+        s6_forward(x, p, meter=meter, label="probe")
+        macs, elem = _s6_cost(t_len, lanes, n)
+        assert meter.flops == {"probe": 2 * macs + elem}
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_empty_sequence(self, parallel):
+        x, p = self.inputs(0, 128, 16)
+        y, h = s6_forward(x, p, parallel=parallel)
+        assert y.shape == (0, 128)
+        assert h.shape == (128, 16) and not h.any()

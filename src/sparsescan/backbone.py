@@ -7,11 +7,21 @@ block in the late ones), and a convolutional LSTM whose state persists
 across timesteps; the stage output is the mixer output plus the LSTM
 response. Between stages, features are merged 2x2 and projected.
 
+The forward runs stage-major: stage s at step t needs only stage s - 1
+at t and its own LSTM state from t - 1, so each stage runs over the
+(T, ...) stack of all a call's timesteps at once, and only the LSTM
+recurrence loops over t. Each block's weights are then read once per
+call rather than once per timestep; only the small patch embedding runs
+grid by grid. Every block takes one map or a
+stack with a leading timestep axis through the same code. Long calls
+run in batches of _timesteps_per_batch(cfg) timesteps, which bounds the
+stack's working set.
+
 Sparse blocks compute only at kept token positions and pass discarded
 positions through bit-unchanged. Each stage's token plan is built once
 per call from the keep mask and score map, max-pooled to the stage grid;
-per timestep a stage gathers its kept tokens once, runs the scan block
-and the MLP on them in place, and scatters them once, before GCI or the
+a stage gathers its (T, n, C) kept tokens once, runs the scan block and
+the MLP on them in place, and scatters them once, before GCI or the
 LSTM. All parameters live in plain float64 arrays; checkpoints serialize
 them as one flat little-endian blob plus a JSON manifest mapping names
 to byte offsets and shapes.
@@ -228,17 +238,27 @@ def init_lstm_states(cfg: BackboneConfig) -> list[LstmState]:
     return out
 
 
+def _patch_linear(x: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
+                  meter: FlopsMeter, label: str) -> np.ndarray:
+    """Project the non-overlapping P x P patches of (..., C, H, W) maps with
+    one matmul to (..., C_out, H/P, W/P)."""
+    col = patchify(x, patch)
+    rows = col.reshape(-1, col.shape[-1])
+    y = rows @ w.T + b
+    meter.macs(label, rows.size * w.shape[0])
+    meter.elem(label, y.size)
+    h, wd = x.shape[-2:]
+    return np.moveaxis(y.reshape(x.shape[:-3] + (h // patch, wd // patch, -1)), -1, -3)
+
+
 def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
                 meter: FlopsMeter = NULL_METER, label: str = "embed") -> np.ndarray:
-    """Project non-overlapping P x P voxel patches to tokens, (C1, H/P, W/P)."""
-    col = patchify(values, patch)
-    if col.shape[1] != w.shape[1]:
-        raise ShapeError(f"embedding expects {w.shape[1]} inputs per patch, got {col.shape[1]}")
-    tok = col @ w.T + b
-    meter.macs(label, col.shape[0] * col.shape[1] * w.shape[0])
-    meter.elem(label, col.shape[0] * w.shape[0])
-    _, h, wd = values.shape
-    return tok.T.reshape(w.shape[0], h // patch, wd // patch)
+    """Project non-overlapping P x P voxel patches of (..., 2B, H, W) grids
+    to tokens, (..., C1, H/P, W/P)."""
+    per_patch = values.shape[-3] * patch * patch
+    if per_patch != w.shape[1]:
+        raise ShapeError(f"embedding expects {w.shape[1]} inputs per patch, got {per_patch}")
+    return _patch_linear(values, patch, w, b, meter, label)
 
 
 @dataclass(frozen=True)
@@ -286,53 +306,70 @@ def ss2d_tokens(tokens: np.ndarray, plan: StagePlan, p: Ss2dParams,
                 parallel: bool = False) -> None:
     """Multi-direction selective scan over a stage's kept tokens, in place.
 
-    Tokens are normalized, projected, depthwise-mixed, serialized
-    forward, backward and in IPL order through three scan blocks, merged
-    by sum, gated, projected back and added residually.
+    tokens is (n, C), or (T, n, C) for T maps sharing the plan. Tokens
+    are normalized, projected, depthwise-mixed (one map at a time, which
+    bounds the (n, 9, D) neighbour gather), serialized forward, backward
+    and in IPL order through three scan blocks, the T maps scanning as T
+    sequences of one call, merged by sum, gated, projected back and added
+    residually. Every projection is one matmul over all T * n rows.
     """
-    n, c = tokens.shape
-    if n == 0:
+    n, c = tokens.shape[-2:]
+    rows = tokens.reshape(-1, c)
+    m = len(rows)
+    if m == 0:
         return
     d = p.w_in.shape[0]
-    t = layer_norm(tokens, p.norm.gain, p.norm.bias)
-    meter.elem(label, 8 * n * c)
-    pre = t @ p.w_in.T + p.b_in
-    gate = silu(t @ p.w_gate.T + p.b_gate)
-    meter.macs(label, 2 * n * c * d)
-    meter.elem(label, 3 * n * d)
-    u = silu(_sparse_depthwise(pre, plan.nbr, p.dw_kernel, p.dw_bias))
-    meter.macs(label, 9 * n * d)
-    meter.elem(label, 2 * n * d)
-    acc = bidi_scan(u, p.s6_fwd, p.s6_bwd, meter, label, parallel)
-    y, _ = s6_forward(u[plan.ipl], p.s6_ipl, parallel=parallel, meter=meter, label=label)
+    t = layer_norm(rows, p.norm.gain, p.norm.bias)
+    meter.elem(label, 8 * m * c)
+    pre = (t @ p.w_in.T + p.b_in).reshape(-1, n, d)
+    seq = np.empty((n, len(pre), d))      # scan order: token, map, channel
+    for i in range(len(pre)):
+        seq[:, i] = _sparse_depthwise(pre[i], plan.nbr, p.dw_kernel, p.dw_bias)
+    del pre          # each (T * n, D) array goes once used, which bounds the peak
+    seq *= sigmoid(seq)                   # silu, in place
+    meter.macs(label, 9 * m * d)
+    meter.elem(label, 2 * m * d)
+    acc = bidi_scan(seq, p.s6_fwd, p.s6_bwd, meter, label, parallel)
+    seq = seq[plan.ipl]
+    y, _ = s6_forward(seq, p.s6_ipl, parallel=parallel, meter=meter, label=label)
+    del seq
     acc[plan.ipl] += y
-    meter.elem(label, n * d)
-    tokens += (acc * gate) @ p.w_out.T + p.b_out
-    meter.macs(label, n * d * c)
-    meter.elem(label, n * d + 2 * n * c)
+    meter.elem(label, m * d)
+    del y
+    gate = silu(t @ p.w_gate.T + p.b_gate)
+    meter.macs(label, 2 * m * c * d)
+    meter.elem(label, 3 * m * d)
+    mixed = np.swapaxes(acc, 0, 1).reshape(m, d) * gate
+    tokens += (mixed @ p.w_out.T + p.b_out).reshape(tokens.shape)
+    meter.macs(label, m * d * c)
+    meter.elem(label, m * d + 2 * m * c)
 
 
 def mlp_tokens(tokens: np.ndarray, p: MlpParams,
                meter: FlopsMeter = NULL_METER, label: str = "mlp") -> None:
-    """Two-layer MLP over a stage's kept tokens, added residually in place."""
-    n, c = tokens.shape
-    if n == 0:
+    """Two-layer MLP over a stage's (n, C) or (T, n, C) kept tokens, added
+    residually in place."""
+    c = tokens.shape[-1]
+    rows = tokens.reshape(-1, c)
+    m = len(rows)
+    if m == 0:
         return
     e = p.w1.shape[0]
-    t = layer_norm(tokens, p.norm.gain, p.norm.bias)
-    meter.elem(label, 8 * n * c)
+    t = layer_norm(rows, p.norm.gain, p.norm.bias)
+    meter.elem(label, 8 * m * c)
     hmid = gelu(t @ p.w1.T + p.b1)
-    meter.macs(label, n * c * e)
-    meter.elem(label, 2 * n * e)
-    tokens += hmid @ p.w2.T + p.b2
-    meter.macs(label, n * e * c)
-    meter.elem(label, 2 * n * c)
+    meter.macs(label, m * c * e)
+    meter.elem(label, 2 * m * e)
+    tokens += (hmid @ p.w2.T + p.b2).reshape(tokens.shape)
+    meter.macs(label, m * e * c)
+    meter.elem(label, 2 * m * c)
 
 
 def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
                 meter: FlopsMeter = NULL_METER, label: str = "ss2d",
                 parallel: bool = False) -> np.ndarray:
-    """ss2d_tokens on a map's kept tokens; discarded ones return bit-equal."""
+    """ss2d_tokens on a (C, H, W) map's, or a (T, C, H, W) stack's, kept
+    tokens; discarded ones return bit-equal."""
     plan = StagePlan.build(keep, scores, p.ipl_k)
     ts = plan.ts.regather(x)
     ss2d_tokens(ts.tokens, plan, p, meter, label, parallel)
@@ -341,7 +378,7 @@ def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dPara
 
 def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
                meter: FlopsMeter = NULL_METER, label: str = "mlp") -> np.ndarray:
-    """mlp_tokens on a map's kept tokens; discarded ones return bit-equal."""
+    """mlp_tokens on a map's or a stack's kept tokens; discarded ones return bit-equal."""
     ts = gather_tokens(x, keep)
     mlp_tokens(ts.tokens, p, meter, label)
     return scatter_tokens(ts, x)
@@ -352,10 +389,12 @@ def bidi_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
               parallel: bool = False) -> np.ndarray:
     """Scan axis 0 forward and backward and sum the two outputs.
 
-    Trailing axes are flattened into the lane vector, so a (C, H, W) map
-    scans its channels with one spatial layout per step.
+    Trailing axes are flattened and cut into sequences of the blocks' lane
+    count, which scan side by side: a (C, H, W) map scans its channels
+    with one spatial layout per step, and an (n, T, D) token stack scans
+    T token sequences.
     """
-    seq = x.reshape(len(x), -1)
+    seq = x.reshape(len(x), -1, s6_fwd.n_lanes)
     y, _ = s6_forward(seq, s6_fwd, parallel=parallel, meter=meter, label=label)
     yb, _ = s6_forward(seq[::-1], s6_bwd, parallel=parallel, meter=meter, label=label)
     y += yb[::-1]
@@ -365,78 +404,101 @@ def bidi_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
 
 def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
                 label: str = "gci", parallel: bool = False) -> np.ndarray:
-    """Global channel interaction on the dense map.
+    """Global channel interaction on a dense (C, H, W) map or (T, C, H, W) stack.
 
     Branch 1 projects, depthwise-mixes (edge padding, so constant fields
     pass through a sum-normalized kernel unchanged) and channel-scans the
-    map; branch 2 is a pointwise 1x1 channel mix of the input. The output
-    projection of their sum is added residually.
+    map, the T maps scanning as T sequences of one call; branch 2 is a
+    pointwise 1x1 channel mix of the input. The output projection of their
+    sum is added residually.
     """
-    c, h, w = x.shape
+    c, h, w = x.shape[-3:]
     s = h * w
-    flat = x.reshape(c, s)
-    pre = (p.w_pre @ flat + p.b_pre[:, None]).reshape(c, h, w)
-    meter.macs(label, s * c * c)
-    meter.elem(label, s * c)
+    if s != p.s6_fwd.n_lanes:
+        raise ShapeError(f"GCI scans {p.s6_fwd.n_lanes} grid cells, got a {h}x{w} map")
+    cells = x.size // c
+    flat = x.reshape(x.shape[:-2] + (s,))
+    pre = (p.w_pre @ flat + p.b_pre[:, None]).reshape(x.shape)
+    meter.macs(label, cells * c * c)
+    meter.elem(label, cells * c)
     b1_in = silu(depthwise_conv2d(pre, p.dw_kernel, p.dw_bias, pad_mode="edge"))
-    meter.macs(label, 9 * s * c)
-    meter.elem(label, 2 * s * c)
-    b1 = bidi_scan(b1_in, p.s6_fwd, p.s6_bwd, meter, label, parallel)
+    meter.macs(label, 9 * cells * c)
+    meter.elem(label, 2 * cells * c)
+    b1 = bidi_scan(np.moveaxis(b1_in, -3, 0), p.s6_fwd, p.s6_bwd, meter, label, parallel)
     b2 = p.w_mix @ flat + p.b_mix[:, None]
-    meter.macs(label, s * c * c)
-    meter.elem(label, s * c)
-    merged = b1.reshape(c, s) + b2
-    meter.elem(label, s * c)
+    meter.macs(label, cells * c * c)
+    meter.elem(label, cells * c)
+    merged = np.moveaxis(b1, 0, -3).reshape(flat.shape) + b2
+    meter.elem(label, cells * c)
     upd = p.w_out @ merged + p.b_out[:, None]
-    meter.macs(label, s * c * c)
-    meter.elem(label, s * c)
-    out = x + upd.reshape(c, h, w)
-    meter.elem(label, s * c)
+    meter.macs(label, cells * c * c)
+    meter.elem(label, cells * c)
+    out = x + upd.reshape(x.shape)
+    meter.elem(label, cells * c)
     return out
 
 
 def convlstm_step(x: np.ndarray, state: LstmState, p: ConvLstmParams,
                   meter: FlopsMeter = NULL_METER, label: str = "lstm"):
-    """One convolutional LSTM step with 3x3 gates. Returns (h', new state).
+    """Convolutional LSTM with 3x3 gates over one (C, H, W) input or T steps
+    (T, C, H, W). Returns (h', state): each step's hidden map, shaped like
+    x, and the state after the last step.
 
-    The recurrent convolution is skipped while ``state.h`` is all zero (a
-    fresh state): it would add exact zeros. The meter still counts its MACs.
+    The input convolution of all steps is one matmul; only the recurrent
+    convolution and the gate math loop over the steps. The recurrent
+    convolution is skipped while ``state.h`` is all zero (a fresh state):
+    it would add exact zeros. The meter still counts its MACs.
     """
-    c, h, w = x.shape
+    c, h, w = x.shape[-3:]
     cout = p.bias.size // 4
     if state.h.shape != (cout, h, w) or state.c.shape != (cout, h, w):
         raise ShapeError(f"LSTM state h {state.h.shape} and c {state.c.shape} "
                          f"must both be {(cout, h, w)}")
-    gates = conv2d_same(x, p.w_x)
-    if state.h.any():
-        gates += conv2d_same(state.h, p.w_h)
-    gates += p.bias[:, None, None]
-    meter.macs(label, h * w * 9 * c * 4 * cout + h * w * 9 * cout * 4 * cout)
-    meter.elem(label, h * w * 4 * cout)
-    gi, gf, gg, go = (gates[i * cout:(i + 1) * cout] for i in range(4))
-    c_new = sigmoid(gf) * state.c + sigmoid(gi) * np.tanh(gg)
-    h_new = sigmoid(go) * np.tanh(c_new)
-    meter.elem(label, 9 * h * w * cout)
-    return h_new, LstmState(h=h_new, c=c_new)
+    gates_x = conv2d_same(x.reshape(-1, c, h, w), p.w_x)
+    hs = np.empty((len(gates_x), cout, h, w))
+    for gates, h_out in zip(gates_x, hs):
+        if state.h.any():
+            gates += conv2d_same(state.h, p.w_h)
+        gates += p.bias[:, None, None]
+        gi, gf, gg, go = (gates[i * cout:(i + 1) * cout] for i in range(4))
+        c_new = sigmoid(gf) * state.c + sigmoid(gi) * np.tanh(gg)
+        h_new = sigmoid(go) * np.tanh(c_new)
+        h_out[...] = h_new
+        state = LstmState(h=h_new, c=c_new)
+    steps = len(hs)
+    meter.macs(label, steps * (h * w * 9 * c * 4 * cout + h * w * 9 * cout * 4 * cout))
+    meter.elem(label, steps * h * w * 4 * cout)
+    meter.elem(label, steps * 9 * h * w * cout)
+    return hs.reshape(x.shape[:-3] + hs.shape[1:]), state
 
 
 def downsample_features(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                         meter: FlopsMeter = NULL_METER, label: str = "down") -> np.ndarray:
-    """Merge 2x2 token neighborhoods and project to the next stage width."""
-    col = patchify(x, 2)
-    y = col @ w.T + b
-    meter.macs(label, col.shape[0] * col.shape[1] * w.shape[0])
-    meter.elem(label, col.shape[0] * w.shape[0])
-    _, h, wd = x.shape
-    return y.T.reshape(w.shape[0], h // 2, wd // 2)
+    """Merge 2x2 token neighborhoods of (..., C, H, W) maps and project to
+    the next stage width."""
+    return _patch_linear(x, 2, w, b, meter, label)
+
+
+# Timesteps that run through the stages together: as many as keep one
+# stage-1 inner activation (kept tokens x inner width, float64) within
+# 2 MB, and at least one. The stack's arrays grow with this count, so it
+# bounds the working set of a long call; a 64x64 forward batches 8.
+_BATCH_ELEMS = 1 << 18
+
+
+def _timesteps_per_batch(cfg: BackboneConfig) -> int:
+    gh, gw = cfg.grid(0)
+    return max(1, _BATCH_ELEMS // (gh * gw * cfg.inner_expand * cfg.channels[0]))
 
 
 def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
                      cfg: BackboneConfig, params: BackboneParams,
                      states: list[LstmState] | None = None,
                      meter: FlopsMeter = NULL_METER, parallel: bool = False):
-    """Run the backbone over a sequence of voxel grids.
+    """Run the backbone over a sequence of voxel grids, stage-major.
 
+    Each batch of timesteps runs stage by stage over its (T, ...) stack,
+    with the LSTM states carried from step to step and batch to batch.
     Returns (outputs, states): one list of per-stage feature maps per
     timestep, and the updated LSTM states.
     """
@@ -445,13 +507,19 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
         raise ShapeError(f"keep mask and scores must have shape {grid0}")
     if states is None:
         states = init_lstm_states(cfg)
+    values = [vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox) for vox in voxels]
+    for v in values:
+        if v.shape != (2 * cfg.bins, cfg.height, cfg.width):
+            raise ShapeError(f"voxel grid shape {v.shape} does not match config")
     plans = stage_plans(keep, scores, cfg.ipl_windows)
     outputs = []
-    for vox in voxels:
-        values = vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox)
-        if values.shape != (2 * cfg.bins, cfg.height, cfg.width):
-            raise ShapeError(f"voxel grid shape {values.shape} does not match config")
-        x = patch_embed(values, cfg.patch, params.w_embed, params.b_embed, meter)
+    batch = _timesteps_per_batch(cfg)
+    for start in range(0, len(values), batch):
+        # grid by grid: a stacked copy of the grids next to their patch rows
+        # made the allocator map fresh pages on every call, and the small
+        # embedding weight gains nothing from a batch
+        x = np.stack([patch_embed(v, cfg.patch, params.w_embed, params.b_embed, meter)
+                      for v in values[start:start + batch]])
         stage_outs = []
         for s, (sp, plan) in enumerate(zip(params.stages, plans)):
             tag = f"stage{s + 1}"
@@ -466,7 +534,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
             stage_outs.append(x)
             if sp.down_w is not None:
                 x = downsample_features(x, sp.down_w, sp.down_b, meter, f"{tag}.down")
-        outputs.append(stage_outs)
+        outputs += [list(step) for step in zip(*stage_outs)]
     return outputs, states
 
 

@@ -31,32 +31,40 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def patchify(x: np.ndarray, patch: int) -> np.ndarray:
-    """Rearrange (C, H, W) into (H/P * W/P, C * P * P) patch rows."""
-    c, h, w = x.shape
+    """Rearrange (..., C, H, W) into (..., H/P * W/P, C * P * P) patch rows."""
+    *lead, c, h, w = x.shape
     if h % patch or w % patch:
         raise ShapeError(f"patch {patch} does not divide feature map {h}x{w}")
-    v = x.reshape(c, h // patch, patch, w // patch, patch)
-    return v.transpose(1, 3, 0, 2, 4).reshape((h // patch) * (w // patch), c * patch * patch)
+    k = len(lead)
+    v = x.reshape(*lead, c, h // patch, patch, w // patch, patch)
+    v = v.transpose(*range(k), k + 1, k + 3, k, k + 2, k + 4)
+    return v.reshape(*lead, (h // patch) * (w // patch), c * patch * patch)
+
+
+def _pad_hw(x: np.ndarray, kh: int, kw: int, mode: str = "constant") -> np.ndarray:
+    """Pad the last two axes by half a kernel on each side."""
+    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)],
+                  mode=mode)
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 cross-correlation with zero padding, (Cin,H,W) -> (Cout,H,W)."""
-    cin, h, wd = x.shape
+    """Stride-1 cross-correlation with zero padding, (..., Cin, H, W) -> (..., Cout, H, W).
+
+    All maps form one im2col matmul, so the kernel is read once per call.
+    """
+    *lead, cin, h, wd = x.shape
     cout, cin2, kh, kw = w.shape
     if cin != cin2:
         raise ShapeError(f"kernel expects {cin2} input channels, got {cin}")
-    pad = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    win = sliding_window_view(pad, (kh, kw), axis=(1, 2))
-    col = win.transpose(1, 2, 0, 3, 4).reshape(h * wd, cin * kh * kw)
+    win = sliding_window_view(_pad_hw(x, kh, kw), (kh, kw), axis=(-2, -1))
+    col = np.moveaxis(win, -5, -3).reshape(-1, cin * kh * kw)
     y = col @ w.reshape(cout, -1).T
-    return y.T.reshape(cout, h, wd)
+    return np.moveaxis(y.reshape(*lead, h, wd, cout), -1, -3)
 
 
 def depthwise_conv2d(x: np.ndarray, k: np.ndarray, bias: np.ndarray,
                      pad_mode: str = "constant") -> np.ndarray:
-    """Per-channel 3x3 cross-correlation. pad_mode 'edge' preserves constants."""
-    c, h, w = x.shape
+    """Per-channel 3x3 cross-correlation of (..., C, H, W). pad_mode 'edge' preserves constants."""
     kh, kw = k.shape[1:]
-    pad = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)), mode=pad_mode)
-    win = sliding_window_view(pad, (kh, kw), axis=(1, 2))
-    return np.einsum("chwij,cij->chw", win, k) + bias[:, None, None]
+    win = sliding_window_view(_pad_hw(x, kh, kw, pad_mode), (kh, kw), axis=(-2, -1))
+    return np.einsum("...chwij,cij->...chw", win, k) + bias[:, None, None]

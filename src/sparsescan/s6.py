@@ -26,21 +26,23 @@ passes over R rows. Both start from the bx terms, with h0 folded into
 step 0 as abar_0 * h0. A manual reverse-mode adjoint of the recurrence
 completes the kernels.
 
-s6_forward and selective_scan_parallel cut a T-step sequence into chunks
-of rows = max(1, _CHUNK_ELEMS // (L * N)) steps, 16 at L = 128 and
-N = 16. Each chunk is scanned from the last state of the chunk before,
-so the doubling scan makes ceil(log2 rows) passes per chunk and
-O(T log rows) work in all. selective_scan_seq scans the whole sequence
-at once and is the reference both are checked against.
+s6_forward takes a (T, L) sequence, or B equal-length sequences as
+(T, B, L), which it scans together as B * L lanes; (T, L) is the B = 1
+case of the same code. It and selective_scan_parallel cut the T steps
+into chunks of rows = max(1, _CHUNK_ELEMS // (B * L * N)) steps, 16 at
+B = 1, L = 128 and N = 16. Each chunk is scanned from the last state of
+the chunk before, so the doubling scan makes ceil(log2 rows) passes per
+chunk and O(T log rows) work in all. selective_scan_seq scans the whole
+sequence at once and is the reference both are checked against.
 
-discretize_zoh and parameterize write into a given out= pair of arrays,
-and the state kernels of both scans work in place. The public functions
-return new arrays. s6_forward projects the whole sequence once (dt, b
-and c), then per chunk discretizes, scans and contracts in float64
+discretize_zoh writes into a given out= pair of arrays, and the state
+kernels of both scans work in place. The public functions return new
+arrays. s6_forward projects all T * B rows once in one matmul each (dt,
+b and c), then per chunk discretizes, scans and contracts in float64
 buffers owned by the calling thread and reused on every call: two for
 the sequential scan, three for the doubling one. Each buffer holds one
-chunk, max(_CHUNK_ELEMS, L * N) elements at most (256 KB while
-L * N <= _CHUNK_ELEMS), whatever T is. Only y and h_T leave the call.
+chunk, max(_CHUNK_ELEMS, B * L * N) elements at most (256 KB while
+B * L * N <= _CHUNK_ELEMS), whatever T is. Only y and h_T leave the call.
 """
 
 from __future__ import annotations
@@ -123,45 +125,49 @@ def discretize_zoh(a, b, dt, out=None):
     return abar, bbar
 
 
-def softplus(x):
-    return np.logaddexp(0.0, x)
+def softplus(x, out=None):
+    return np.logaddexp(0.0, x, out=out)
 
 
 def _check_input(x: np.ndarray, p: S6Params) -> None:
-    if x.ndim != 2 or x.shape[1] != p.n_lanes:
-        raise ShapeError(f"expected (T, {p.n_lanes}) input, got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != p.n_lanes:
+        raise ShapeError(f"expected (T, {p.n_lanes}) or (T, B, {p.n_lanes}) input, got {x.shape}")
 
 
 def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
-    """a (L, N) and the per-step dt (T, L), b (T, N), c (T, N) of the sequence x."""
+    """a (L, N) and the per-step dt (..., L), b (..., N), c (..., N) of x.
+
+    Each projection is one matmul over all T * B rows. dt takes its bias
+    and softplus in place, so it is the only (T * B, L) array made.
+    """
     _check_input(x, p)
-    t_len, lanes = x.shape
-    n = p.n_state
-    dt = softplus(x @ p.w_dt.T + p.b_dt)
-    b_t = x @ p.w_b.T
-    c_t = x @ p.w_c.T
-    meter.macs(label, t_len * lanes * lanes + 2 * t_len * n * lanes)
-    meter.elem(label, 2 * t_len * lanes)
-    return -np.exp(p.log_a), dt, b_t, c_t
+    lanes, n = p.log_a.shape
+    rows = x.reshape(-1, lanes)
+    dt = rows @ p.w_dt.T
+    dt += p.b_dt
+    softplus(dt, out=dt)
+    b_t = rows @ p.w_b.T
+    c_t = rows @ p.w_c.T
+    meter.macs(label, len(rows) * lanes * lanes + 2 * len(rows) * n * lanes)
+    meter.elem(label, 2 * len(rows) * lanes)
+    lead = x.shape[:-1]
+    return -np.exp(p.log_a), dt.reshape(x.shape), b_t.reshape(lead + (n,)), \
+        c_t.reshape(lead + (n,))
 
 
 def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str):
     """abar and bx of the steps whose dt, b and input rows are given."""
-    abar, bx = discretize_zoh(a[None, :, :], b_t[:, None, :], dt[:, :, None], out=out)
-    bx *= x[:, :, None]
+    abar, bx = discretize_zoh(a, b_t[..., None, :], dt[..., None], out=out)
+    bx *= x[..., None]
     meter.elem(label, 6 * bx.size)
     return abar, bx
 
 
 def parameterize(x: np.ndarray, p: S6Params, meter: FlopsMeter = NULL_METER,
-                 label: str = "s6", out=None) -> S6Discretized:
-    """Build per-step coefficients from the input sequence x of shape (T, L).
-
-    out, if given, is a pair of (T, L, N) float64 arrays that receive
-    abar and bx.
-    """
+                 label: str = "s6") -> S6Discretized:
+    """Build per-step coefficients from the input sequence x of shape (T, L)."""
     a, dt, b_t, c_t = _project(x, p, meter, label)
-    abar, bx = _discretize(a, dt, b_t, x, out, meter, label)
+    abar, bx = _discretize(a, dt, b_t, x, None, meter, label)
     return S6Discretized(abar=abar, bx=bx, c=c_t)
 
 
@@ -183,7 +189,7 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
     same shape. After the pass with shift k, hs[t] holds the recurrence summed
     over the last 2k steps and a[t] the product of the last 2k abars, so
     ceil(log2 R) passes finish a scan of R rows; h0 enters as part of step 0.
-    The chunked callers run it on chunks of at most _chunk_rows(L, N) rows
+    The chunked callers run it on chunks of at most _chunk_rows(B * L, N) rows
     with the previous chunk's last state as h0, so a T-step sequence costs
     O(T log rows) work over ceil(T / rows) chunks in fixed-size buffers.
     """
@@ -213,7 +219,8 @@ def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
     if skip is not None:
         y = y + skip * x
         meter.macs(label, t_len * lanes)
-    last = hs[-1] if t_len else (np.zeros((lanes, n)) if h0 is None else h0.copy())
+    # a copy, so that h_T does not keep the whole (T, L, N) state array alive
+    last = hs[-1].copy() if t_len else (np.zeros((lanes, n)) if h0 is None else h0.copy())
     return y, last
 
 
@@ -300,16 +307,18 @@ def _chunk_rows(lanes: int, n: int) -> int:
 
 
 def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
-    """Scan a (T, L, N) recurrence chunk by chunk in this thread's workspace.
+    """Scan a (T, L, N) or (T, B, L, N) recurrence chunk by chunk in this
+    thread's workspace.
 
     fill(s, e, abar, bx) writes steps s to e - 1 of abar and bx into the
-    given (e - s, L, N) buffers. Each chunk's scan starts from the last
-    state of the one before. Returns new arrays (y, h_T).
+    given (e - s, ..., L, N) buffers. Each chunk's scan starts from the
+    last state of the one before. Returns new arrays (y, h_T).
     """
-    t_len, lanes, n = shape
-    rows = _chunk_rows(lanes, n)
-    bufs = _workspace.arrays((min(rows, t_len), lanes, n), 3 if parallel else 2)
-    y = np.empty((t_len, lanes))
+    t_len, state = shape[0], shape[1:]
+    lanes, n = state[-2:]
+    rows = _chunk_rows(math.prod(state[:-1]), n)
+    bufs = _workspace.arrays((min(rows, t_len),) + state, 3 if parallel else 2)
+    y = np.empty(shape[:-1])
     h = h0
     for s in range(0, t_len, rows):
         e = min(s + rows, t_len)
@@ -319,26 +328,30 @@ def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
             _scan_states_doubling(abar, hs, work[0], h, meter, label)
         else:
             _scan_states_seq(abar, hs, h)
-        np.einsum("tln,tn->tl", hs, c[s:e], out=y[s:e])
+        # the B sequences of a step contract as B more rows
+        np.einsum("tln,tn->tl", hs.reshape(-1, lanes, n), c[s:e].reshape(-1, n),
+                  out=y[s:e].reshape(-1, lanes))
         h = hs[-1].copy()        # the next chunk overwrites hs
     if not parallel:                        # the doubling meters its own passes
-        meter.macs(label, t_len * lanes * n)
-    meter.macs(label, t_len * lanes * n)    # output contraction
+        meter.macs(label, y.size * n)
+    meter.macs(label, y.size * n)           # output contraction
     if skip is not None:
         y += skip * x
-        meter.macs(label, t_len * lanes)
+        meter.macs(label, y.size)
     if h is h0:
-        h = np.zeros((lanes, n)) if h0 is None else h0.copy()
+        h = np.zeros(state) if h0 is None else h0.copy()
     return y, h
 
 
 def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
                meter: FlopsMeter = NULL_METER, label: str = "s6"):
-    """Parameterize and scan an (T, L) sequence. Returns (y, h_T).
+    """Parameterize and scan a (T, L) sequence, or B equal-length sequences
+    given as (T, B, L). Returns (y, h_T): y shaped like x, and h_T (L, N)
+    or (B, L, N).
 
-    The projections run once over the whole sequence; discretization and
-    the scan run chunk by chunk in this thread's workspace. y and h_T
-    are new arrays.
+    The projections run once over all T * B rows; discretization and the
+    scan run chunk by chunk in this thread's workspace, the B sequences
+    side by side as extra lanes. y and h_T are new arrays.
     """
     a, dt, b_t, c_t = _project(x, p, meter, label)
 

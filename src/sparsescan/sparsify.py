@@ -1,9 +1,10 @@
 """Gather kept tokens from a feature map and scatter them back.
 
-A feature map is a (C, H_t, W_t) array. Gathering collects the kept
-tokens in row-major coordinate order into an (n, C) matrix; scattering
-writes them back over a base map, leaving discarded positions bit-equal
-to the base.
+A feature map is a (C, H_t, W_t) array, and a stack of T maps on one
+grid is (T, C, H_t, W_t). Gathering collects the kept tokens in
+row-major coordinate order into an (n, C) matrix, or (T, n, C) for a
+stack; scattering writes them back over a base map, leaving discarded
+positions bit-equal to the base.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from .errors import ShapeError
 class TokenSet:
     """Kept tokens in row-major order with their grid coordinates."""
 
-    tokens: np.ndarray      # (n, C)
+    tokens: np.ndarray      # (n, C), or (..., n, C) for a stack of maps
     coords: np.ndarray      # (n, 2) int64, rows then cols
     grid_shape: tuple[int, int]
 
     def __len__(self) -> int:
-        return self.tokens.shape[0]
+        return len(self.coords)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -35,10 +36,10 @@ class TokenSet:
         return idx
 
     def regather(self, x: np.ndarray) -> TokenSet:
-        """The tokens of a (C, H, W) map at this set's positions, as a new set."""
-        if x.ndim != 3 or x.shape[1:] != self.grid_shape:
+        """The tokens of a (..., C, H, W) map at this set's positions, as a new set."""
+        if x.ndim < 3 or x.shape[-2:] != self.grid_shape:
             raise ShapeError(f"feature map {x.shape} does not match token grid {self.grid_shape}")
-        tokens = x[:, self.coords[:, 0], self.coords[:, 1]].T.copy()
+        tokens = np.swapaxes(x[..., self.coords[:, 0], self.coords[:, 1]], -1, -2).copy()
         return TokenSet(tokens=tokens, coords=self.coords, grid_shape=self.grid_shape)
 
 
@@ -49,19 +50,21 @@ def gather_tokens(x: np.ndarray, keep: np.ndarray) -> TokenSet:
 
 
 def scatter_tokens(ts: TokenSet, base: np.ndarray) -> np.ndarray:
-    """Write tokens into a copy of base at their coordinates."""
-    if base.ndim != 3 or base.shape[1:] != ts.grid_shape:
+    """Write tokens into a copy of base at their coordinates; a (..., C, H, W)
+    base takes a (..., n, C) token stack."""
+    if base.ndim < 3 or base.shape[-2:] != ts.grid_shape:
         raise ShapeError(f"base {base.shape} does not match token grid {ts.grid_shape}")
-    if ts.tokens.shape[1] != base.shape[0]:
-        raise ShapeError(f"token width {ts.tokens.shape[1]} does not match channels {base.shape[0]}")
+    want = base.shape[:-3] + (len(ts), base.shape[-3])
+    if ts.tokens.shape != want:
+        raise ShapeError(f"tokens {ts.tokens.shape} do not fit base {base.shape}; expected {want}")
     if len(ts) and (
         ts.coords.min() < 0
-        or ts.coords[:, 0].max() >= base.shape[1]
-        or ts.coords[:, 1].max() >= base.shape[2]
+        or ts.coords[:, 0].max() >= base.shape[-2]
+        or ts.coords[:, 1].max() >= base.shape[-1]
     ):
         raise ShapeError("token coordinates fall outside the base grid")
     out = base.copy()
-    out[:, ts.coords[:, 0], ts.coords[:, 1]] = ts.tokens.T
+    out[..., ts.coords[:, 0], ts.coords[:, 1]] = np.swapaxes(ts.tokens, -1, -2)
     return out
 
 

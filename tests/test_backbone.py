@@ -171,7 +171,8 @@ class TestSparseSs2d:
             sparse_ss2d(np.zeros((8, 8, 8)), np.ones((8, 8), dtype=bool),
                         np.ones((4, 4)), p)
 
-    @pytest.mark.parametrize("shape", [(8, 4, 4), (8, 8), (1, 8, 8, 8)])
+    # a leading timestep axis is valid, so the 4-D case is a stack on the wrong grid
+    @pytest.mark.parametrize("shape", [(8, 4, 4), (8, 8), (2, 8, 4, 4)])
     def test_map_shape_mismatch(self, shape):
         p = init_backbone_params(SMALL, seed=4).stages[0].ss2d
         with pytest.raises(ShapeError):
@@ -535,27 +536,27 @@ class TestBackboneForward:
 
 
 def stage_composition(voxels, keep, scores, cfg, params, parallel):
-    """The forward pass composed from the public map-level blocks."""
+    """The forward pass composed from the public map-level blocks, stage-major:
+    after the per-grid embedding, each block runs once over the stack of all
+    timesteps, as the forward's blocks do, so the two share every matmul's
+    shape."""
     maps = [(keep, scores)]
     for _ in range(cfg.n_stages - 1):
         maps.append((max_pool2d(maps[-1][0], 2), max_pool2d(maps[-1][1], 2)))
     states = init_lstm_states(cfg)
-    outputs = []
-    for values in voxels:
-        x = patch_embed(values, cfg.patch, params.w_embed, params.b_embed)
-        stage_outs = []
-        for s, (sp, (k_map, s_map)) in enumerate(zip(params.stages, maps)):
-            x = sparse_ss2d(x, k_map, s_map, sp.ss2d, parallel=parallel)
-            if isinstance(sp.mixer, GciParams):
-                x = gci_forward(x, sp.mixer, parallel=parallel)
-            else:
-                x = sparse_mlp(x, k_map, sp.mixer)
-            x, states[s] = convlstm_step(x, states[s], sp.lstm)
-            stage_outs.append(x)
-            if sp.down_w is not None:
-                x = downsample_features(x, sp.down_w, sp.down_b)
-        outputs.append(stage_outs)
-    return outputs, states
+    x = np.stack([patch_embed(v, cfg.patch, params.w_embed, params.b_embed) for v in voxels])
+    stage_outs = []
+    for s, (sp, (k_map, s_map)) in enumerate(zip(params.stages, maps)):
+        x = sparse_ss2d(x, k_map, s_map, sp.ss2d, parallel=parallel)
+        if isinstance(sp.mixer, GciParams):
+            x = gci_forward(x, sp.mixer, parallel=parallel)
+        else:
+            x = sparse_mlp(x, k_map, sp.mixer)
+        x, states[s] = convlstm_step(x, states[s], sp.lstm)
+        stage_outs.append(x)
+        if sp.down_w is not None:
+            x = downsample_features(x, sp.down_w, sp.down_b)
+    return [list(step) for step in zip(*stage_outs)], states
 
 
 class TestStagePlans:
@@ -599,6 +600,93 @@ class TestStagePlans:
         voxels, keep, scores = small_inputs(seed=42)
         backbone_forward([voxels] * 4, keep, scores, SMALL, params)
         assert len(calls) == SMALL.n_stages
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-12)
+
+
+class TestStageMajor:
+    """A call runs each stage over all its timesteps; only the LSTM loops over t."""
+
+    @pytest.fixture(scope="class")
+    def four_steps(self):
+        spec = scene_preset("edge-noise", width=SMALL.width, height=SMALL.height)
+        streams = [generate_synthetic_scene(spec, seed=s)[0] for s in range(4)]
+        res = run_stca(streams[0], patch=SMALL.patch)
+        voxels = [build_voxel_grid(st, SMALL.bins).values for st in streams]
+        return voxels, res.keep, res.scores
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("mask", ["stca", "all"])
+    def test_call_equals_single_steps_with_carried_states(self, four_steps, mask, parallel):
+        voxels, keep, scores = four_steps
+        if mask == "all":
+            keep = np.ones_like(keep)
+        else:
+            assert 0 < keep.sum() < keep.size
+        params = init_backbone_params(SMALL, seed=43)
+        got, got_states = backbone_forward(voxels, keep, scores, SMALL, params,
+                                           parallel=parallel)
+        states = init_lstm_states(SMALL)
+        for t, values in enumerate(voxels):
+            want, states = backbone_forward([values], keep, scores, SMALL, params,
+                                            states=states, parallel=parallel)
+            for a, b in zip(got[t], want[0]):
+                assert a.shape == b.shape and rel_err(a, b) <= 1e-12
+        for a, b in zip(got_states, states):
+            assert rel_err(a.h, b.h) <= 1e-12 and rel_err(a.c, b.c) <= 1e-12
+
+    def test_weights_read_once_per_call(self, four_steps, monkeypatch):
+        voxels, keep, scores = four_steps
+        params = init_backbone_params(SMALL, seed=44)
+        w_x = {id(sp.lstm.w_x) for sp in params.stages}
+        calls = {"s6": 0, "w_x": 0}
+        real_s6, real_conv = bb.s6_forward, bb.conv2d_same
+
+        def s6_counting(*args, **kwargs):
+            calls["s6"] += 1
+            return real_s6(*args, **kwargs)
+
+        def conv_counting(x, w):
+            calls["w_x"] += id(w) in w_x
+            return real_conv(x, w)
+
+        monkeypatch.setattr(bb, "s6_forward", s6_counting)
+        monkeypatch.setattr(bb, "conv2d_same", conv_counting)
+        counts = []
+        for steps in (voxels[:1], voxels):
+            calls.update(s6=0, w_x=0)
+            backbone_forward(steps, keep, scores, SMALL, params)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {"s6": 3 * SMALL.n_stages + 2 * len(SMALL.gci_stages),
+                                         "w_x": SMALL.n_stages}
+
+    def test_batch_bounds_the_stack(self):
+        assert bb._timesteps_per_batch(BackboneConfig()) == 8
+        assert bb._timesteps_per_batch(BackboneConfig(height=736, width=1280)) == 1
+
+    @pytest.mark.parametrize("batch, stacks", [(1, [1, 1, 1, 1]), (3, [3, 1])])
+    def test_batches_carry_states(self, four_steps, monkeypatch, batch, stacks):
+        voxels, keep, scores = four_steps
+        params = init_backbone_params(SMALL, seed=45)
+        want, want_states = backbone_forward(voxels, keep, scores, SMALL, params)
+        seen = []
+        real_lstm = bb.convlstm_step
+
+        def lstm_recording(x, *args, **kwargs):
+            seen.append(len(x))
+            return real_lstm(x, *args, **kwargs)
+
+        monkeypatch.setattr(bb, "convlstm_step", lstm_recording)
+        monkeypatch.setattr(bb, "_timesteps_per_batch", lambda cfg: batch)
+        got, got_states = backbone_forward(voxels, keep, scores, SMALL, params)
+        assert seen == [size for size in stacks for _ in range(SMALL.n_stages)]
+        for step_got, step_want in zip(got, want, strict=True):
+            for a, b in zip(step_got, step_want):
+                assert rel_err(a, b) <= 1e-12
+        for a, b in zip(got_states, want_states):
+            assert rel_err(a.h, b.h) <= 1e-12 and rel_err(a.c, b.c) <= 1e-12
 
 
 class TestCheckpoint:

@@ -131,17 +131,6 @@ class TestParameterize:
         assert (d.abar[1] == 1.0).all() and (d.bx[1] == 0.0).all()
         assert (d.abar[[0, 2, 3]] < 1.0).all()
 
-    def test_out_buffers_receive_coefficients(self):
-        rng = np.random.default_rng(22)
-        p = init_s6_params(3, 4, rng)
-        x = rng.standard_normal((5, 3))
-        out = (np.full((5, 3, 4), np.nan), np.full((5, 3, 4), np.nan))
-        d = parameterize(x, p, out=out)
-        assert d.abar is out[0] and d.bx is out[1]
-        ref = parameterize(x, p)
-        assert d.abar.tobytes() == ref.abar.tobytes()
-        assert d.bx.tobytes() == ref.bx.tobytes()
-
 
 class TestSequentialScan:
     def test_three_step_unroll(self):
@@ -184,6 +173,13 @@ class TestSequentialScan:
         bound = np.abs(d.bx).max(axis=(1, 2)).sum()
         assert np.abs(h).max() <= bound + 1e-9
 
+
+    @pytest.mark.parametrize("t_len, h0", [(9, False), (9, True), (0, True)])
+    def test_final_state_owns_its_data(self, t_len, h0):
+        rng = np.random.default_rng(29)
+        d = random_disc(rng, t_len, 3, 4)
+        _, h = selective_scan_seq(d, h0=rng.standard_normal((3, 4)) if h0 else None)
+        assert h.shape == (3, 4) and h.flags.owndata
 
     def test_inputs_unchanged(self):
         rng = np.random.default_rng(27)
@@ -340,6 +336,56 @@ class TestForwardWrapper:
         s6_forward(x, p, meter=meter, label="probe")
         assert meter.total() > 0
         assert any(k.startswith("probe") for k in meter.flops)
+
+
+class TestBatchedSequences:
+    """s6_forward on (T, B, L) scans B equal-length sequences as extra lanes."""
+
+    # (T, B, L, N): one chunk; several chunks of 5 rows; one row per chunk
+    CASES = [(7, 2, 4, 8), (37, 3, 128, 16), (4, 2, 520, 64)]
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("shape", CASES)
+    def test_equals_separate_sequences(self, shape, parallel):
+        t_len, b, lanes, n = shape
+        rng = np.random.default_rng(60 + t_len)
+        p = init_s6_params(lanes, n, rng)
+        x = rng.standard_normal((t_len, b, lanes))
+        y, h = s6_forward(x, p, parallel=parallel)
+        assert y.shape == x.shape and h.shape == (b, lanes, n)
+        for i in range(b):
+            y_i, h_i = s6_forward(x[:, i].copy(), p, parallel=parallel)
+            assert rel_err(y[:, i], y_i) <= 1e-12 and rel_err(h[i], h_i) <= 1e-12
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_one_sequence_is_bit_identical_to_two_dimensional_input(self, parallel):
+        rng = np.random.default_rng(61)
+        p = init_s6_params(128, 16, rng)
+        x = rng.standard_normal((37, 128))
+        y, h = s6_forward(x, p, parallel=parallel)
+        y3, h3 = s6_forward(x[:, None], p, parallel=parallel)
+        assert y3.tobytes() == y.tobytes() and h3.tobytes() == h.tobytes()
+
+    def test_chunks_shrink_with_sequence_count(self):
+        assert s6._chunk_rows(3 * 128, 16) == 5
+        p = init_s6_params(128, 16, np.random.default_rng(62))
+        sizes = []
+
+        def run():                  # a fresh thread starts with an empty workspace
+            s6_forward(np.zeros((37, 3, 128)), p, parallel=True)
+            sizes.extend(buf.size for buf in s6._workspace.buffers)
+
+        th = threading.Thread(target=run)
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive()
+        assert sizes == [5 * 3 * 128 * 16] * 3
+
+    @pytest.mark.parametrize("shape", [(5, 2, 3, 4), (5, 2, 3), (5,)])
+    def test_other_ranks_rejected(self, shape):
+        p = init_s6_params(4, 4, np.random.default_rng(63))
+        with pytest.raises(ShapeError):
+            s6_forward(np.zeros(shape), p)
 
 
 class TestWorkspace:

@@ -96,6 +96,27 @@ class TestScatter:
             off = ~keep
             assert out[:, off].tobytes() == x[:, off].tobytes()
 
+    def test_stack_gathers_and_scatters_each_map(self):
+        rng = np.random.default_rng(12)
+        x, keep = random_case(rng, 5, 6, 3, 0.5)
+        stack = np.stack([x, 2.0 * x, -x])
+        ts = gather_tokens(stack, keep)
+        assert ts.tokens.shape == (3, len(ts), 3)
+        for t in range(3):
+            assert ts.tokens[t].tobytes() == gather_tokens(stack[t], keep).tokens.tobytes()
+        fresh = rng.standard_normal(ts.tokens.shape)
+        out = scatter_tokens(TokenSet(fresh, ts.coords, ts.grid_shape), stack)
+        for t in range(3):
+            want = scatter_tokens(TokenSet(fresh[t], ts.coords, ts.grid_shape), stack[t])
+            assert out[t].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tokens_shape", [(2, 4, 3), (4, 3), (3, 4, 2), (3, 5, 3)])
+    def test_stack_of_other_shape_rejected(self, tokens_shape):
+        base = np.zeros((3, 3, 2, 2))
+        coords = np.argwhere(np.ones((2, 2), dtype=bool))
+        with pytest.raises(ShapeError):
+            scatter_tokens(TokenSet(np.zeros(tokens_shape), coords, (2, 2)), base)
+
     def test_out_of_bounds_coord_rejected(self):
         base = np.zeros((1, 2, 2))
         ts = TokenSet(np.zeros((1, 1)), np.array([[5, 0]]), (2, 2))

@@ -19,12 +19,15 @@ stack's working set.
 
 Sparse blocks compute only at kept token positions and pass discarded
 positions through bit-unchanged. Each stage's token plan is built once
-per call from the keep mask and score map, max-pooled to the stage grid;
-a stage gathers its (T, n, C) kept tokens once, runs the scan block and
-the MLP on them in place, and scatters them once, before GCI or the
-LSTM. All parameters live in plain float64 arrays; checkpoints serialize
-them as one flat little-endian blob plus a JSON manifest mapping names
-to byte offsets and shapes.
+per call from the keep mask and score map, max-pooled to the stage grid,
+and the stage's ``Ss2dParams.ipl_k``, the one IPL window that the
+forward and sparse_ss2d read (``BackboneConfig.ipl_windows`` is only the
+rule init_backbone_params sets it by). A stage gathers its (T, n, C)
+kept tokens once, runs the scan block and the MLP on them in place, and
+scatters them once, before GCI or the LSTM. All parameters live in
+plain float64 arrays; checkpoints serialize them as one flat
+little-endian blob plus a JSON manifest mapping names to byte offsets
+and shapes.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Backbone geometry and widths, checked at construction. Each stage's
-    IPL window (``ipl_windows``) is derived from its token grid: 2 where
-    the grid is even in both dimensions and at least 2, else 1."""
+    """Backbone geometry and widths, checked at construction. ``ipl_windows``
+    is the rule init_backbone_params sets each stage's ``Ss2dParams.ipl_k``
+    by: 2 where the stage grid is even in both dimensions and at least 2, else 1."""
 
     patch: ClassVar[int] = 4
     mlp_expand: ClassVar[int] = 4
@@ -115,7 +118,7 @@ class Ss2dParams:
     s6_ipl: S6Params
     w_out: np.ndarray      # (C, D)
     b_out: np.ndarray
-    ipl_k: int = 2
+    ipl_k: int             # IPL window, the one the forward and sparse_ss2d read
 
 
 @dataclass
@@ -267,7 +270,6 @@ class StagePlan:
     coordinates and grid index, each token's 3x3 neighbour rows (-1 where
     discarded or off-grid) and the IPL scan permutation."""
 
-    keep: np.ndarray   # (H, W) bool
     ts: TokenSet       # coordinates and grid index; no channels
     nbr: np.ndarray    # (n, 9) int64
     ipl: np.ndarray    # (n,) int64
@@ -277,11 +279,10 @@ class StagePlan:
         ts = gather_tokens(np.empty((0,) + keep.shape), keep)
         index = np.pad(ts.index, 1, constant_values=-1)
         nbr = sliding_window_view(index, (3, 3))[ts.coords[:, 0], ts.coords[:, 1]]
-        return cls(keep, ts, nbr.reshape(-1, 9), ipl_order(ts, scores, ipl_k))
+        return cls(ts, nbr.reshape(-1, 9), ipl_order(ts, scores, ipl_k))
 
 
-def stage_plans(keep: np.ndarray, scores: np.ndarray,
-                ipl_k: tuple[int, ...]) -> list[StagePlan]:
+def stage_plans(keep: np.ndarray, scores: np.ndarray, ipl_k: list[int]) -> list[StagePlan]:
     """One plan per stage: the inputs, then successive 2x max-pools."""
     plans = [StagePlan.build(keep, scores, ipl_k[0])]
     for k in ipl_k[1:]:
@@ -500,18 +501,20 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
     Each batch of timesteps runs stage by stage over its (T, ...) stack,
     with the LSTM states carried from step to step and batch to batch.
     Returns (outputs, states): one list of per-stage feature maps per
-    timestep, and the updated LSTM states.
+    timestep, and a new list of the updated LSTM states; the given
+    states list is left as it was.
     """
     grid0 = cfg.grid(0)
     if keep.shape != grid0 or scores.shape != grid0:
         raise ShapeError(f"keep mask and scores must have shape {grid0}")
-    if states is None:
-        states = init_lstm_states(cfg)
+    states = init_lstm_states(cfg) if states is None else list(states)
+    if len(states) != cfg.n_stages:
+        raise ShapeError(f"got {len(states)} LSTM states for {cfg.n_stages} stages")
     values = [vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox) for vox in voxels]
     for v in values:
         if v.shape != (2 * cfg.bins, cfg.height, cfg.width):
             raise ShapeError(f"voxel grid shape {v.shape} does not match config")
-    plans = stage_plans(keep, scores, cfg.ipl_windows)
+    plans = stage_plans(keep, scores, [sp.ss2d.ipl_k for sp in params.stages])
     outputs = []
     batch = _timesteps_per_batch(cfg)
     for start in range(0, len(values), batch):

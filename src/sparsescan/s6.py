@@ -33,7 +33,9 @@ into chunks of rows = max(1, _CHUNK_ELEMS // (B * L * N)) steps, 16 at
 B = 1, L = 128 and N = 16. Each chunk is scanned from the last state of
 the chunk before, so the doubling scan makes ceil(log2 rows) passes per
 chunk and O(T log rows) work in all. selective_scan_seq scans the whole
-sequence at once and is the reference both are checked against.
+sequence at once and is the reference both are checked against. The
+oracle kernels parameterize, selective_scan_seq and
+selective_scan_parallel take no meter; only s6_forward counts FLOPs.
 
 discretize_zoh writes into a given out= pair of arrays, and the state
 kernels of both scans work in place. The public functions return new
@@ -129,19 +131,15 @@ def softplus(x, out=None):
     return np.logaddexp(0.0, x, out=out)
 
 
-def _check_input(x: np.ndarray, p: S6Params) -> None:
-    if x.ndim not in (2, 3) or x.shape[-1] != p.n_lanes:
-        raise ShapeError(f"expected (T, {p.n_lanes}) or (T, B, {p.n_lanes}) input, got {x.shape}")
-
-
 def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
     """a (L, N) and the per-step dt (..., L), b (..., N), c (..., N) of x.
 
     Each projection is one matmul over all T * B rows. dt takes its bias
     and softplus in place, so it is the only (T * B, L) array made.
     """
-    _check_input(x, p)
     lanes, n = p.log_a.shape
+    if x.ndim not in (2, 3) or x.shape[-1] != lanes:
+        raise ShapeError(f"expected (T, {lanes}) or (T, B, {lanes}) input, got {x.shape}")
     rows = x.reshape(-1, lanes)
     dt = rows @ p.w_dt.T
     dt += p.b_dt
@@ -163,11 +161,10 @@ def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str):
     return abar, bx
 
 
-def parameterize(x: np.ndarray, p: S6Params, meter: FlopsMeter = NULL_METER,
-                 label: str = "s6") -> S6Discretized:
+def parameterize(x: np.ndarray, p: S6Params) -> S6Discretized:
     """Build per-step coefficients from the input sequence x of shape (T, L)."""
-    a, dt, b_t, c_t = _project(x, p, meter, label)
-    abar, bx = _discretize(a, dt, b_t, x, None, meter, label)
+    a, dt, b_t, c_t = _project(x, p, NULL_METER, "")
+    abar, bx = _discretize(a, dt, b_t, x, None, NULL_METER, "")
     return S6Discretized(abar=abar, bx=bx, c=c_t)
 
 
@@ -209,24 +206,20 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
 
 
 def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
-                       skip: np.ndarray | None = None, x: np.ndarray | None = None,
-                       meter: FlopsMeter = NULL_METER, label: str = "s6"):
+                       skip: np.ndarray | None = None, x: np.ndarray | None = None):
     """Evaluate the recurrence step by step over the whole sequence. Returns (y, h_T)."""
     t_len, lanes, n = d.abar.shape
     hs = _scan_states_seq(d.abar, d.bx.copy(), h0)
     y = np.einsum("tln,tn->tl", hs, d.c)
-    meter.macs(label, 2 * hs.size)
     if skip is not None:
         y = y + skip * x
-        meter.macs(label, t_len * lanes)
     # a copy, so that h_T does not keep the whole (T, L, N) state array alive
     last = hs[-1].copy() if t_len else (np.zeros((lanes, n)) if h0 is None else h0.copy())
     return y, last
 
 
 def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
-                            skip: np.ndarray | None = None, x: np.ndarray | None = None,
-                            meter: FlopsMeter = NULL_METER, label: str = "s6"):
+                            skip: np.ndarray | None = None, x: np.ndarray | None = None):
     """Recursive-doubling evaluation; matches the sequential path to rounding.
 
     The doubling runs over the same chunks as s6_forward(parallel=True),
@@ -236,7 +229,7 @@ def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
         np.copyto(abar, d.abar[s:e])
         np.copyto(bx, d.bx[s:e])
 
-    return _scan_chunked(fill, d.abar.shape, d.c, h0, skip, x, True, meter, label)
+    return _scan_chunked(fill, d.abar.shape, d.c, h0, skip, x, True, NULL_METER, "")
 
 
 @dataclass

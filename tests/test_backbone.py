@@ -516,6 +516,26 @@ class TestBackboneForward:
         with pytest.raises(ShapeError, match="LSTM state"):
             backbone_forward([voxels], keep, scores, SMALL, params, states=states)
 
+    @pytest.mark.parametrize("n_states", [SMALL.n_stages - 1, SMALL.n_stages + 1])
+    def test_caller_states_of_wrong_count_rejected(self, n_states, monkeypatch):
+        params = init_backbone_params(SMALL, seed=18)
+        voxels, keep, scores = small_inputs(seed=19)
+        states = (init_lstm_states(SMALL) * 2)[:n_states]
+        monkeypatch.setattr(bb, "patch_embed", None)    # refused before any work
+        with pytest.raises(ShapeError, match=f"{n_states} LSTM states for {SMALL.n_stages}"):
+            backbone_forward([voxels], keep, scores, SMALL, params, states=states)
+
+    def test_caller_states_list_left_as_it_was(self):
+        params = init_backbone_params(SMALL, seed=18)
+        voxels, keep, scores = small_inputs(seed=19)
+        states = init_lstm_states(SMALL)
+        before = list(states)
+        _, got = backbone_forward([voxels], keep, scores, SMALL, params, states=states)
+        assert got is not states
+        assert all(a is b for a, b in zip(states, before, strict=True))
+        assert not any(st.h.any() or st.c.any() for st in states)
+        assert all(a is not b for a, b in zip(got, before))
+
     def test_keep_shape_mismatch(self):
         cfg = SMALL
         params = init_backbone_params(cfg, seed=20)
@@ -569,14 +589,19 @@ class TestStagePlans:
         return voxels, res.keep, res.scores
 
     @pytest.mark.parametrize("parallel", [False, True])
-    @pytest.mark.parametrize("mask", ["stca", "all"])
-    def test_forward_equals_map_level_composition(self, scene_inputs, parallel, mask):
+    @pytest.mark.parametrize("mask, ipl_k", [("stca", None), ("all", None), ("stca", (1, 4))],
+                             ids=["stca", "all", "stca-ipl_k-1-4"])
+    def test_forward_equals_map_level_composition(self, scene_inputs, parallel, mask, ipl_k):
+        """ipl_k edits the windows of stages 1 and 2 (8x8 and 4x4 grids)
+        away from init's 2, which both routes must follow."""
         voxels, keep, scores = scene_inputs
         if mask == "all":
             keep = np.ones_like(keep)
         else:
             assert 0 < keep.sum() < keep.size
         params = init_backbone_params(SMALL, seed=40)
+        if ipl_k is not None:
+            params.stages[0].ss2d.ipl_k, params.stages[1].ss2d.ipl_k = ipl_k
         got, got_states = backbone_forward(voxels, keep, scores, SMALL, params,
                                            parallel=parallel)
         want, want_states = stage_composition(voxels, keep, scores, SMALL, params, parallel)

@@ -350,8 +350,9 @@ def criterion_gather_scatter() -> CriterionResult:
     return CriterionResult("gather/scatter exactness", ok, detail, elapsed)
 
 
-def _full_grid_ipl(scores, k):
+def _full_grid_ipl(scores):
     h, w = scores.shape
+    k = bb.ipl_window(scores.shape)
     maxima = scores.reshape(h // k, k, w // k, k).max(axis=(1, 3)).ravel()
     order = np.argsort(-maxima, kind="stable")
     flat = np.arange(h * w, dtype=np.int64).reshape(h, w)
@@ -370,7 +371,7 @@ def _dense_ss2d(x, scores, p, parallel=False):
     u = silu(depthwise_conv2d(pre.T.reshape(d, h, w), p.dw_kernel, p.dw_bias,
                               pad_mode="constant")).reshape(d, m).T
     fwd = np.arange(m, dtype=np.int64)
-    orders = (fwd, fwd[::-1].copy(), _full_grid_ipl(scores, p.ipl_k))
+    orders = (fwd, fwd[::-1].copy(), _full_grid_ipl(scores))
     acc = np.zeros_like(u)
     for perm, sp in zip(orders, (p.s6_fwd, p.s6_bwd, p.s6_ipl)):
         y, _ = s6_forward(u[perm], sp, parallel=parallel)

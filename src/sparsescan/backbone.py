@@ -20,12 +20,10 @@ stack's working set.
 Sparse blocks compute only at kept token positions and pass discarded
 positions through bit-unchanged. Each stage's token plan is built once
 per call from the keep mask and score map, max-pooled to the stage grid,
-and the stage's ``Ss2dParams.ipl_k``, the one IPL window that the
-forward and sparse_ss2d read (``BackboneConfig.ipl_windows`` is only the
-rule init_backbone_params sets it by). A stage gathers its (T, n, C)
-kept tokens once, runs the scan block and the MLP on them in place, and
-scatters them once, before GCI or the LSTM. All parameters live in
-plain float64 arrays; checkpoints serialize them as one flat
+with the IPL window ipl_window derives from that grid; a stage gathers
+its (T, n, C) kept tokens once, runs the scan block and the MLP on them
+in place, and scatters them once, before GCI or the LSTM. All parameters
+live in plain float64 arrays; checkpoints serialize them as one flat
 little-endian blob plus a JSON manifest mapping names to byte offsets
 and shapes.
 """
@@ -52,11 +50,17 @@ from .stca import max_pool2d
 _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
 
 
+def ipl_window(grid: tuple[int, int]) -> int:
+    """IPL window of a token grid: 2 where the grid is even in both
+    dimensions and at least 2, else 1."""
+    gh, gw = grid
+    return 2 if gh % 2 == 0 and gw % 2 == 0 and min(gh, gw) >= 2 else 1
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Backbone geometry and widths, checked at construction. ``ipl_windows``
-    is the rule init_backbone_params sets each stage's ``Ss2dParams.ipl_k``
-    by: 2 where the stage grid is even in both dimensions and at least 2, else 1."""
+    """Backbone geometry and widths, checked at construction. Each stage's
+    IPL window (``ipl_windows``) is derived from its token grid by ipl_window."""
 
     patch: ClassVar[int] = 4
     mlp_expand: ClassVar[int] = 4
@@ -77,8 +81,7 @@ class BackboneConfig:
 
     @property
     def ipl_windows(self) -> tuple[int, ...]:
-        return tuple(2 if gh % 2 == 0 and gw % 2 == 0 and min(gh, gw) >= 2 else 1
-                     for gh, gw in map(self.grid, range(self.n_stages)))
+        return tuple(ipl_window(self.grid(s)) for s in range(self.n_stages))
 
     def grid(self, stage: int) -> tuple[int, int]:
         """Token grid (rows, cols) of a 0-indexed stage."""
@@ -118,7 +121,6 @@ class Ss2dParams:
     s6_ipl: S6Params
     w_out: np.ndarray      # (C, D)
     b_out: np.ndarray
-    ipl_k: int             # IPL window, the one the forward and sparse_ss2d read
 
 
 @dataclass
@@ -195,7 +197,6 @@ def init_backbone_params(cfg: BackboneConfig, seed: int = 0) -> BackboneParams:
             s6_bwd=init_s6_params(d, cfg.n_state, rng),
             s6_ipl=init_s6_params(d, cfg.n_state, rng),
             w_out=_linear_init(rng, c, d), b_out=np.zeros(c),
-            ipl_k=cfg.ipl_windows[s],
         )
         if (s + 1) in cfg.gci_stages:
             gh, gw = cfg.grid(s)
@@ -268,26 +269,27 @@ def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
 class StagePlan:
     """A stage's kept tokens, built once per call from its (keep, scores):
     coordinates and grid index, each token's 3x3 neighbour rows (-1 where
-    discarded or off-grid) and the IPL scan permutation."""
+    discarded or off-grid) and the IPL scan permutation, in windows of
+    ipl_window(keep.shape)."""
 
     ts: TokenSet       # coordinates and grid index; no channels
     nbr: np.ndarray    # (n, 9) int64
     ipl: np.ndarray    # (n,) int64
 
     @classmethod
-    def build(cls, keep: np.ndarray, scores: np.ndarray, ipl_k: int) -> StagePlan:
+    def build(cls, keep: np.ndarray, scores: np.ndarray) -> StagePlan:
         ts = gather_tokens(np.empty((0,) + keep.shape), keep)
         index = np.pad(ts.index, 1, constant_values=-1)
         nbr = sliding_window_view(index, (3, 3))[ts.coords[:, 0], ts.coords[:, 1]]
-        return cls(ts, nbr.reshape(-1, 9), ipl_order(ts, scores, ipl_k))
+        return cls(ts, nbr.reshape(-1, 9), ipl_order(ts, scores, ipl_window(keep.shape)))
 
 
-def stage_plans(keep: np.ndarray, scores: np.ndarray, ipl_k: list[int]) -> list[StagePlan]:
+def stage_plans(keep: np.ndarray, scores: np.ndarray, n_stages: int) -> list[StagePlan]:
     """One plan per stage: the inputs, then successive 2x max-pools."""
-    plans = [StagePlan.build(keep, scores, ipl_k[0])]
-    for k in ipl_k[1:]:
+    plans = [StagePlan.build(keep, scores)]
+    for _ in range(n_stages - 1):
         keep, scores = max_pool2d(keep, 2), max_pool2d(scores, 2)
-        plans.append(StagePlan.build(keep, scores, k))
+        plans.append(StagePlan.build(keep, scores))
     return plans
 
 
@@ -371,7 +373,7 @@ def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dPara
                 parallel: bool = False) -> np.ndarray:
     """ss2d_tokens on a (C, H, W) map's, or a (T, C, H, W) stack's, kept
     tokens; discarded ones return bit-equal."""
-    plan = StagePlan.build(keep, scores, p.ipl_k)
+    plan = StagePlan.build(keep, scores)
     ts = plan.ts.regather(x)
     ss2d_tokens(ts.tokens, plan, p, meter, label, parallel)
     return scatter_tokens(ts, x)
@@ -514,7 +516,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
     for v in values:
         if v.shape != (2 * cfg.bins, cfg.height, cfg.width):
             raise ShapeError(f"voxel grid shape {v.shape} does not match config")
-    plans = stage_plans(keep, scores, [sp.ss2d.ipl_k for sp in params.stages])
+    plans = stage_plans(keep, scores, cfg.n_stages)
     outputs = []
     batch = _timesteps_per_batch(cfg)
     for start in range(0, len(values), batch):

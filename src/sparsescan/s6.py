@@ -33,9 +33,7 @@ into chunks of rows = max(1, _CHUNK_ELEMS // (B * L * N)) steps, 16 at
 B = 1, L = 128 and N = 16. Each chunk is scanned from the last state of
 the chunk before, so the doubling scan makes ceil(log2 rows) passes per
 chunk and O(T log rows) work in all. selective_scan_seq scans the whole
-sequence at once and is the reference both are checked against. The
-oracle kernels parameterize, selective_scan_seq and
-selective_scan_parallel take no meter; only s6_forward counts FLOPs.
+sequence at once and is the reference both are checked against.
 
 discretize_zoh writes into a given out= pair of arrays, and the state
 kernels of both scans work in place. The public functions return new

@@ -128,7 +128,7 @@ class TestSparseDepthwise:
             keep = rng.random((h, w)) < p_keep
             keep[[0, -1], rng.integers(w)] = True
             keep[rng.integers(h), [0, -1]] = True
-            plan = StagePlan.build(keep, np.zeros((h, w)), 1)
+            plan = StagePlan.build(keep, np.zeros((h, w)))
             assert plan.ts.index.dtype == np.int64
             np.testing.assert_array_equal(plan.ts.index[keep], np.arange(len(plan.ts)))
             assert (plan.ts.index[~keep] == -1).all()
@@ -589,19 +589,14 @@ class TestStagePlans:
         return voxels, res.keep, res.scores
 
     @pytest.mark.parametrize("parallel", [False, True])
-    @pytest.mark.parametrize("mask, ipl_k", [("stca", None), ("all", None), ("stca", (1, 4))],
-                             ids=["stca", "all", "stca-ipl_k-1-4"])
-    def test_forward_equals_map_level_composition(self, scene_inputs, parallel, mask, ipl_k):
-        """ipl_k edits the windows of stages 1 and 2 (8x8 and 4x4 grids)
-        away from init's 2, which both routes must follow."""
+    @pytest.mark.parametrize("mask", ["stca", "all"])
+    def test_forward_equals_map_level_composition(self, scene_inputs, parallel, mask):
         voxels, keep, scores = scene_inputs
         if mask == "all":
             keep = np.ones_like(keep)
         else:
             assert 0 < keep.sum() < keep.size
         params = init_backbone_params(SMALL, seed=40)
-        if ipl_k is not None:
-            params.stages[0].ss2d.ipl_k, params.stages[1].ss2d.ipl_k = ipl_k
         got, got_states = backbone_forward(voxels, keep, scores, SMALL, params,
                                            parallel=parallel)
         want, want_states = stage_composition(voxels, keep, scores, SMALL, params, parallel)
@@ -616,15 +611,15 @@ class TestStagePlans:
         calls = []
         real = bb.ipl_order
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(ts, scores, k):
+            calls.append(k)
+            return real(ts, scores, k)
 
         monkeypatch.setattr(bb, "ipl_order", counting)
         params = init_backbone_params(SMALL, seed=41)
         voxels, keep, scores = small_inputs(seed=42)
         backbone_forward([voxels] * 4, keep, scores, SMALL, params)
-        assert len(calls) == SMALL.n_stages
+        assert tuple(calls) == SMALL.ipl_windows
 
 
 def rel_err(got, want):

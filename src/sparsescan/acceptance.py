@@ -124,7 +124,7 @@ def criterion_gradient_check() -> CriterionResult:
 
 
 def criterion_zoh_exactness() -> CriterionResult:
-    """Closed-form discretization cases to 1e-12; series branch continuity."""
+    """Closed-form discretization cases to 1e-12; continuity of bbar as z -> 0."""
     start = time.perf_counter()
     errs = []
     cases = [(-1.0, 2.0, math.log(2.0)), (-0.5, 1.0, 0.25), (-2.0, 3.0, 1.0), (-1.0, 1.0, 0.0)]
@@ -143,7 +143,7 @@ def criterion_zoh_exactness() -> CriterionResult:
     worst = max(errs)
     cont = 0.0
     for a in (1e-9, -1e-9):
-        _, bbar = discretize_zoh(a, 1.0, 1.0)   # |dt * a| = 1e-9, series branch
+        _, bbar = discretize_zoh(a, 1.0, 1.0)   # |dt * a| = 1e-9, expm1(z) / z near z = 0
         cont = max(cont, abs(float(bbar) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and cont <= 1e-8 * 1.0 + 1e-12

@@ -17,7 +17,12 @@ The recurrence is
 Input-dependence follows the canonical selective parameterization:
 dt_t = softplus(W_dt x_t + b_dt) per lane, b_t = W_b x_t,
 c_t = W_c x_t, and a = -exp(log_a) elementwise, so 0 < abar <= 1 and
-the recurrence is unconditionally stable.
+the recurrence is unconditionally stable. softplus is evaluated as
+max(x, 0) + log1p(exp(-|x|)), which cannot overflow and is made of
+vectorized ufuncs (np.logaddexp(0, x) runs a scalar loop). The input
+folds into the discretization: bx = phi1(z) * b * (dt * x), with dt * x
+formed per step and lane before it broadcasts over the N states, so
+bbar * x costs no pass of its own over the (T, L, N) coefficients.
 
 There are two forward scans: a sequential loop, and a recursive-doubling
 (Hillis-Steele) scan over the associative operator
@@ -36,11 +41,17 @@ chunk and O(T log rows) work in all. selective_scan_seq scans the whole
 sequence at once and is the reference both are checked against.
 
 discretize_zoh writes into a given out= pair of arrays, and the state
-kernels of both scans work in place. The public functions return new
-arrays. s6_forward projects all T * B rows once in one matmul each (dt,
-b and c), then per chunk discretizes, scans and contracts in float64
-buffers owned by the calling thread and reused on every call: two for
-the sequential scan, three for the doubling one. Each buffer holds one
+kernels of both scans work in place. Both also use their abar argument
+as scratch: the sequential scan overwrites each abar_t with
+abar_t * h_{t-1}, so no step allocates, and the doubling scan with
+products of abars; selective_scan_seq and selective_scan_backward scan
+copies. The outputs y_t = <c_t, h_t> come from one stacked
+matrix-vector product per step (np.matmul), in s6_forward and
+selective_scan_seq alike, so the two give the same bits. The public
+functions return new arrays. s6_forward projects all T * B rows once in
+one matmul each (dt, b and c), then per chunk discretizes, scans and
+contracts in float64 buffers owned by the calling thread and reused on
+every call: two for the sequential scan, three for the doubling one. Each buffer holds one
 chunk, max(_CHUNK_ELEMS, B * L * N) elements at most (256 KB while
 B * L * N <= _CHUNK_ELEMS), whatever T is. Only y and h_T leave the call.
 """
@@ -102,16 +113,20 @@ def init_s6_params(n_lanes: int, n_state: int, rng: np.random.Generator) -> S6Pa
     )
 
 
-def discretize_zoh(a, b, dt, out=None):
+def discretize_zoh(a, b, dt, x=None, out=None):
     """Zero-order-hold (abar, bbar) in the phi1 form above.
 
-    The three arguments broadcast to one shape, which both results take.
-    out, if given, is a pair of float64 arrays of that shape to write
+    The arguments broadcast to one shape, which both results take. With x
+    given, bbar comes out multiplied by the input, as bbar * x: dt * x is
+    formed at the shapes of dt and x before it broadcasts, so a (..., L, 1)
+    dt and x fold in for the cost of one pass over the result. out, if
+    given, is a pair of float64 arrays of the result shape to write
     (abar, bbar) into; it must not overlap the arguments.
     """
     a, b, dt = (np.asarray(v, dtype=np.float64) for v in (a, b, dt))
+    dtx = dt if x is None else dt * x
     if out is None:
-        shape = np.broadcast_shapes(a.shape, b.shape, dt.shape)
+        shape = np.broadcast_shapes(a.shape, b.shape, np.shape(dtx))
         out = (np.empty(shape), np.empty(shape))
     abar, bbar = out
     z = np.multiply(dt, a, out=abar)        # z lives in abar until its exp
@@ -120,13 +135,25 @@ def discretize_zoh(a, b, dt, out=None):
         bbar /= z                           # phi1(z), 0/0 where z = 0
     np.copyto(bbar, 1.0, where=z == 0.0)    # phi1(0) = 1
     bbar *= b
-    bbar *= dt
+    bbar *= dtx
     np.exp(z, out=abar)
     return abar, bbar
 
 
 def softplus(x, out=None):
-    return np.logaddexp(0.0, x, out=out)
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)).
+
+    The terms never overflow, and each is a vectorized ufunc, where
+    np.logaddexp(0, x) runs a scalar loop. out may be x itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    tail = np.abs(x, out=np.empty_like(x))
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    out = np.maximum(x, 0.0, out=out)
+    out += tail
+    return out
 
 
 def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
@@ -153,8 +180,7 @@ def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
 
 def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str):
     """abar and bx of the steps whose dt, b and input rows are given."""
-    abar, bx = discretize_zoh(a, b_t[..., None, :], dt[..., None], out=out)
-    bx *= x[..., None]
+    abar, bx = discretize_zoh(a, b_t[..., None, :], dt[..., None], x=x[..., None], out=out)
     meter.elem(label, 6 * bx.size)
     return abar, bx
 
@@ -167,13 +193,28 @@ def parameterize(x: np.ndarray, p: S6Params) -> S6Discretized:
 
 
 def _scan_states_seq(abar: np.ndarray, hs: np.ndarray, h0: np.ndarray | None) -> np.ndarray:
-    """Sequential scan of h_t = abar_t h_{t-1} + bx_t in place: hs holds bx on entry."""
+    """Sequential scan of h_t = abar_t h_{t-1} + bx_t in place: hs holds bx on
+    entry. Each abar_t row is overwritten with abar_t h_{t-1}, so no step
+    allocates."""
     if h0 is not None:
-        hs[:1] += abar[:1] * h0
+        abar[:1] *= h0
+        hs[:1] += abar[:1]
     # row views, each updated in place before it becomes the next step's h_prev
     for a_t, h_prev, h_t in zip(abar[1:], hs, hs[1:]):
-        h_t += a_t * h_prev
+        a_t *= h_prev
+        h_t += a_t
     return hs
+
+
+def _contract(hs: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """y_t = <c_t, h_t> per lane of (T, ..., L, N) states hs and (T, ..., N) c,
+    as one stacked matrix-vector product per step (B sequences of a step are
+    B more steps); into out, shaped (T, ..., L), if given."""
+    lanes, n = hs.shape[-2:]
+    if out is None:
+        out = np.empty(hs.shape[:-1])
+    np.matmul(hs.reshape(-1, lanes, n), c.reshape(-1, n, 1), out=out.reshape(-1, lanes, 1))
+    return out
 
 
 def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
@@ -207,8 +248,8 @@ def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
                        skip: np.ndarray | None = None, x: np.ndarray | None = None):
     """Evaluate the recurrence step by step over the whole sequence. Returns (y, h_T)."""
     t_len, lanes, n = d.abar.shape
-    hs = _scan_states_seq(d.abar, d.bx.copy(), h0)
-    y = np.einsum("tln,tn->tl", hs, d.c)
+    hs = _scan_states_seq(d.abar.copy(), d.bx.copy(), h0)
+    y = _contract(hs, d.c)
     if skip is not None:
         y = y + skip * x
     # a copy, so that h_T does not keep the whole (T, L, N) state array alive
@@ -252,7 +293,7 @@ def selective_scan_backward(d: S6Discretized, h0: np.ndarray | None,
     t_len, lanes, n = d.abar.shape
     if dy.shape != (t_len, lanes):
         raise ShapeError(f"upstream gradient must be (T, L), got {dy.shape}")
-    hs = _scan_states_seq(d.abar, d.bx.copy(), h0)
+    hs = _scan_states_seq(d.abar.copy(), d.bx.copy(), h0)
     h_init = np.zeros((lanes, n)) if h0 is None else h0
     g_abar = np.empty_like(d.abar)
     g_bx = np.empty_like(d.bx)
@@ -306,7 +347,7 @@ def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
     last state of the one before. Returns new arrays (y, h_T).
     """
     t_len, state = shape[0], shape[1:]
-    lanes, n = state[-2:]
+    n = state[-1]
     rows = _chunk_rows(math.prod(state[:-1]), n)
     bufs = _workspace.arrays((min(rows, t_len),) + state, 3 if parallel else 2)
     y = np.empty(shape[:-1])
@@ -319,9 +360,7 @@ def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
             _scan_states_doubling(abar, hs, work[0], h, meter, label)
         else:
             _scan_states_seq(abar, hs, h)
-        # the B sequences of a step contract as B more rows
-        np.einsum("tln,tn->tl", hs.reshape(-1, lanes, n), c[s:e].reshape(-1, n),
-                  out=y[s:e].reshape(-1, lanes))
+        _contract(hs, c[s:e], out=y[s:e])
         h = hs[-1].copy()        # the next chunk overwrites hs
     if not parallel:                        # the doubling meters its own passes
         meter.macs(label, y.size * n)

@@ -80,6 +80,68 @@ class TestDiscretizeZoh:
             np.testing.assert_allclose(bbar, ref, rtol=1e-14, atol=0)
 
 
+    def test_input_folds_into_bbar(self):
+        rng = np.random.default_rng(31)
+        a = -np.exp(rng.standard_normal((1, 5, 4)))
+        a[..., 0] = 0.0
+        b = rng.standard_normal((6, 1, 4))
+        dt = np.exp(rng.uniform(-7.0, 0.0, size=(6, 5, 1)))
+        dt[0] = 0.0
+        x = rng.standard_normal((6, 5, 1))
+        abar, bx = discretize_zoh(a, b, dt, x=x)
+        abar_ref, bbar_ref = discretize_zoh(a, b, dt)
+        assert abar.tobytes() == abar_ref.tobytes()
+        np.testing.assert_allclose(bx, bbar_ref * x, rtol=1e-15, atol=0)
+
+
+class TestSoftplus:
+    """softplus against np.logaddexp(0, x): within 2 ulp where the result is
+    normal, within the smallest subnormal where it is subnormal."""
+
+    EDGES = [0.0, -0.0, 709.8, -709.8, 745.0, -745.0, 5e-324, -5e-324, 1e-310, -1e-310,
+             2.2250738585072014e-308, -2.2250738585072014e-308, np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def softplus_no_warning(x, out=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return softplus(x, out=out)
+
+    @staticmethod
+    def assert_matches(got, x):
+        with np.errstate(invalid="ignore"):       # inf - inf in the reference
+            want = np.logaddexp(0.0, x)
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            inf = np.isinf(want)
+            assert np.array_equal(got[inf], want[inf])
+            normal = np.isfinite(want) & (want >= np.finfo(np.float64).tiny)
+            assert (np.abs(got - want)[normal] <= 2 * np.spacing(want[normal])).all()
+            sub = np.isfinite(want) & ~normal
+            assert (np.abs(got - want)[sub] <= 5e-324).all()
+
+    def grid(self):
+        # the tail [-746, -708] is where the result is subnormal
+        return np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                               np.linspace(-746.0, -708.0, 20_001), self.EDGES])
+
+    def test_agrees_with_logaddexp(self):
+        x = self.grid()
+        self.assert_matches(self.softplus_no_warning(x), x)
+
+    @pytest.mark.parametrize("v", EDGES + [-3.5, 0.5, 40.0])
+    def test_zero_dimensional_and_python_float(self, v):
+        self.assert_matches(self.softplus_no_warning(np.array(v)), np.array(v))
+        self.assert_matches(self.softplus_no_warning(v), np.array(v))
+
+    def test_in_place(self):
+        x = self.grid().reshape(-1, 1)
+        orig = x.copy()
+        assert self.softplus_no_warning(x, out=x) is x
+        self.assert_matches(x, orig)
+
+
 class TestParameterize:
     def test_softplus_at_zero(self):
         assert softplus(np.array(0.0)) == pytest.approx(math.log(2.0))
@@ -309,6 +371,15 @@ class TestBackward:
 
                 fd = (eval_at(plus) - eval_at(minus)) / (2 * eps)
                 assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(32)
+        d = random_disc(rng, 9, 3, 4)
+        h0 = rng.standard_normal((3, 4))
+        before = [d.abar.copy(), d.bx.copy(), d.c.copy(), h0.copy()]
+        selective_scan_backward(d, h0, rng.standard_normal((9, 3)), rng.standard_normal((9, 3)))
+        for was, now in zip(before, [d.abar, d.bx, d.c, h0]):
+            assert was.tobytes() == now.tobytes()
 
     def test_empty_sequence(self):
         d = S6Discretized(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)),

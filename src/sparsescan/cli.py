@@ -27,7 +27,8 @@ from .sparsify import gather_tokens, kept_ratio
 from .stca import GaussianConfig, run_stca, write_map_csv, write_map_pgm
 
 _ORDER_CHOICES = ("bidi-forward", "bidi-backward", "ipl")
-# gen and forward refuse work whose largest arrays are estimated above this
+# gen, stca, scan-viz and forward refuse work whose largest arrays are
+# estimated above this
 _BUDGET_BYTES = 1 << 30
 # gen's per-pixel arrays: the bool swept-pixel mask and the int64 Poisson counts
 _GEN_BYTES_PER_PIXEL = 1 + 8
@@ -51,15 +52,25 @@ def _gen_bytes(spec: SceneSpec) -> int:
     return int(_GEN_BYTES_PER_PIXEL * pixels + _GEN_BYTES_PER_EVENT * events)
 
 
+def _check_score_map(stream: EventStream) -> None:
+    """Refuse a geometry whose float64 (H, W) STCA score map is above the budget."""
+    need = 8 * stream.width * stream.height
+    if need > _BUDGET_BYTES:
+        raise ConfigError(f"a {stream.width}x{stream.height} sensor needs a {need}-byte "
+                          f"score map, above the {_BUDGET_BYTES}-byte limit")
+
+
 def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
     """Cut the stream into n contiguous equal sub-windows."""
     if n == 1:
         return [stream]
-    edges = np.linspace(stream.window_start, stream.window_end, n + 1)
-    edges = np.rint(edges).astype(np.int64)
+    # offsets from window_start, so no edge leaves int64 on its way to a Python int
+    steps = np.rint(np.linspace(0, stream.span, n + 1))
+    edges = [stream.window_start] + [stream.window_start + int(v) for v in steps[1:-1]] \
+        + [stream.window_end]
     out = []
     for i in range(n):
-        lo, hi = int(edges[i]), int(edges[i + 1])
+        lo, hi = edges[i], edges[i + 1]
         sel = (stream.ts >= lo) & ((stream.ts <= hi) if i + 1 == n else (stream.ts < hi))
         out.append(EventStream(stream.xs[sel], stream.ys[sel],
                                stream.ts[sel], stream.ps[sel],
@@ -89,6 +100,7 @@ def cmd_gen(args) -> int:
 
 def cmd_stca(args) -> int:
     stream = load_events(args.events)
+    _check_score_map(stream)
     res = run_stca(stream, patch=args.patch, beta=args.beta,
                    gauss=GaussianConfig(radius=args.radius, sigma=args.sigma))
     if args.out:
@@ -107,6 +119,7 @@ def cmd_stca(args) -> int:
 
 def cmd_scan_viz(args) -> int:
     stream = load_events(args.events)
+    _check_score_map(stream)
     res = run_stca(stream, patch=args.patch, beta=args.beta)
     ts = gather_tokens(np.zeros((1,) + res.keep.shape), res.keep)
     if args.order == "ipl":

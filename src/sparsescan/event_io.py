@@ -77,7 +77,7 @@ class EventStream:
             raise ValidationError("event coordinates out of sensor bounds")
         if not np.isin(self.ps, (-1, 1)).all():
             raise ValidationError("polarities must be -1 or +1")
-        if np.any(np.diff(self.ts) < 0):
+        if np.any(self.ts[1:] < self.ts[:-1]):      # np.diff can wrap in int64
             raise OrderingError("event timestamps must be non-decreasing")
         if self.ts[0] < self.window_start or self.ts[-1] > self.window_end:
             raise ValidationError("event timestamps fall outside the window")
@@ -89,6 +89,16 @@ class EventStream:
     @property
     def span(self) -> int:
         return self.window_end - self.window_start
+
+    def offsets(self) -> np.ndarray:
+        """Each event's ts - window_start as float64.
+
+        The difference is taken in uint64, where it cannot wrap since it
+        lies in [0, 2**64), and then converted: exact below 2**53, rounded
+        once above.
+        """
+        start = np.uint64(self.window_start % (1 << 64))
+        return (self.ts.view(np.uint64) - start).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -381,7 +391,7 @@ def build_voxel_grid(stream: EventStream, bins: int) -> VoxelGrid:
     else:
         if stream.span <= 0:
             raise ConfigError("window span must be positive to place events in bins")
-        tstar = (stream.ts - stream.window_start) * float(bins - 1) / float(stream.span)
+        tstar = stream.offsets() * float(bins - 1) / float(stream.span)
     b0 = np.floor(tstar).astype(np.int64)
     b0 = np.clip(b0, 0, bins - 1)
     w1 = tstar - b0

@@ -50,16 +50,16 @@ matrix-vector product per step (np.matmul), in s6_forward and
 selective_scan_seq alike, so the two give the same bits. The public
 functions return new arrays. s6_forward projects all T * B rows once in
 one matmul each (dt, b and c), then per chunk discretizes, scans and
-contracts in float64 buffers owned by the calling thread and reused on
-every call: two for the sequential scan, three for the doubling one. Each buffer holds one
-chunk, max(_CHUNK_ELEMS, B * L * N) elements at most (256 KB while
-B * L * N <= _CHUNK_ELEMS), whatever T is. Only y and h_T leave the call.
+contracts in float64 chunk buffers allocated once per call and reused for
+every chunk: two for the sequential scan, three for the doubling one. Each
+holds one chunk, max(_CHUNK_ELEMS, B * L * N) elements at most (256 KB
+while B * L * N <= _CHUNK_ELEMS), whatever T is. Only y and h_T outlive
+the call; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,25 +310,6 @@ def selective_scan_backward(d: S6Discretized, h0: np.ndarray | None,
     return ScanGradients(abar=g_abar, bx=g_bx, c=g_c, skip=g_skip, h0=dh)
 
 
-class _Workspace(threading.local):
-    """Flat float64 buffers of the calling thread, kept between calls."""
-
-    def __init__(self):
-        self.buffers: list[np.ndarray] = []
-
-    def arrays(self, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
-        """count arrays of this shape over the first count buffers, grown as needed."""
-        size = math.prod(shape)
-        for i in range(count):
-            if i == len(self.buffers):
-                self.buffers.append(np.empty(size))
-            elif self.buffers[i].size < size:
-                self.buffers[i] = np.empty(size)
-        return [buf[:size].reshape(shape) for buf in self.buffers[:count]]
-
-
-_workspace = _Workspace()
-
 # Elements per chunk buffer: 256 KB of float64, so the two or three buffers
 # of a scan fit in a core's L2 together.
 _CHUNK_ELEMS = 32768
@@ -339,17 +320,17 @@ def _chunk_rows(lanes: int, n: int) -> int:
 
 
 def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
-    """Scan a (T, L, N) or (T, B, L, N) recurrence chunk by chunk in this
-    thread's workspace.
+    """Scan a (T, L, N) or (T, B, L, N) recurrence chunk by chunk.
 
     fill(s, e, abar, bx) writes steps s to e - 1 of abar and bx into the
-    given (e - s, ..., L, N) buffers. Each chunk's scan starts from the
-    last state of the one before. Returns new arrays (y, h_T).
+    given (e - s, ..., L, N) buffers, which are allocated once per call and
+    reused for every chunk. Each chunk's scan starts from the last state of
+    the one before. Returns new arrays (y, h_T).
     """
     t_len, state = shape[0], shape[1:]
     n = state[-1]
     rows = _chunk_rows(math.prod(state[:-1]), n)
-    bufs = _workspace.arrays((min(rows, t_len),) + state, 3 if parallel else 2)
+    bufs = [np.empty((min(rows, t_len),) + state) for _ in range(3 if parallel else 2)]
     y = np.empty(shape[:-1])
     h = h0
     for s in range(0, t_len, rows):
@@ -380,8 +361,8 @@ def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
     or (B, L, N).
 
     The projections run once over all T * B rows; discretization and the
-    scan run chunk by chunk in this thread's workspace, the B sequences
-    side by side as extra lanes. y and h_T are new arrays.
+    scan run chunk by chunk, the B sequences side by side as extra lanes.
+    y and h_T are new arrays.
     """
     a, dt, b_t, c_t = _project(x, p, meter, label)
 

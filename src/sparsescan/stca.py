@@ -60,7 +60,7 @@ def accumulate_temporal_scores(stream: EventStream) -> np.ndarray:
         return grid
     if stream.span <= 0:
         raise ValidationError("cannot normalize timestamps over a zero-length window")
-    tnorm = (stream.ts - stream.window_start) / float(stream.span)
+    tnorm = stream.offsets() / float(stream.span)
     np.add.at(grid, (stream.ys, stream.xs), tnorm)
     return grid
 

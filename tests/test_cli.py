@@ -10,13 +10,23 @@ import json
 import numpy as np
 import pytest
 
-from sparsescan.cli import _gen_bytes, main
-from sparsescan.event_io import generate_synthetic_scene, scene_preset
+from sparsescan.cli import _BUDGET_BYTES, _gen_bytes, _split_windows, main
+from sparsescan.event_io import EventStream, generate_synthetic_scene, save_events, \
+    scene_preset
 from sparsescan.stca import read_map_csv
 
 
 def _refuse_generation(spec, seed):
     raise AssertionError("scene generated")
+
+
+def _refuse_stca(*args, **kwargs):
+    raise AssertionError("STCA ran")
+
+
+def write_csv(path, geometry, rows=()):
+    path.write_text(geometry + "\nx,y,t,p\n" + "".join(f"{r}\n" for r in rows))
+    return path
 
 
 def run_gen(tmp_path, name="scene.evt", seed="7", preset="edge-noise"):
@@ -208,7 +218,69 @@ class TestScanViz:
         np.testing.assert_array_equal(rows["bidi-backward"], kept[::-1])
 
 
+class TestScoreMapBudget:
+    """stca and scan-viz refuse a sensor whose float64 (H, W) score map
+    is above the budget before scoring it."""
+
+    @pytest.mark.parametrize("command", ["stca", "scan-viz"])
+    def test_huge_csv_geometry_refused(self, tmp_path, capsys, monkeypatch, command):
+        scene = write_csv(tmp_path / "huge.csv", "W=3000000000,H=3000000000")
+        monkeypatch.setattr("sparsescan.cli.run_stca", _refuse_stca)
+        assert main([command, str(scene)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a 3000000000x3000000000 sensor needs a {8 * 9 * 10**18}-byte score map, "
+            f"above the {_BUDGET_BYTES}-byte limit\n")
+
+    @pytest.mark.parametrize("command", ["stca", "scan-viz"])
+    def test_smallest_square_over_budget_refused(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        assert 8 * 11585 ** 2 <= _BUDGET_BYTES < 8 * 11586 ** 2
+        monkeypatch.setattr("sparsescan.cli.run_stca", _refuse_stca)
+        scene = write_csv(tmp_path / "over.csv", "W=11586,H=11586")
+        assert main([command, str(scene)]) == 1
+        assert "score map" in capsys.readouterr().err
+        scene = write_csv(tmp_path / "under.csv", "W=11585,H=11585")
+        with pytest.raises(AssertionError, match="STCA ran"):
+            main([command, str(scene)])
+
+    def test_u16_max_binary_header_refused(self, tmp_path, capsys, monkeypatch):
+        scene = tmp_path / "wide.bin"
+        save_events(EventStream([], [], [], [], 0xFFFF, 0xFFFF, 0, 10), scene)
+        monkeypatch.setattr("sparsescan.cli.run_stca", _refuse_stca)
+        assert main(["stca", str(scene)]) == 1
+        assert "score map" in capsys.readouterr().err
+
+
+class TestSplitWindows:
+    @pytest.mark.parametrize("t0,t1", [(0, 2**63 - 1), (-2**63, 2**63 - 1), (-2**63, -2**63 + 7)])
+    def test_edges_span_the_window_at_int64_bounds(self, t0, t1):
+        ts = [t0, t0 + 1, t1 - 1, t1]
+        stream = EventStream([0, 1, 2, 3], [0] * 4, ts, [1] * 4, 4, 4, t0, t1)
+        subs = _split_windows(stream, 2)
+        assert subs[0].window_start == t0 and subs[-1].window_end == t1
+        assert subs[0].window_end == subs[1].window_start
+        assert subs[0].window_start < subs[0].window_end < subs[1].window_end
+        assert sum(sub.n_events for sub in subs) == 4
+
+    def test_edges_unchanged_from_window_start_zero(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            span, n = int(rng.integers(1, 2**53)), int(rng.integers(2, 65))
+            stream = EventStream([], [], [], [], 4, 4, 0, span)
+            subs = _split_windows(stream, n)
+            edges = [sub.window_start for sub in subs] + [subs[-1].window_end]
+            assert edges == np.rint(np.linspace(0, span, n + 1)).astype(np.int64).tolist()
+
+
 class TestForward:
+    @pytest.mark.parametrize("t0", [None, -2**63])
+    def test_window_end_at_int64_max_runs(self, tmp_path, capsys, t0):
+        geometry = "W=64,H=64" + ("" if t0 is None else f",T0={t0}") + f",T1={2**63 - 1}"
+        scene = write_csv(tmp_path / "far.csv", geometry,
+                          ["1,2,5,1", "3,4,4611686018427387904,-1", f"5,6,{2**63 - 1},1"])
+        assert main(["forward", str(scene), "--timesteps", "2"]) == 0
+        assert capsys.readouterr().out.startswith("2 timestep(s)")
+
     def test_report_ratio_matches_mask(self, tmp_path):
         scene = run_gen(tmp_path, preset="sparse30")
         mask = tmp_path / "mask.csv"

@@ -211,6 +211,12 @@ class TestStreamValidation:
         with pytest.raises(ValidationError, match="int64"):
             EventStream([], [], [], [], 8, 8, t0, t1)
 
+    def test_timestamps_spanning_int64_accepted(self):
+        # the first consecutive difference, 2**64 - 3, wraps in int64
+        s = make_stream([0, 1, 2], [0, 0, 0], [-2**63, 2**63 - 3, 2**63 - 1], [1, 1, 1],
+                        t0=-2**63, t1=2**63 - 1)
+        assert s.n_events == 3
+
     def test_span_property(self):
         s = make_stream([1], [1], [100], [1], t0=50, t1=900)
         assert s.span == 850
@@ -255,6 +261,23 @@ class TestVoxelGrid:
         v = build_voxel_grid(s, 1)
         assert v.values.shape == (2, 8, 8)
         assert v.values[0].sum() == pytest.approx(20.0)
+
+    def test_window_spanning_int64(self):
+        # t - window_start = 5 + 2**63 leaves int64; t* is ~4.5 of bins 0..9
+        s = make_stream([3], [4], [5], [1], t0=-2**63, t1=2**63 - 1)
+        v = build_voxel_grid(s, 10)
+        assert v.values[4, 4, 3] == pytest.approx(0.5)
+        assert v.values[5, 4, 3] == pytest.approx(0.5)
+        assert v.values.sum() == pytest.approx(1.0)
+
+    def test_shifted_window_grid_bit_identical(self):
+        rng = np.random.default_rng(4)
+        ts = np.sort(rng.integers(0, 2000, size=40))
+        xs, ys, ps = rng.integers(0, 8, 40), rng.integers(0, 8, 40), rng.choice([-1, 1], 40)
+        base = build_voxel_grid(make_stream(xs, ys, ts, ps), 7).values
+        for shift in (2**60, -2**63, 2**63 - 2001):
+            moved = make_stream(xs, ys, ts + shift, ps, t0=shift, t1=shift + 2000)
+            assert build_voxel_grid(moved, 7).values.tobytes() == base.tobytes()
 
     def test_integer_grid_point_goes_to_single_bin(self):
         # span 2000, B=5: t=500 gives t*=1.0 exactly; all weight in bin 1.

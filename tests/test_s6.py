@@ -440,17 +440,9 @@ class TestBatchedSequences:
     def test_chunks_shrink_with_sequence_count(self):
         assert s6._chunk_rows(3 * 128, 16) == 5
         p = init_s6_params(128, 16, np.random.default_rng(62))
-        sizes = []
-
-        def run():                  # a fresh thread starts with an empty workspace
-            s6_forward(np.zeros((37, 3, 128)), p, parallel=True)
-            sizes.extend(buf.size for buf in s6._workspace.buffers)
-
-        th = threading.Thread(target=run)
-        th.start()
-        th.join(timeout=60)
-        assert not th.is_alive()
-        assert sizes == [5 * 3 * 128 * 16] * 3
+        x = np.zeros((37, 3, 128))
+        _, _, peak, _ = traced_call(x, p, parallel=True)
+        assert peak <= 3 * 5 * 3 * 128 * 16 * 8 + call_bytes(x, 16)
 
     @pytest.mark.parametrize("shape", [(5, 2, 3, 4), (5, 2, 3), (5,)])
     def test_other_ranks_rejected(self, shape):
@@ -460,7 +452,8 @@ class TestBatchedSequences:
 
 
 class TestWorkspace:
-    """s6_forward keeps its chunk arrays in per-thread buffers."""
+    """s6_forward allocates its chunk buffers once per call and keeps
+    nothing between calls."""
 
     SHAPE = (81, 128, 16)    # stage-1 token count, lanes and state size
 
@@ -501,6 +494,13 @@ class TestWorkspace:
             y_ref, h_ref = scan(d, skip=p.skip, x=x)
             assert y.tobytes() == y_ref.tobytes() and h.tobytes() == h_ref.tobytes()
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_nothing_kept_after_the_call(self, parallel):
+        rng = np.random.default_rng(44)
+        p = init_s6_params(128, 16, rng)
+        y, h, _, current = traced_call(rng.standard_normal((83, 128)), p, parallel)
+        assert current - (y.nbytes + h.nbytes) < s6._CHUNK_ELEMS * 8
+
     def test_concurrent_threads_match_single_thread(self):
         rng = np.random.default_rng(43)
         cases = []
@@ -535,6 +535,39 @@ class TestWorkspace:
 
 def rel_err(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-12)
+
+
+def traced_call(x, p, parallel):
+    """s6_forward(x, p) in a fresh thread under tracemalloc.
+
+    Returns (y, h_T, peak, current): the traced peak during the call and
+    the traced memory still held when it returns, y and h_T included.
+    """
+    seen = {}
+
+    def run():
+        tracemalloc.start()
+        try:
+            seen["y"], seen["h"] = s6_forward(x, p, parallel=parallel)
+            seen["current"], seen["peak"] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    th = threading.Thread(target=run)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive()
+    return seen["y"], seen["h"], seen["peak"], seen["current"]
+
+
+def call_bytes(x, n):
+    """Bound on what s6_forward(x) allocates besides its chunk buffers: the
+    dt projection, y and one temporary of x's size (softplus's tail, then
+    skip * x), the b and c projections, two copies of h, and per-chunk
+    temporaries within half a chunk buffer."""
+    rows = x.size // x.shape[-1]
+    h_bytes = x[0].size * n * 8
+    return 3 * x.nbytes + 2 * rows * n * 8 + 2 * h_bytes + s6._CHUNK_ELEMS * 8 // 2
 
 
 class TestChunks:
@@ -585,24 +618,11 @@ class TestChunks:
     def test_workspace_stays_at_one_chunk(self, parallel):
         t_len, lanes, n = 4000, 128, 16
         x, p = self.inputs(t_len, lanes, n)
-        seen = {}
-
-        def run():                  # a fresh thread starts with an empty workspace
-            tracemalloc.start()
-            try:
-                seen["y"], _ = s6_forward(x, p, parallel=parallel)
-                seen["peak"] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            seen["sizes"] = [buf.size for buf in s6._workspace.buffers]
-
-        th = threading.Thread(target=run)
-        th.start()
-        th.join(timeout=60)
-        assert not th.is_alive()
-        assert seen["y"].shape == (t_len, lanes)
-        assert seen["sizes"] and max(seen["sizes"]) <= self.ROWS * lanes * n
-        assert seen["peak"] < t_len * lanes * n * 8
+        y, _, peak, _ = traced_call(x, p, parallel)
+        assert y.shape == (t_len, lanes)
+        buffers = 3 if parallel else 2
+        assert peak <= buffers * self.ROWS * lanes * n * 8 + call_bytes(x, n)
+        assert peak < t_len * lanes * n * 8
 
     def test_sequential_meter_matches_analytic_count(self):
         t_len, lanes, n = self.CASES[3]

@@ -82,6 +82,21 @@ class TestAccumulate:
         m = accumulate_temporal_scores(s)
         assert m.sum() == pytest.approx((ts / 1000.0).sum())
 
+    def test_window_spanning_int64(self):
+        # t - window_start = 5 + 2**63 leaves int64; normalized it is ~0.5
+        s = make_stream([1], [2], [5], t0=-2**63, t1=2**63 - 1)
+        m = accumulate_temporal_scores(s)
+        assert m[2, 1] == pytest.approx(0.5)
+
+    def test_shifted_window_scores_bit_identical(self):
+        rng = np.random.default_rng(3)
+        ts = np.sort(rng.integers(0, 1000, size=50))
+        xs, ys = rng.integers(0, 8, 50), rng.integers(0, 8, 50)
+        base = accumulate_temporal_scores(make_stream(xs, ys, ts))
+        for shift in (2**60, -2**63, 2**63 - 1001):
+            moved = make_stream(xs, ys, ts + shift, t0=shift, t1=shift + 1000)
+            assert accumulate_temporal_scores(moved).tobytes() == base.tobytes()
+
     def test_polarity_ignored(self):
         a = make_stream([2, 2], [3, 3], [400, 600], [1, 1])
         b = make_stream([2, 2], [3, 3], [400, 600], [-1, -1])

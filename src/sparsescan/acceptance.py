@@ -19,12 +19,12 @@ import numpy as np
 from . import backbone as bb
 from .event_io import EventStream, build_voxel_grid, event_spatial_ratio, \
     generate_synthetic_scene, scene_preset
-from .flops import count_analytic, is_token_wise, measure
+from .flops import count_analytic, measure
 from .nn import depthwise_conv2d, gelu, layer_norm, silu
 from .s6 import S6Discretized, discretize_zoh, selective_scan_backward, \
     selective_scan_parallel, selective_scan_seq, s6_forward
 from .scan_order import invert, ipl_order
-from .sparsify import gather_tokens, kept_ratio, scatter_tokens
+from .sparsify import gather_tokens, scatter_tokens
 from .stca import GaussianConfig, gaussian_aggregate, max_pool2d, run_stca
 
 
@@ -360,7 +360,7 @@ def _full_grid_ipl(scores):
     return wins[order].ravel()
 
 
-def _dense_ss2d(x, scores, p, parallel=False):
+def _dense_ss2d(x, scores, p):
     """Reference block without any gather/scatter or TokenSet plumbing."""
     c, h, w = x.shape
     m = h * w
@@ -374,7 +374,7 @@ def _dense_ss2d(x, scores, p, parallel=False):
     orders = (fwd, fwd[::-1].copy(), _full_grid_ipl(scores))
     acc = np.zeros_like(u)
     for perm, sp in zip(orders, (p.s6_fwd, p.s6_bwd, p.s6_ipl)):
-        y, _ = s6_forward(u[perm], sp, parallel=parallel)
+        y, _ = s6_forward(u[perm], sp)
         acc += y[invert(perm)]
     upd = (acc * gate) @ p.w_out.T + p.b_out
     return x + upd.T.reshape(c, h, w)

@@ -60,7 +60,7 @@ def ipl_window(grid: tuple[int, int]) -> int:
 @dataclass(frozen=True)
 class BackboneConfig:
     """Backbone geometry and widths, checked at construction. Each stage's
-    IPL window (``ipl_windows``) is derived from its token grid by ipl_window."""
+    IPL window is ipl_window(grid(stage))."""
 
     patch: ClassVar[int] = 4
     mlp_expand: ClassVar[int] = 4
@@ -78,10 +78,6 @@ class BackboneConfig:
     @property
     def n_stages(self) -> int:
         return len(self.channels)
-
-    @property
-    def ipl_windows(self) -> tuple[int, ...]:
-        return tuple(ipl_window(self.grid(s)) for s in range(self.n_stages))
 
     def grid(self, stage: int) -> tuple[int, int]:
         """Token grid (rows, cols) of a 0-indexed stage."""
@@ -595,10 +591,13 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
     for name, off, shape in entries:
         if not isinstance(name, str) or name not in slots:
             raise FormatError(f"checkpoint entry {name!r} has no slot in this config")
-        if slots[name].shape != shape:
+        if name in seen:
+            raise FormatError(f"checkpoint entry {name!r} appears twice")
+        # bool is an int and 8.0 == 8, so only a plain int is a dimension or an offset
+        if slots[name].shape != shape or any(type(d) is not int for d in shape):
             raise FormatError(f"checkpoint entry {name!r} shape {shape} != {slots[name].shape}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if not isinstance(off, int) or not 0 <= off <= len(blob) - 8 * count:
+        if type(off) is not int or not 0 <= off <= len(blob) - 8 * count:
             raise FormatError(f"checkpoint entry {name!r} lies outside the {len(blob)}-byte blob")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(slots[name].shape)
         if not np.isfinite(arr).all():

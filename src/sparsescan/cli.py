@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen (synthetic scenes), stca (score and threshold a stream),
-scan-viz (dump a forward, backward or IPL order), forward (run the
+scan-viz (dump the forward's stage-1 bidi-forward, bidi-backward or IPL
+order, the IPL window taken from the token grid), forward (run the
 backbone, with an optional FLOPs report), bench (one FLOPs and wall-time
 row per scene, printed as each scene finishes), selftest (the acceptance
 battery). Domain, file and out-of-memory errors exit 1, usage errors
@@ -16,14 +17,13 @@ import time
 
 import numpy as np
 
-from .backbone import BackboneConfig, backbone_forward, init_backbone_params
+from .backbone import BackboneConfig, StagePlan, backbone_forward, init_backbone_params
 from .errors import ConfigError, SparseScanError
 from .event_io import EVENTS_PER_CROSSING, EventStream, SceneSpec, build_voxel_grid, \
     check_geometry_fits, event_spatial_ratio, generate_synthetic_scene, load_events, \
     save_events, scene_preset
 from .flops import measure
-from .scan_order import ipl_order
-from .sparsify import gather_tokens, kept_ratio
+from .sparsify import kept_ratio
 from .stca import GaussianConfig, run_stca, write_map_csv, write_map_pgm
 
 _ORDER_CHOICES = ("bidi-forward", "bidi-backward", "ipl")
@@ -121,16 +121,16 @@ def cmd_scan_viz(args) -> int:
     stream = load_events(args.events)
     _check_score_map(stream)
     res = run_stca(stream, patch=args.patch, beta=args.beta)
-    ts = gather_tokens(np.zeros((1,) + res.keep.shape), res.keep)
+    plan = StagePlan.build(res.keep, res.scores)
     if args.order == "ipl":
-        perm = ipl_order(ts, res.scores, args.k)
+        perm = plan.ipl
     else:
-        perm = np.arange(len(ts))
+        perm = np.arange(len(plan.ts))
         if args.order == "bidi-backward":
             perm = perm[::-1]
     lines = ["position,row,col"]
     for i, t in enumerate(perm):
-        lines.append(f"{i},{ts.coords[t, 0]},{ts.coords[t, 1]}")
+        lines.append(f"{i},{plan.ts.coords[t, 0]},{plan.ts.coords[t, 1]}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -161,16 +161,14 @@ def cmd_forward(args) -> int:
               _split_windows(stream, args.timesteps)]
     params = init_backbone_params(cfg, seed=args.seed)
     t0 = time.perf_counter()
-    outputs, _ = backbone_forward(voxels, res.keep, res.scores, cfg, params,
-                                  parallel=args.parallel)
+    outputs, _ = backbone_forward(voxels, res.keep, res.scores, cfg, params)
     wall = time.perf_counter() - t0
     print(f"{len(voxels)} timestep(s), kept ratio {kept_ratio(res.keep):.3f}, "
           f"forward {1000 * wall:.1f} ms")
     for s, out in enumerate(outputs[-1]):
         print(f"  stage{s + 1} out {out.shape}, rms {np.sqrt(np.mean(out ** 2)):.4f}")
     if args.report:
-        report = measure(cfg, params, voxels, res.scores, res.keep,
-                         parallel=args.parallel)
+        report = measure(cfg, params, voxels, res.scores, res.keep)
         report.save_json(args.report)
         print(report.table())
         print(f"wrote FLOPs report to {args.report}")
@@ -246,10 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--radius", type=int, default=1)
     s.set_defaults(func=cmd_stca)
 
-    v = sub.add_parser("scan-viz", help="dump a token serialization order")
+    v = sub.add_parser("scan-viz", help="dump the forward's stage-1 token order")
     v.add_argument("events")
     v.add_argument("--order", choices=_ORDER_CHOICES, default="ipl")
-    v.add_argument("-k", type=int, default=2, help="IPL window size")
     v.add_argument("-P", "--patch", type=int, default=4)
     v.add_argument("--beta", type=float, default=1.0)
     v.add_argument("-o", "--out", help="CSV output (default stdout)")
@@ -261,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--timesteps", type=int, default=1)
     f.add_argument("-B", "--bins", type=int, default=10, help="voxel time bins")
     f.add_argument("--beta", type=float, default=1.0)
-    f.add_argument("--parallel", action="store_true",
-                   help="use the recursive-doubling scan, a check on the "
-                        "sequential one (not a speed option)")
     f.add_argument("--report", help="write a FLOPs report JSON here")
     f.set_defaults(func=cmd_forward)
 

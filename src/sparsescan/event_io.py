@@ -178,13 +178,16 @@ def _load_csv(path: Path) -> EventStream:
     meta = {}
     for item in lines[0].split(","):
         key, sep, value = item.partition("=")
+        key = key.strip()
         if not sep:
             raise FormatError(f"{path} line 1: malformed geometry entry {item!r}")
+        if key not in ("W", "H", "T0", "T1") or key in meta:
+            raise FormatError(f"{path} line 1: unknown or repeated key in {item!r}")
         try:
-            meta[key.strip()] = int(value)
+            meta[key] = int(value)
         except ValueError:
             raise FormatError(f"{path} line 1: non-integer value in {item!r}") from None
-        if meta[key.strip()] not in _INT64:
+        if meta[key] not in _INT64:
             raise FormatError(f"{path} line 1: value outside int64 in {item!r}")
     if "W" not in meta or "H" not in meta:
         raise FormatError(f"{path} line 1: geometry line must define W and H")

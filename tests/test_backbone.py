@@ -29,6 +29,7 @@ from sparsescan.backbone import (
     gci_forward,
     init_backbone_params,
     init_lstm_states,
+    ipl_window,
     iter_arrays,
     load_checkpoint,
     patch_embed,
@@ -39,6 +40,7 @@ from sparsescan.backbone import (
 from sparsescan.errors import ConfigError, FormatError, ShapeError
 from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
 from sparsescan.nn import conv2d_same, depthwise_conv2d, gelu, layer_norm, sigmoid
+from sparsescan import s6
 from sparsescan.s6 import init_s6_params, s6_forward
 from sparsescan.stca import max_pool2d, run_stca
 
@@ -63,11 +65,12 @@ class TestConfig:
         (32, 32, (2, 2, 2, 1)), (64, 64, (2, 2, 2, 2)), (96, 96, (2, 2, 2, 1)),
         (160, 160, (2, 2, 2, 1)), (64, 96, (2, 2, 2, 1))])
     def test_ipl_windows_derived_per_stage(self, height, width, ks):
-        assert BackboneConfig(height=height, width=width).ipl_windows == ks
+        cfg = BackboneConfig(height=height, width=width)
+        assert tuple(ipl_window(cfg.grid(s)) for s in range(cfg.n_stages)) == ks
 
     def test_replaced_geometry_rederives_windows(self):
         cfg = dataclasses.replace(BackboneConfig(), height=32, width=32)
-        assert cfg.ipl_windows == (2, 2, 2, 1)
+        assert tuple(ipl_window(cfg.grid(s)) for s in range(cfg.n_stages)) == (2, 2, 2, 1)
         assert cfg == BackboneConfig(height=32, width=32)
 
     def test_fewer_stages_than_gci_rejected(self):
@@ -619,11 +622,46 @@ class TestStagePlans:
         params = init_backbone_params(SMALL, seed=41)
         voxels, keep, scores = small_inputs(seed=42)
         backbone_forward([voxels] * 4, keep, scores, SMALL, params)
-        assert tuple(calls) == SMALL.ipl_windows
+        assert tuple(calls) == tuple(ipl_window(SMALL.grid(s)) for s in range(SMALL.n_stages))
 
 
 def rel_err(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-12)
+
+
+class TestDoublingForward:
+    def test_multi_chunk_doubling_matches_sequential(self, monkeypatch):
+        """At 96x96 the stage-4 grid is 3x3, so its IPL window is 1, and at T=2
+        some doubling scans run in several chunks."""
+        cfg = BackboneConfig(height=96, width=96)
+        assert ipl_window(cfg.grid(3)) == 1
+        spec = scene_preset("sparse30", width=cfg.width, height=cfg.height)
+        streams = [generate_synthetic_scene(spec, seed=s)[0] for s in range(2)]
+        res = run_stca(streams[0], patch=cfg.patch)
+        voxels = [build_voxel_grid(st, cfg.bins) for st in streams]
+        params = init_backbone_params(cfg, seed=46)
+        want, want_states = backbone_forward(voxels, res.keep, res.scores, cfg, params)
+        calls = {"s6": 0, "chunks": 0}
+        real_s6, real_doubling = bb.s6_forward, s6._scan_states_doubling
+
+        def s6_counting(*args, **kwargs):
+            calls["s6"] += 1
+            return real_s6(*args, **kwargs)
+
+        def doubling_counting(*args):
+            calls["chunks"] += 1
+            return real_doubling(*args)
+
+        monkeypatch.setattr(bb, "s6_forward", s6_counting)
+        monkeypatch.setattr(s6, "_scan_states_doubling", doubling_counting)
+        got, got_states = backbone_forward(voxels, res.keep, res.scores, cfg, params,
+                                           parallel=True)
+        assert calls["chunks"] > calls["s6"] > 0
+        for step_got, step_want in zip(got, want, strict=True):
+            for a, b in zip(step_got, step_want, strict=True):
+                assert np.isfinite(a).all() and rel_err(a, b) <= 1e-12
+        for a, b in zip(got_states, want_states, strict=True):
+            assert rel_err(a.h, b.h) <= 1e-12 and rel_err(a.c, b.c) <= 1e-12
 
 
 class TestStageMajor:
@@ -761,8 +799,14 @@ class TestCheckpoint:
                                                 "shape": [8]}]}),
         lambda m: json.dumps({**m, "entries": [{"name": "b_embed", "offset": "0",
                                                 "shape": [8]}]}),
+        lambda m: json.dumps({**m, "entries": m["entries"] + m["entries"][:1]}),
+        lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "offset": True}]
+                              + m["entries"][1:]}),
+        lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "shape": [
+            float(d) for d in m["entries"][0]["shape"]]}] + m["entries"][1:]}),
     ], ids=["not-json", "not-object", "no-entries", "entries-not-list", "entry-not-object",
-            "no-name", "no-offset", "no-shape", "list-name", "string-offset"])
+            "no-name", "no-offset", "no-shape", "list-name", "string-offset", "repeated-name",
+            "bool-offset", "float-shape"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_backbone_params(SMALL, seed=28), path)

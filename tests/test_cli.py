@@ -10,10 +10,11 @@ import json
 import numpy as np
 import pytest
 
+from sparsescan.backbone import StagePlan
 from sparsescan.cli import _BUDGET_BYTES, _gen_bytes, _split_windows, main
-from sparsescan.event_io import EventStream, generate_synthetic_scene, save_events, \
-    scene_preset
-from sparsescan.stca import read_map_csv
+from sparsescan.event_io import EventStream, generate_synthetic_scene, load_events, \
+    save_events, scene_preset
+from sparsescan.stca import read_map_csv, run_stca
 
 
 def _refuse_generation(spec, seed):
@@ -217,6 +218,20 @@ class TestScanViz:
         np.testing.assert_array_equal(rows["bidi-forward"], kept)
         np.testing.assert_array_equal(rows["bidi-backward"], kept[::-1])
 
+    # token grids 16x16 (IPL window 2) and 11x11 (IPL window 1)
+    @pytest.mark.parametrize("size", [64, 44])
+    def test_ipl_rows_are_the_stage_plan(self, tmp_path, size):
+        scene = tmp_path / "scene.bin"
+        assert main(["gen", "--preset", "sparse30", "--width", str(size),
+                     "--height", str(size), "-o", str(scene)]) == 0
+        out = tmp_path / "ipl.csv"
+        assert main(["scan-viz", str(scene), "--order", "ipl", "-o", str(out)]) == 0
+        body = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        res = run_stca(load_events(scene), patch=4)
+        plan = StagePlan.build(res.keep, res.scores)
+        np.testing.assert_array_equal(body[:, 0], np.arange(len(plan.ipl)))
+        np.testing.assert_array_equal(body[:, 1:], plan.ts.coords[plan.ipl])
+
 
 class TestScoreMapBudget:
     """stca and scan-viz refuse a sensor whose float64 (H, W) score map
@@ -358,6 +373,13 @@ class TestExitCodes:
             main(["gen", "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["scan-viz", "x.bin", "-k", "2"],
+                                      ["forward", "x.bin", "--parallel"]])
+    def test_removed_scan_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_bad_choice_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--preset", "bogus", "-o", "x.evt"])
@@ -424,7 +446,6 @@ def _sweep_cases():
         (stca, "--radius", ["0", "-1", "100000000", HUGE]),
         (stca + ["--sigma", "1e-300"], "--radius", ["0"]),
         (stca, "--patch", ["0", "-1", "1", "3", HUGE]),
-        (viz, "-k", ["0", "-1", "1", HUGE]),
         (viz, "--patch", ["0", "-1", "1", HUGE]),
         (viz, "--beta", ["0", "1e-320", "1e300"]),
         (viz, "--order", ["bidi-backward"]),

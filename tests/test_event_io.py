@@ -85,6 +85,15 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="line 1"):
             load_events(p)
 
+    @pytest.mark.parametrize("geometry", ["W=8,H=8,t1=1000", "W=8,H=8,X=1", "W=8,H=8,=5",
+                                          "W=8,H=8,W=4,T1=1000", "W=8,H=8,T0=0,T0=5",
+                                          "W=8,H=8,T1=1000, T1=900"])
+    def test_unknown_or_repeated_geometry_key_reports_line_one(self, tmp_path, geometry):
+        p = tmp_path / "geo.csv"
+        p.write_text(f"{geometry}\nx,y,t,p\n1,2,10,1\n")
+        with pytest.raises(FormatError, match="line 1"):
+            load_events(p)
+
     def test_decreasing_timestamps_rejected(self, tmp_path):
         p = tmp_path / "ord.csv"
         p.write_text("W=8,H=8\nx,y,t,p\n1,1,500,1\n1,1,400,1\n")

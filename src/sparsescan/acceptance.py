@@ -41,12 +41,14 @@ class CriterionResult:
 
 
 def _random_scan_instance(rng, t_len, lanes, n_state, a_low=0.01):
+    """Draws in (T, L, N) order, returned in the kernels' (T, N, L) and (N, L)."""
     abar = rng.uniform(a_low, 1.0, size=(t_len, lanes, n_state))
     bx = rng.normal(size=(t_len, lanes, n_state))
     c = rng.normal(size=(t_len, n_state))
     skip = rng.normal(size=lanes)
     x = rng.normal(size=(t_len, lanes))
     h0 = rng.normal(size=(lanes, n_state))
+    abar, bx, h0 = (np.ascontiguousarray(np.swapaxes(v, -1, -2)) for v in (abar, bx, h0))
     return S6Discretized(abar=abar, bx=bx, c=c), skip, x, h0
 
 
@@ -79,7 +81,7 @@ def _batch_loss(abar, bx, c, skip, x, h0, upstream):
     loss = np.zeros(nb)
     for t in range(t_len):
         h = abar[:, t] * h + bx[:, t]
-        y = np.einsum("bln,bn->bl", h, c[:, t]) + skip * x[t]
+        y = np.einsum("bnl,bn->bl", h, c[:, t]) + skip * x[t]
         loss += y @ upstream[t]
     return loss
 

@@ -2,11 +2,11 @@
 
 Subcommands: gen (synthetic scenes), stca (score and threshold a stream),
 scan-viz (dump the forward's stage-1 bidi-forward, bidi-backward or IPL
-order, the IPL window taken from the token grid), forward (run the
-backbone, with an optional FLOPs report), bench (one FLOPs and wall-time
-row per scene, printed as each scene finishes), selftest (the acceptance
-battery). Domain, file and out-of-memory errors exit 1, usage errors
-exit 2.
+order at the forward's patch size, the IPL window taken from the token
+grid), forward (run the backbone, with an optional FLOPs report), bench
+(one FLOPs and wall-time row per scene, printed as each scene finishes),
+selftest (the acceptance battery). Domain, file and out-of-memory errors
+exit 1, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def cmd_stca(args) -> int:
 def cmd_scan_viz(args) -> int:
     stream = load_events(args.events)
     _check_score_map(stream)
-    res = run_stca(stream, patch=args.patch, beta=args.beta)
+    res = run_stca(stream, patch=BackboneConfig.patch, beta=args.beta)
     plan = StagePlan.build(res.keep, res.scores)
     if args.order == "ipl":
         perm = plan.ipl
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("scan-viz", help="dump the forward's stage-1 token order")
     v.add_argument("events")
     v.add_argument("--order", choices=_ORDER_CHOICES, default="ipl")
-    v.add_argument("-P", "--patch", type=int, default=4)
     v.add_argument("--beta", type=float, default=1.0)
     v.add_argument("-o", "--out", help="CSV output (default stdout)")
     v.set_defaults(func=cmd_scan_viz)

@@ -22,7 +22,15 @@ max(x, 0) + log1p(exp(-|x|)), which cannot overflow and is made of
 vectorized ufuncs (np.logaddexp(0, x) runs a scalar loop). The input
 folds into the discretization: bx = phi1(z) * b * (dt * x), with dt * x
 formed per step and lane before it broadcasts over the N states, so
-bbar * x costs no pass of its own over the (T, L, N) coefficients.
+bbar * x costs no pass of its own over the coefficients.
+
+Coefficients and states put the state axis outside the lanes: abar and
+bx are (T, N, L), a state h is (N, L), and B sequences make them
+(T, B, N, L) and (B, N, L). Each broadcast of the discretization then
+runs its inner loop over the L contiguous lanes, not over N = 16 states,
+and y_t = <c_t, h_t> is one (1, N) @ (N, L) product per step. S6Params
+keeps log_a as (L, N); the forward uses a = -exp(log_a) transposed to a
+C-contiguous (N, L).
 
 There are two forward scans: a sequential loop, and a recursive-doubling
 (Hillis-Steele) scan over the associative operator
@@ -33,12 +41,13 @@ completes the kernels.
 
 s6_forward takes a (T, L) sequence, or B equal-length sequences as
 (T, B, L), which it scans together as B * L lanes; (T, L) is the B = 1
-case of the same code. It and selective_scan_parallel cut the T steps
-into chunks of rows = max(1, _CHUNK_ELEMS // (B * L * N)) steps, 16 at
-B = 1, L = 128 and N = 16. Each chunk is scanned from the last state of
-the chunk before, so the doubling scan makes ceil(log2 rows) passes per
-chunk and O(T log rows) work in all. selective_scan_seq scans the whole
-sequence at once and is the reference both are checked against.
+case of the same code, and h_T is (N, L) or (B, N, L). It and
+selective_scan_parallel cut the T steps into chunks of
+rows = max(1, _CHUNK_ELEMS // (B * L * N)) steps, 16 at B = 1, L = 128
+and N = 16. Each chunk is scanned from the last state of the chunk
+before, so the doubling scan makes ceil(log2 rows) passes per chunk and
+O(T log rows) work in all. selective_scan_seq scans the whole sequence
+at once and is the reference both are checked against.
 
 discretize_zoh writes into a given out= pair of arrays, and the state
 kernels of both scans work in place. Both also use their abar argument
@@ -46,7 +55,7 @@ as scratch: the sequential scan overwrites each abar_t with
 abar_t * h_{t-1}, so no step allocates, and the doubling scan with
 products of abars; selective_scan_seq and selective_scan_backward scan
 copies. The outputs y_t = <c_t, h_t> come from one stacked
-matrix-vector product per step (np.matmul), in s6_forward and
+(1, N) @ (N, L) product per step (np.matmul), in s6_forward and
 selective_scan_seq alike, so the two give the same bits. The public
 functions return new arrays. s6_forward projects all T * B rows once in
 one matmul each (dt, b and c), then per chunk discretizes, scans and
@@ -92,8 +101,8 @@ class S6Params:
 class S6Discretized:
     """Per-step discretized coefficients ready for scanning."""
 
-    abar: np.ndarray     # (T, L, N)
-    bx: np.ndarray       # (T, L, N), bbar already folded with the input
+    abar: np.ndarray     # (T, N, L)
+    bx: np.ndarray       # (T, N, L), bbar already folded with the input
     c: np.ndarray        # (T, N)
 
 
@@ -118,10 +127,12 @@ def discretize_zoh(a, b, dt, x=None, out=None):
 
     The arguments broadcast to one shape, which both results take. With x
     given, bbar comes out multiplied by the input, as bbar * x: dt * x is
-    formed at the shapes of dt and x before it broadcasts, so a (..., L, 1)
+    formed at the shapes of dt and x before it broadcasts, so a (..., 1, L)
     dt and x fold in for the cost of one pass over the result. out, if
     given, is a pair of float64 arrays of the result shape to write
-    (abar, bbar) into; it must not overlap the arguments.
+    (abar, bbar) into; it must not overlap the arguments. The s6 kernels
+    pass a (N, L) a, (..., N, 1) b and (..., 1, L) dt and x, so every
+    pass runs over contiguous lanes.
     """
     a, b, dt = (np.asarray(v, dtype=np.float64) for v in (a, b, dt))
     dtx = dt if x is None else dt * x
@@ -157,10 +168,12 @@ def softplus(x, out=None):
 
 
 def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
-    """a (L, N) and the per-step dt (..., L), b (..., N), c (..., N) of x.
+    """a (N, L) and the per-step dt (..., L), b (..., N), c (..., N) of x.
 
     Each projection is one matmul over all T * B rows. dt takes its bias
-    and softplus in place, so it is the only (T * B, L) array made.
+    and softplus in place, so it is the only (T * B, L) array made. a is
+    made C-contiguous: np.exp keeps the strides of log_a.T, and a
+    transposed a would bring back the N-element inner loops.
     """
     lanes, n = p.log_a.shape
     if x.ndim not in (2, 3) or x.shape[-1] != lanes:
@@ -174,19 +187,20 @@ def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
     meter.macs(label, len(rows) * lanes * lanes + 2 * len(rows) * n * lanes)
     meter.elem(label, 2 * len(rows) * lanes)
     lead = x.shape[:-1]
-    return -np.exp(p.log_a), dt.reshape(x.shape), b_t.reshape(lead + (n,)), \
-        c_t.reshape(lead + (n,))
+    a = np.ascontiguousarray(-np.exp(p.log_a).T)
+    return a, dt.reshape(x.shape), b_t.reshape(lead + (n,)), c_t.reshape(lead + (n,))
 
 
 def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str):
     """abar and bx of the steps whose dt, b and input rows are given."""
-    abar, bx = discretize_zoh(a, b_t[..., None, :], dt[..., None], x=x[..., None], out=out)
+    abar, bx = discretize_zoh(a, b_t[..., :, None], dt[..., None, :], x=x[..., None, :],
+                              out=out)
     meter.elem(label, 6 * bx.size)
     return abar, bx
 
 
 def parameterize(x: np.ndarray, p: S6Params) -> S6Discretized:
-    """Build per-step coefficients from the input sequence x of shape (T, L)."""
+    """Build per-step (T, N, L) coefficients from the input sequence x of shape (T, L)."""
     a, dt, b_t, c_t = _project(x, p, NULL_METER, "")
     abar, bx = _discretize(a, dt, b_t, x, None, NULL_METER, "")
     return S6Discretized(abar=abar, bx=bx, c=c_t)
@@ -207,13 +221,13 @@ def _scan_states_seq(abar: np.ndarray, hs: np.ndarray, h0: np.ndarray | None) ->
 
 
 def _contract(hs: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """y_t = <c_t, h_t> per lane of (T, ..., L, N) states hs and (T, ..., N) c,
-    as one stacked matrix-vector product per step (B sequences of a step are
-    B more steps); into out, shaped (T, ..., L), if given."""
-    lanes, n = hs.shape[-2:]
+    """y_t = <c_t, h_t> per lane of (T, ..., N, L) states hs and (T, ..., N) c,
+    as one stacked (1, N) @ (N, L) product per step (B sequences of a step
+    are B more steps); into out, shaped (T, ..., L), if given."""
+    n, lanes = hs.shape[-2:]
     if out is None:
-        out = np.empty(hs.shape[:-1])
-    np.matmul(hs.reshape(-1, lanes, n), c.reshape(-1, n, 1), out=out.reshape(-1, lanes, 1))
+        out = np.empty(hs.shape[:-2] + (lanes,))
+    np.matmul(c.reshape(-1, 1, n), hs.reshape(-1, n, lanes), out=out.reshape(-1, 1, lanes))
     return out
 
 
@@ -247,13 +261,13 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
 def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
                        skip: np.ndarray | None = None, x: np.ndarray | None = None):
     """Evaluate the recurrence step by step over the whole sequence. Returns (y, h_T)."""
-    t_len, lanes, n = d.abar.shape
+    t_len, n, lanes = d.abar.shape
     hs = _scan_states_seq(d.abar.copy(), d.bx.copy(), h0)
     y = _contract(hs, d.c)
     if skip is not None:
         y = y + skip * x
-    # a copy, so that h_T does not keep the whole (T, L, N) state array alive
-    last = hs[-1].copy() if t_len else (np.zeros((lanes, n)) if h0 is None else h0.copy())
+    # a copy, so that h_T does not keep the whole (T, N, L) state array alive
+    last = hs[-1].copy() if t_len else (np.zeros((n, lanes)) if h0 is None else h0.copy())
     return y, last
 
 
@@ -275,11 +289,11 @@ def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
 class ScanGradients:
     """Adjoints of the scan with respect to its inputs."""
 
-    abar: np.ndarray     # (T, L, N)
-    bx: np.ndarray       # (T, L, N)
+    abar: np.ndarray     # (T, N, L)
+    bx: np.ndarray       # (T, N, L)
     c: np.ndarray        # (T, N)
     skip: np.ndarray     # (L,)
-    h0: np.ndarray       # (L, N)
+    h0: np.ndarray       # (N, L)
 
 
 def selective_scan_backward(d: S6Discretized, h0: np.ndarray | None,
@@ -290,22 +304,22 @@ def selective_scan_backward(d: S6Discretized, h0: np.ndarray | None,
     dh_t = abar_{t+1} * dh_{t+1} + dy_t c_t, with
     d(abar_t) = dh_t * h_{t-1}, d(bx_t) = dh_t, d(c_t) = sum_l dy_tl h_tl.
     """
-    t_len, lanes, n = d.abar.shape
+    t_len, n, lanes = d.abar.shape
     if dy.shape != (t_len, lanes):
         raise ShapeError(f"upstream gradient must be (T, L), got {dy.shape}")
     hs = _scan_states_seq(d.abar.copy(), d.bx.copy(), h0)
-    h_init = np.zeros((lanes, n)) if h0 is None else h0
+    h_init = np.zeros((n, lanes)) if h0 is None else h0
     g_abar = np.empty_like(d.abar)
     g_bx = np.empty_like(d.bx)
     g_c = np.empty_like(d.c)
     g_skip = (dy * x).sum(axis=0)
-    dh = np.zeros((lanes, n))
+    dh = np.zeros((n, lanes))
     for t in range(t_len - 1, -1, -1):
-        dh = dh + dy[t][:, None] * d.c[t][None, :]
+        dh = dh + d.c[t][:, None] * dy[t][None, :]
         prev = hs[t - 1] if t > 0 else h_init
         g_abar[t] = dh * prev
         g_bx[t] = dh
-        g_c[t] = dy[t] @ hs[t]
+        g_c[t] = hs[t] @ dy[t]
         dh = dh * d.abar[t]
     return ScanGradients(abar=g_abar, bx=g_bx, c=g_c, skip=g_skip, h0=dh)
 
@@ -320,18 +334,18 @@ def _chunk_rows(lanes: int, n: int) -> int:
 
 
 def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
-    """Scan a (T, L, N) or (T, B, L, N) recurrence chunk by chunk.
+    """Scan a (T, N, L) or (T, B, N, L) recurrence chunk by chunk.
 
     fill(s, e, abar, bx) writes steps s to e - 1 of abar and bx into the
-    given (e - s, ..., L, N) buffers, which are allocated once per call and
+    given (e - s, ..., N, L) buffers, which are allocated once per call and
     reused for every chunk. Each chunk's scan starts from the last state of
     the one before. Returns new arrays (y, h_T).
     """
     t_len, state = shape[0], shape[1:]
-    n = state[-1]
-    rows = _chunk_rows(math.prod(state[:-1]), n)
+    n = state[-2]
+    rows = _chunk_rows(math.prod(state) // n, n)     # B * L lanes
     bufs = [np.empty((min(rows, t_len),) + state) for _ in range(3 if parallel else 2)]
-    y = np.empty(shape[:-1])
+    y = np.empty(shape[:-2] + shape[-1:])
     h = h0
     for s in range(0, t_len, rows):
         e = min(s + rows, t_len)
@@ -357,8 +371,8 @@ def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
 def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
                meter: FlopsMeter = NULL_METER, label: str = "s6"):
     """Parameterize and scan a (T, L) sequence, or B equal-length sequences
-    given as (T, B, L). Returns (y, h_T): y shaped like x, and h_T (L, N)
-    or (B, L, N).
+    given as (T, B, L). Returns (y, h_T): y shaped like x, and h_T (N, L)
+    or (B, N, L).
 
     The projections run once over all T * B rows; discretization and the
     scan run chunk by chunk, the B sequences side by side as extra lanes.
@@ -369,5 +383,5 @@ def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
     def fill(s, e, abar, bx):
         _discretize(a, dt[s:e], b_t[s:e], x[s:e], (abar, bx), meter, label)
 
-    return _scan_chunked(fill, x.shape + (p.n_state,), c_t, None, p.skip, x,
-                         parallel, meter, label)
+    shape = x.shape[:-1] + (p.n_state, p.n_lanes)
+    return _scan_chunked(fill, shape, c_t, None, p.skip, x, parallel, meter, label)

@@ -374,7 +374,8 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [["scan-viz", "x.bin", "-k", "2"],
-                                      ["forward", "x.bin", "--parallel"]])
+                                      ["forward", "x.bin", "--parallel"],
+                                      ["scan-viz", "x.bin", "-P", "8"]])
     def test_removed_scan_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -446,7 +447,6 @@ def _sweep_cases():
         (stca, "--radius", ["0", "-1", "100000000", HUGE]),
         (stca + ["--sigma", "1e-300"], "--radius", ["0"]),
         (stca, "--patch", ["0", "-1", "1", "3", HUGE]),
-        (viz, "--patch", ["0", "-1", "1", HUGE]),
         (viz, "--beta", ["0", "1e-320", "1e300"]),
         (viz, "--order", ["bidi-backward"]),
         (fwd, "--seed", ["-1", HUGE]),

@@ -2,6 +2,7 @@
 
 Constants below are hand-unrolled from the recurrence
 h_t = abar_t * h_{t-1} + bx_t, y_t = <c_t, h_t> + skip * x_t.
+Coefficients and states are (T, N, L) and (N, L): state axis before lanes.
 """
 
 import math
@@ -33,16 +34,16 @@ from sparsescan.errors import ShapeError
 def const_disc(t, abar, bx, c, lanes=1, n_state=1):
     """Discretized coefficients held constant across steps."""
     return S6Discretized(
-        abar=np.full((t, lanes, n_state), abar),
-        bx=np.full((t, lanes, n_state), bx),
+        abar=np.full((t, n_state, lanes), abar),
+        bx=np.full((t, n_state, lanes), bx),
         c=np.full((t, n_state), c),
     )
 
 
 def random_disc(rng, t, lanes, n_state, a_low=0.0):
     return S6Discretized(
-        abar=rng.uniform(a_low, 1.0, size=(t, lanes, n_state)),
-        bx=rng.standard_normal((t, lanes, n_state)),
+        abar=rng.uniform(a_low, 1.0, size=(t, n_state, lanes)),
+        bx=rng.standard_normal((t, n_state, lanes)),
         c=rng.standard_normal((t, n_state)),
     )
 
@@ -82,16 +83,42 @@ class TestDiscretizeZoh:
 
     def test_input_folds_into_bbar(self):
         rng = np.random.default_rng(31)
-        a = -np.exp(rng.standard_normal((1, 5, 4)))
-        a[..., 0] = 0.0
-        b = rng.standard_normal((6, 1, 4))
-        dt = np.exp(rng.uniform(-7.0, 0.0, size=(6, 5, 1)))
+        a = -np.exp(rng.standard_normal((1, 4, 5)))
+        a[:, 0] = 0.0
+        b = rng.standard_normal((6, 4, 1))
+        dt = np.exp(rng.uniform(-7.0, 0.0, size=(6, 1, 5)))
         dt[0] = 0.0
-        x = rng.standard_normal((6, 5, 1))
+        x = rng.standard_normal((6, 1, 5))
         abar, bx = discretize_zoh(a, b, dt, x=x)
         abar_ref, bbar_ref = discretize_zoh(a, b, dt)
         assert abar.tobytes() == abar_ref.tobytes()
         np.testing.assert_allclose(bx, bbar_ref * x, rtol=1e-15, atol=0)
+
+    def test_state_major_broadcast_is_transpose_of_lane_major(self):
+        """The kernels' (N, L) a, (T, N, 1) b and (T, 1, L) dt and x give the
+        transpose of the (L, N) layout's results, byte for byte."""
+        rng = np.random.default_rng(33)
+        t_len, lanes, n = 6, 7, 5
+        a = -np.exp(rng.standard_normal((lanes, n)))
+        a[0] = 0.0                                   # a = 0: phi1(0) = 1
+        a[1] = -5e-324                               # subnormal a
+        a[2, :2] = -1e-310
+        b = rng.standard_normal((t_len, n))
+        dt = np.exp(rng.uniform(-7.0, 0.0, size=(t_len, lanes)))
+        dt[0] = 0.0                                  # dt = 0: z = 0 in every lane
+        dt[1, 3] = 0.0
+        x = rng.standard_normal((t_len, lanes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lane_major = discretize_zoh(a, b[:, None, :], dt[:, :, None], x=x[:, :, None])
+            state_major = discretize_zoh(np.ascontiguousarray(a.T), b[:, :, None],
+                                         dt[:, None, :], x=x[:, None, :])
+        for got, want in zip(state_major, lane_major):
+            assert got.shape == (t_len, n, lanes)
+            assert got.tobytes() == np.ascontiguousarray(want.transpose(0, 2, 1)).tobytes()
+        abar, bx = state_major
+        assert (abar[0] == 1.0).all() and (bx[0] == 0.0).all()
+        assert (abar[:, :, :2] == 1.0).all()
 
 
 class TestSoftplus:
@@ -153,7 +180,15 @@ class TestParameterize:
         d = parameterize(np.zeros((5, 3)), p)
         # dt = softplus(0) = ln 2, so abar = exp(ln2 * a) = 2**a
         a = -np.exp(p.log_a)
-        np.testing.assert_allclose(d.abar[0], np.exp(math.log(2.0) * a))
+        np.testing.assert_allclose(d.abar[0], np.exp(math.log(2.0) * a).T)
+
+    def test_coefficients_are_state_major(self):
+        rng = np.random.default_rng(22)
+        p = init_s6_params(3, 4, rng)
+        d = parameterize(rng.standard_normal((5, 3)), p)
+        assert p.log_a.shape == (3, 4)
+        assert d.abar.shape == d.bx.shape == (5, 4, 3) and d.c.shape == (5, 4)
+        assert d.abar.flags.c_contiguous and d.bx.flags.c_contiguous
 
     def test_zero_input_matrix_gives_skip_only(self):
         rng = np.random.default_rng(18)
@@ -206,17 +241,17 @@ class TestSequentialScan:
         d = random_disc(rng, 6, 2, 3)
         d.abar[:] = 0.0
         y, _ = selective_scan_seq(d)
-        expected = np.einsum("tln,tn->tl", d.bx, d.c)
+        expected = np.einsum("tnl,tn->tl", d.bx, d.c)
         np.testing.assert_allclose(y, expected, atol=1e-14)
 
     def test_single_step_base_case(self):
         rng = np.random.default_rng(22)
         d = random_disc(rng, 1, 2, 3)
-        h0 = rng.standard_normal((2, 3))
+        h0 = rng.standard_normal((3, 2))
         y, h = selective_scan_seq(d, h0=h0)
         h_expected = d.abar[0] * h0 + d.bx[0]
         np.testing.assert_allclose(h, h_expected)
-        np.testing.assert_allclose(y[0], h_expected @ d.c[0])
+        np.testing.assert_allclose(y[0], d.c[0] @ h_expected)
 
     def test_skip_term(self):
         d = const_disc(2, abar=0.0, bx=0.0, c=1.0, lanes=2)
@@ -240,13 +275,13 @@ class TestSequentialScan:
     def test_final_state_owns_its_data(self, t_len, h0):
         rng = np.random.default_rng(29)
         d = random_disc(rng, t_len, 3, 4)
-        _, h = selective_scan_seq(d, h0=rng.standard_normal((3, 4)) if h0 else None)
-        assert h.shape == (3, 4) and h.flags.owndata
+        _, h = selective_scan_seq(d, h0=rng.standard_normal((4, 3)) if h0 else None)
+        assert h.shape == (4, 3) and h.flags.owndata
 
     def test_inputs_unchanged(self):
         rng = np.random.default_rng(27)
         d = random_disc(rng, 9, 3, 4)
-        h0 = rng.standard_normal((3, 4))
+        h0 = rng.standard_normal((4, 3))
         before = [d.abar.copy(), d.bx.copy(), d.c.copy(), h0.copy()]
         selective_scan_seq(d, h0=h0)
         for was, now in zip(before, [d.abar, d.bx, d.c, h0]):
@@ -258,7 +293,7 @@ class TestParallelScan:
         rng = np.random.default_rng(24)
         for t in (1, 2, 3, 7, 64, 129):
             d = random_disc(rng, t, 3, 4)
-            h0 = rng.standard_normal((3, 4))
+            h0 = rng.standard_normal((4, 3))
             ys, hs = selective_scan_seq(d, h0=h0)
             yp, hp = selective_scan_parallel(d, h0=h0)
             np.testing.assert_allclose(yp, ys, rtol=1e-9, atol=1e-12)
@@ -275,7 +310,7 @@ class TestParallelScan:
     def test_inputs_unchanged(self):
         rng = np.random.default_rng(28)
         d = random_disc(rng, 37, 3, 4)
-        h0 = rng.standard_normal((3, 4))
+        h0 = rng.standard_normal((4, 3))
         before = [d.abar.copy(), d.bx.copy(), d.c.copy(), h0.copy()]
         selective_scan_parallel(d, h0=h0)
         for was, now in zip(before, [d.abar, d.bx, d.c, h0]):
@@ -338,7 +373,7 @@ class TestBackward:
         rng = np.random.default_rng(29)
         t, lanes, n = 8, 2, 3
         d = random_disc(rng, t, lanes, n, a_low=0.5)
-        h0 = rng.standard_normal((lanes, n))
+        h0 = rng.standard_normal((n, lanes))
         x = rng.standard_normal((t, lanes))
         skip = rng.standard_normal(lanes)
         dy = rng.standard_normal((t, lanes))
@@ -375,19 +410,31 @@ class TestBackward:
     def test_inputs_unchanged(self):
         rng = np.random.default_rng(32)
         d = random_disc(rng, 9, 3, 4)
-        h0 = rng.standard_normal((3, 4))
+        h0 = rng.standard_normal((4, 3))
         before = [d.abar.copy(), d.bx.copy(), d.c.copy(), h0.copy()]
         selective_scan_backward(d, h0, rng.standard_normal((9, 3)), rng.standard_normal((9, 3)))
         for was, now in zip(before, [d.abar, d.bx, d.c, h0]):
             assert was.tobytes() == now.tobytes()
 
     def test_empty_sequence(self):
-        d = S6Discretized(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)),
+        d = S6Discretized(np.zeros((0, 3, 2)), np.zeros((0, 3, 2)),
                           np.zeros((0, 3)))
-        h0 = np.ones((2, 3))
+        h0 = np.ones((3, 2))
         g = selective_scan_backward(d, h0, np.zeros((0, 2)),
                                     np.zeros((0, 2)))
-        np.testing.assert_array_equal(g.h0, np.zeros((2, 3)))
+        np.testing.assert_array_equal(g.h0, np.zeros((3, 2)))
+
+    def test_gradients_are_state_major(self):
+        rng = np.random.default_rng(33)
+        t, lanes, n = 7, 3, 5
+        d = random_disc(rng, t, lanes, n)
+        g = selective_scan_backward(d, rng.standard_normal((n, lanes)),
+                                    rng.standard_normal((t, lanes)),
+                                    rng.standard_normal((t, lanes)))
+        assert g.abar.shape == g.bx.shape == (t, n, lanes)
+        assert g.c.shape == (t, n) and g.skip.shape == (lanes,) and g.h0.shape == (n, lanes)
+        with pytest.raises(ShapeError):
+            selective_scan_backward(d, None, np.zeros((t, n)), np.zeros((t, n)))
 
 
 class TestForwardWrapper:
@@ -408,6 +455,16 @@ class TestForwardWrapper:
         assert meter.total() > 0
         assert any(k.startswith("probe") for k in meter.flops)
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("lead", [(9,), (9, 1), (9, 3)])
+    def test_final_state_is_state_major(self, lead, parallel):
+        rng = np.random.default_rng(32)
+        lanes, n = 6, 4
+        p = init_s6_params(lanes, n, rng)
+        y, h = s6_forward(rng.standard_normal(lead + (lanes,)), p, parallel=parallel)
+        assert y.shape == lead + (lanes,)
+        assert h.shape == lead[1:] + (n, lanes) and h.flags.c_contiguous
+
 
 class TestBatchedSequences:
     """s6_forward on (T, B, L) scans B equal-length sequences as extra lanes."""
@@ -423,7 +480,7 @@ class TestBatchedSequences:
         p = init_s6_params(lanes, n, rng)
         x = rng.standard_normal((t_len, b, lanes))
         y, h = s6_forward(x, p, parallel=parallel)
-        assert y.shape == x.shape and h.shape == (b, lanes, n)
+        assert y.shape == x.shape and h.shape == (b, n, lanes)
         for i in range(b):
             y_i, h_i = s6_forward(x[:, i].copy(), p, parallel=parallel)
             assert rel_err(y[:, i], y_i) <= 1e-12 and rel_err(h[i], h_i) <= 1e-12
@@ -586,6 +643,23 @@ class TestChunks:
         assert self.WIDE[0] * self.WIDE[1] > s6._CHUNK_ELEMS
         assert s6._chunk_rows(*self.WIDE) == 1
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("shape, rows", [((81, 128), 16), ((81, 1, 128), 16),
+                                             ((81, 3, 128), 5)])
+    def test_chunk_rows_count_lanes_and_states(self, shape, rows, parallel, monkeypatch):
+        """rows = _CHUNK_ELEMS // (B * L * N): 16 rows at B = 1, 5 at B = 3."""
+        name = "_scan_states_doubling" if parallel else "_scan_states_seq"
+        real, calls = getattr(s6, name), []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(s6, name, counting)
+        rng = np.random.default_rng(52)
+        s6_forward(rng.standard_normal(shape), init_s6_params(128, 16, rng), parallel=parallel)
+        assert calls == [rows] * (81 // rows) + [81 % rows]
+
     @pytest.mark.parametrize("shape", CASES)
     def test_sequential_matches_whole_sequence_scan(self, shape):
         x, p = self.inputs(*shape)
@@ -607,7 +681,7 @@ class TestChunks:
     def test_parallel_carries_initial_state_across_chunks(self, shape):
         rng = np.random.default_rng(51)
         d = random_disc(rng, *shape, a_low=0.5)
-        h0 = 10.0 * rng.standard_normal(shape[1:])
+        h0 = 10.0 * rng.standard_normal(d.abar.shape[1:])
         y, h = selective_scan_parallel(d, h0=h0)
         y_ref, h_ref = selective_scan_seq(d, h0=h0)
         assert rel_err(y, y_ref) <= 1e-12 and rel_err(h, h_ref) <= 1e-12
@@ -637,4 +711,4 @@ class TestChunks:
         x, p = self.inputs(0, 128, 16)
         y, h = s6_forward(x, p, parallel=parallel)
         assert y.shape == (0, 128)
-        assert h.shape == (128, 16) and not h.any()
+        assert h.shape == (16, 128) and not h.any()

@@ -370,8 +370,7 @@ def _dense_ss2d(x, scores, p):
     pre = t @ p.w_in.T + p.b_in
     gate = silu(t @ p.w_gate.T + p.b_gate)
     d = pre.shape[1]
-    u = silu(depthwise_conv2d(pre.T.reshape(d, h, w), p.dw_kernel, p.dw_bias,
-                              pad_mode="constant")).reshape(d, m).T
+    u = silu(depthwise_conv2d(pre.T.reshape(d, h, w), p.dw_kernel, p.dw_bias)).reshape(d, m).T
     fwd = np.arange(m, dtype=np.int64)
     orders = (fwd, fwd[::-1].copy(), _full_grid_ipl(scores))
     acc = np.zeros_like(u)

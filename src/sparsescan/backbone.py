@@ -36,12 +36,12 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FormatError, ShapeError
 from .event_io import VoxelGrid
 from .flops import NULL_METER, FlopsMeter
-from .nn import conv2d_same, depthwise_conv2d, gelu, layer_norm, patchify, sigmoid, silu
+from .nn import (conv2d_same, depthwise_conv2d, gelu, layer_norm, patchify, sigmoid, silu,
+                 stencil_taps)
 from .s6 import S6Params, init_s6_params, s6_forward
 from .scan_order import ipl_order
 from .sparsify import TokenSet, gather_tokens, scatter_tokens
@@ -275,9 +275,10 @@ class StagePlan:
     @classmethod
     def build(cls, keep: np.ndarray, scores: np.ndarray) -> StagePlan:
         ts = gather_tokens(np.empty((0,) + keep.shape), keep)
-        index = np.pad(ts.index, 1, constant_values=-1)
-        nbr = sliding_window_view(index, (3, 3))[ts.coords[:, 0], ts.coords[:, 1]]
-        return cls(ts, nbr.reshape(-1, 9), ipl_order(ts, scores, ipl_window(keep.shape)))
+        rows, cols = ts.coords.T
+        taps = stencil_taps(ts.index[..., None], fill=-1)     # (H, W, 1) views
+        nbr = np.stack([tap[rows, cols, 0] for tap in taps], axis=1)
+        return cls(ts, nbr, ipl_order(ts, scores, ipl_window(keep.shape)))
 
 
 def stage_plans(keep: np.ndarray, scores: np.ndarray, n_stages: int) -> list[StagePlan]:
@@ -420,7 +421,7 @@ def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
     pre = (p.w_pre @ flat + p.b_pre[:, None]).reshape(x.shape)
     meter.macs(label, cells * c * c)
     meter.elem(label, cells * c)
-    b1_in = silu(depthwise_conv2d(pre, p.dw_kernel, p.dw_bias, pad_mode="edge"))
+    b1_in = silu(depthwise_conv2d(pre, p.dw_kernel, p.dw_bias, edge=True))
     meter.macs(label, 9 * cells * c)
     meter.elem(label, 2 * cells * c)
     b1 = bidi_scan(np.moveaxis(b1_in, -3, 0), p.s6_fwd, p.s6_bwd, meter, label, parallel)

@@ -1,9 +1,14 @@
-"""Small dense numeric primitives shared by the backbone blocks."""
+"""Small dense numeric primitives shared by the backbone blocks.
+
+Every 3x3 neighbourhood is read one way: stencil_taps writes channel-last
+maps into a bordered buffer by slice assignment and returns its nine
+shifted views. The ConvLSTM's im2col (conv2d_same), the GCI depthwise
+pass (depthwise_conv2d) and the stage plans' neighbour tables use it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -41,30 +46,60 @@ def patchify(x: np.ndarray, patch: int) -> np.ndarray:
     return v.reshape(*lead, (h // patch) * (w // patch), c * patch * patch)
 
 
-def _pad_hw(x: np.ndarray, kh: int, kw: int, mode: str = "constant") -> np.ndarray:
-    """Pad the last two axes by half a kernel on each side."""
-    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)],
-                  mode=mode)
+# im2col output rows per block: a block's columns stay within 2 MB, the
+# per-core L2 of the 2-vCPU x86-64 host this was measured on. Unblocked,
+# the nine strided tap passes over a 1280x736 stage-1 map ran 2x slower.
+_COL_ELEMS = 1 << 18
+
+
+def stencil_taps(x: np.ndarray, fill=0, edge: bool = False) -> list[np.ndarray]:
+    """The nine taps of a 3x3 stencil over channel-last maps (..., H, W, C),
+    in row-major kernel order: the [i:i+H, j:j+W] views of a new buffer
+    holding x, written by slice assignment, inside a one-cell border of
+    fill, or with edge=True of each map's nearest edge value (numpy's
+    'edge' padding)."""
+    *lead, h, w, c = x.shape
+    xp = np.empty((*lead, h + 2, w + 2, c), x.dtype)
+    xp[..., 1:-1, 1:-1, :] = x
+    # rows first, then whole columns, so edge corners copy an edge row's end
+    xp[..., 0, 1:-1, :] = xp[..., 1, 1:-1, :] if edge else fill
+    xp[..., -1, 1:-1, :] = xp[..., -2, 1:-1, :] if edge else fill
+    xp[..., :, 0, :] = xp[..., :, 1, :] if edge else fill
+    xp[..., :, -1, :] = xp[..., :, -2, :] if edge else fill
+    return [xp[..., i:i + h, j:j + w, :] for i in range(3) for j in range(3)]
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 cross-correlation with zero padding, (..., Cin, H, W) -> (..., Cout, H, W).
+    """Stride-1 3x3 cross-correlation with zero padding, (..., Cin, H, W) -> (..., Cout, H, W).
 
     All maps form one im2col matmul, so the kernel is read once per call.
+    Its (pixel, (cin, kh, kw)) columns are copied, in row blocks, from the
+    nine shifted views of a zero-bordered channel-last copy of the maps.
     """
     *lead, cin, h, wd = x.shape
-    cout, cin2, kh, kw = w.shape
-    if cin != cin2:
-        raise ShapeError(f"kernel expects {cin2} input channels, got {cin}")
-    win = sliding_window_view(_pad_hw(x, kh, kw), (kh, kw), axis=(-2, -1))
-    col = np.moveaxis(win, -5, -3).reshape(-1, cin * kh * kw)
-    y = col @ w.reshape(cout, -1).T
-    return np.moveaxis(y.reshape(*lead, h, wd, cout), -1, -3)
+    if w.shape[1:] != (cin, 3, 3):
+        raise ShapeError(f"kernel {w.shape} does not fit {cin} input channels and 3x3 taps")
+    taps = stencil_taps(np.moveaxis(x, -3, -1).reshape(-1, h, wd, cin))
+    col = np.empty((len(taps[0]), h, wd, cin, 9))
+    rows = max(1, _COL_ELEMS // max(1, 9 * cin * wd))
+    for m, r in np.ndindex(len(col), -(-h // rows)):
+        for k, tap in enumerate(taps):
+            col[m, r * rows:(r + 1) * rows, ..., k] = tap[m, r * rows:(r + 1) * rows]
+    y = col.reshape(-1, cin * 9) @ w.reshape(len(w), -1).T
+    return np.moveaxis(y.reshape(*lead, h, wd, len(w)), -1, -3)
 
 
 def depthwise_conv2d(x: np.ndarray, k: np.ndarray, bias: np.ndarray,
-                     pad_mode: str = "constant") -> np.ndarray:
-    """Per-channel 3x3 cross-correlation of (..., C, H, W). pad_mode 'edge' preserves constants."""
-    kh, kw = k.shape[1:]
-    win = sliding_window_view(_pad_hw(x, kh, kw, pad_mode), (kh, kw), axis=(-2, -1))
-    return np.einsum("...chwij,cij->...chw", win, k) + bias[:, None, None]
+                     edge: bool = False) -> np.ndarray:
+    """Per-channel 3x3 cross-correlation of (..., C, H, W), as nine shifted
+    multiply-adds over a channel-last copy, so each runs along the channels.
+    The maps are bordered with zeros, or with edge=True with their edge
+    values, so constant fields pass through a sum-normalized kernel
+    unchanged."""
+    taps = stencil_taps(np.moveaxis(x, -3, -1), edge=edge)
+    wk = k.reshape(len(k), 9).T
+    out = taps[0] * wk[0]
+    for i in range(1, 9):
+        out += taps[i] * wk[i]
+    out += bias
+    return np.ascontiguousarray(np.moveaxis(out, -1, -3))

@@ -136,8 +136,33 @@ class TestSparseDepthwise:
             np.testing.assert_array_equal(plan.ts.index[keep], np.arange(len(plan.ts)))
             assert (plan.ts.index[~keep] == -1).all()
             got = _sparse_depthwise(plan.ts.regather(x).tokens, plan.nbr, kernel, bias)
-            want = depthwise_conv2d(np.where(keep, x, 0.0), kernel, bias, pad_mode="constant")
+            want = depthwise_conv2d(np.where(keep, x, 0.0), kernel, bias)
             np.testing.assert_allclose(got, want[:, keep].T, rtol=1e-12, atol=1e-12)
+
+
+def brute_force_neighbours(keep):
+    """Each kept token's 3x3 neighbour rows, looked up token by token."""
+    coords = [(r, c) for r in range(keep.shape[0]) for c in range(keep.shape[1]) if keep[r, c]]
+    row = {rc: n for n, rc in enumerate(coords)}
+    table = [[row.get((r + dr, c + dc), -1) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+             for r, c in coords]
+    return np.array(table, dtype=np.int64).reshape(-1, 9)
+
+
+class TestStagePlanNeighbours:
+    @pytest.mark.parametrize("shape", [(5, 6), (4, 4), (2, 2), (1, 1), (1, 7), (7, 1)])
+    @pytest.mark.parametrize("mask", ["random", "all", "none", "border"])
+    def test_table_equals_per_token_lookup(self, shape, mask):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(4 if mask == "random" else 1):
+            keep = rng.random(shape) < 0.5
+            if mask in ("all", "none"):
+                keep[...] = mask == "all"
+            elif mask == "border":   # every border cell kept, the interior at random
+                keep[[0, -1], :] = keep[:, [0, -1]] = True
+            plan = StagePlan.build(keep, rng.random(shape))
+            assert plan.nbr.dtype == np.int64 and plan.nbr.shape == (keep.sum(), 9)
+            assert plan.nbr.tobytes() == brute_force_neighbours(keep).tobytes()
 
 
 class TestSparseSs2d:

@@ -280,7 +280,7 @@ def criterion_ipl_properties() -> CriterionResult:
         scores = rng.choice(np.arange(6, dtype=np.float64), size=(h, w)) \
             if rng.random() < 0.5 else rng.random((h, w))
         keep = rng.random((h, w)) < rng.uniform(0.2, 1.0)
-        ts = gather_tokens(np.zeros((1, h, w)), keep)
+        ts = gather_tokens(np.zeros((h, w, 1)), keep)
         perm = ipl_order(ts, scores, k)
         n = len(ts)
         if sorted(perm.tolist()) != list(range(n)):
@@ -326,7 +326,7 @@ def criterion_gather_scatter() -> CriterionResult:
         c = int(rng.integers(1, 9))
         h = int(rng.choice((2, 4, 8)))
         w = int(rng.choice((2, 4, 8)))
-        x = rng.normal(size=(c, h, w))
+        x = rng.normal(size=(h, w, c))
         keep = rng.random((h, w)) < rng.random()
         ts = gather_tokens(x, keep)
         back = scatter_tokens(ts, x)
@@ -344,8 +344,8 @@ def criterion_gather_scatter() -> CriterionResult:
             disc = ~keep
             y1 = bb.sparse_ss2d(x, keep, scores, params.stages[0].ss2d)
             y2 = bb.sparse_mlp(x, keep, params.stages[0].mixer)
-            if not (np.array_equal(y1[:, disc], x[:, disc])
-                    and np.array_equal(y2[:, disc], x[:, disc])):
+            if not (np.array_equal(y1[disc], x[disc])
+                    and np.array_equal(y2[disc], x[disc])):
                 ok, detail = False, f"passthrough mismatch at trial {trial}"
                 break
     elapsed = time.perf_counter() - start
@@ -364,13 +364,13 @@ def _full_grid_ipl(scores):
 
 def _dense_ss2d(x, scores, p):
     """Reference block without any gather/scatter or TokenSet plumbing."""
-    c, h, w = x.shape
+    h, w, c = x.shape
     m = h * w
-    t = layer_norm(x.reshape(c, m).T, p.norm.gain, p.norm.bias)
+    t = layer_norm(x.reshape(m, c), p.norm.gain, p.norm.bias)
     pre = t @ p.w_in.T + p.b_in
     gate = silu(t @ p.w_gate.T + p.b_gate)
     d = pre.shape[1]
-    u = silu(depthwise_conv2d(pre.T.reshape(d, h, w), p.dw_kernel, p.dw_bias)).reshape(d, m).T
+    u = silu(depthwise_conv2d(pre.reshape(h, w, d), p.dw_kernel, p.dw_bias)).reshape(m, d)
     fwd = np.arange(m, dtype=np.int64)
     orders = (fwd, fwd[::-1].copy(), _full_grid_ipl(scores))
     acc = np.zeros_like(u)
@@ -378,14 +378,13 @@ def _dense_ss2d(x, scores, p):
         y, _ = s6_forward(u[perm], sp)
         acc += y[invert(perm)]
     upd = (acc * gate) @ p.w_out.T + p.b_out
-    return x + upd.T.reshape(c, h, w)
+    return x + upd.reshape(x.shape)
 
 
 def _dense_mlp(x, p):
-    c, h, w = x.shape
-    t = layer_norm(x.reshape(c, -1).T, p.norm.gain, p.norm.bias)
+    t = layer_norm(x.reshape(-1, x.shape[-1]), p.norm.gain, p.norm.bias)
     upd = gelu(t @ p.w1.T + p.b1) @ p.w2.T + p.b2
-    return x + upd.T.reshape(c, h, w)
+    return x + upd.reshape(x.shape)
 
 
 def _dense_backbone(voxels, scores, cfg, params):
@@ -403,7 +402,7 @@ def _dense_backbone(voxels, scores, cfg, params):
             else:
                 x = _dense_mlp(x, sp.mixer)
             x, states[s] = bb.convlstm_step(x, states[s], sp.lstm)
-            stage_outs.append(x)
+            stage_outs.append(np.moveaxis(x, -1, 0))   # backbone_forward's (C, H, W)
             if sp.down_w is not None:
                 x = bb.downsample_features(x, sp.down_w, sp.down_b)
                 s_map = max_pool2d(s_map, 2)

@@ -7,6 +7,14 @@ block in the late ones), and a convolutional LSTM whose state persists
 across timesteps; the stage output is the mixer output plus the LSTM
 response. Between stages, features are merged 2x2 and projected.
 
+Feature maps are channel-last from the patch embedding to the LSTM: a
+stage's map is (H, W, C), a stack of T maps (T, H, W, C), and the LSTM
+states and gates are (H, W, C), so kept tokens are (n, C) rows indexed
+straight out of a map. The layout changes in three places only:
+patch_embed reads the (2B, H, W) voxel grid through a channel-last
+view, GCI puts the channels on its scan axis, and backbone_forward
+returns each stage output as a (C, H, W) view.
+
 The forward runs stage-major: stage s at step t needs only stage s - 1
 at t and its own LSTM state from t - 1, so each stage runs over the
 (T, ...) stack of all a call's timesteps at once, and only the LSTM
@@ -151,8 +159,8 @@ class ConvLstmParams:
 
 @dataclass
 class LstmState:
-    h: np.ndarray
-    c: np.ndarray
+    h: np.ndarray          # (H, W, C)
+    c: np.ndarray          # (H, W, C)
 
 
 @dataclass
@@ -234,31 +242,31 @@ def init_lstm_states(cfg: BackboneConfig) -> list[LstmState]:
     out = []
     for s, c in enumerate(cfg.channels):
         gh, gw = cfg.grid(s)
-        out.append(LstmState(h=np.zeros((c, gh, gw)), c=np.zeros((c, gh, gw))))
+        out.append(LstmState(h=np.zeros((gh, gw, c)), c=np.zeros((gh, gw, c))))
     return out
 
 
 def _patch_linear(x: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
                   meter: FlopsMeter, label: str) -> np.ndarray:
-    """Project the non-overlapping P x P patches of (..., C, H, W) maps with
-    one matmul to (..., C_out, H/P, W/P)."""
+    """Project the non-overlapping P x P patches of (..., H, W, C) maps with
+    one matmul to (..., H/P, W/P, C_out)."""
+    per_patch = x.shape[-1] * patch * patch
+    if per_patch != w.shape[1]:
+        raise ShapeError(f"{label} expects {w.shape[1]} inputs per patch, got {per_patch}")
     col = patchify(x, patch)
     rows = col.reshape(-1, col.shape[-1])
     y = rows @ w.T + b
     meter.macs(label, rows.size * w.shape[0])
     meter.elem(label, y.size)
-    h, wd = x.shape[-2:]
-    return np.moveaxis(y.reshape(x.shape[:-3] + (h // patch, wd // patch, -1)), -1, -3)
+    h, wd = x.shape[-3:-1]
+    return y.reshape(x.shape[:-3] + (h // patch, wd // patch, -1))
 
 
 def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
                 meter: FlopsMeter = NULL_METER, label: str = "embed") -> np.ndarray:
     """Project non-overlapping P x P voxel patches of (..., 2B, H, W) grids
-    to tokens, (..., C1, H/P, W/P)."""
-    per_patch = values.shape[-3] * patch * patch
-    if per_patch != w.shape[1]:
-        raise ShapeError(f"embedding expects {w.shape[1]} inputs per patch, got {per_patch}")
-    return _patch_linear(values, patch, w, b, meter, label)
+    to channel-last tokens, (..., H/P, W/P, C1)."""
+    return _patch_linear(np.moveaxis(values, -3, -1), patch, w, b, meter, label)
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,7 @@ class StagePlan:
 
     @classmethod
     def build(cls, keep: np.ndarray, scores: np.ndarray) -> StagePlan:
-        ts = gather_tokens(np.empty((0,) + keep.shape), keep)
+        ts = gather_tokens(np.empty(keep.shape + (0,)), keep)
         rows, cols = ts.coords.T
         taps = stencil_taps(ts.index[..., None], fill=-1)     # (H, W, 1) views
         nbr = np.stack([tap[rows, cols, 0] for tap in taps], axis=1)
@@ -368,7 +376,7 @@ def mlp_tokens(tokens: np.ndarray, p: MlpParams,
 def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
                 meter: FlopsMeter = NULL_METER, label: str = "ss2d",
                 parallel: bool = False) -> np.ndarray:
-    """ss2d_tokens on a (C, H, W) map's, or a (T, C, H, W) stack's, kept
+    """ss2d_tokens on an (H, W, C) map's, or a (T, H, W, C) stack's, kept
     tokens; discarded ones return bit-equal."""
     plan = StagePlan.build(keep, scores)
     ts = plan.ts.regather(x)
@@ -390,9 +398,9 @@ def bidi_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
     """Scan axis 0 forward and backward and sum the two outputs.
 
     Trailing axes are flattened and cut into sequences of the blocks' lane
-    count, which scan side by side: a (C, H, W) map scans its channels
-    with one spatial layout per step, and an (n, T, D) token stack scans
-    T token sequences.
+    count, which scan side by side: GCI's (C, T, H, W) copy of its maps
+    scans their channels with one spatial layout per step, and an
+    (n, T, D) token stack scans T token sequences.
     """
     seq = x.reshape(len(x), -1, s6_fwd.n_lanes)
     y, _ = s6_forward(seq, s6_fwd, parallel=parallel, meter=meter, label=label)
@@ -404,33 +412,34 @@ def bidi_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
 
 def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
                 label: str = "gci", parallel: bool = False) -> np.ndarray:
-    """Global channel interaction on a dense (C, H, W) map or (T, C, H, W) stack.
+    """Global channel interaction on a dense (H, W, C) map or (T, H, W, C) stack.
 
     Branch 1 projects, depthwise-mixes (edge padding, so constant fields
     pass through a sum-normalized kernel unchanged) and channel-scans the
     map, the T maps scanning as T sequences of one call; branch 2 is a
     pointwise 1x1 channel mix of the input. The output projection of their
-    sum is added residually.
+    sum is added residually. Every projection is one matmul over the
+    (cells, C) rows of all maps.
     """
-    c, h, w = x.shape[-3:]
-    s = h * w
-    if s != p.s6_fwd.n_lanes:
+    h, w, c = x.shape[-3:]
+    if h * w != p.s6_fwd.n_lanes:
         raise ShapeError(f"GCI scans {p.s6_fwd.n_lanes} grid cells, got a {h}x{w} map")
-    cells = x.size // c
-    flat = x.reshape(x.shape[:-2] + (s,))
-    pre = (p.w_pre @ flat + p.b_pre[:, None]).reshape(x.shape)
+    rows = x.reshape(-1, c)
+    cells = len(rows)
+    pre = rows @ p.w_pre.T + p.b_pre
     meter.macs(label, cells * c * c)
     meter.elem(label, cells * c)
-    b1_in = silu(depthwise_conv2d(pre, p.dw_kernel, p.dw_bias, edge=True))
+    b1_in = silu(depthwise_conv2d(pre.reshape(x.shape), p.dw_kernel, p.dw_bias, edge=True))
     meter.macs(label, 9 * cells * c)
     meter.elem(label, 2 * cells * c)
-    b1 = bidi_scan(np.moveaxis(b1_in, -3, 0), p.s6_fwd, p.s6_bwd, meter, label, parallel)
-    b2 = p.w_mix @ flat + p.b_mix[:, None]
+    # the one transpose: channels become the scan axis, the cells its lanes
+    b1 = bidi_scan(np.moveaxis(b1_in, -1, 0), p.s6_fwd, p.s6_bwd, meter, label, parallel)
+    b2 = rows @ p.w_mix.T + p.b_mix
     meter.macs(label, cells * c * c)
     meter.elem(label, cells * c)
-    merged = np.moveaxis(b1, 0, -3).reshape(flat.shape) + b2
+    merged = b1.reshape(c, cells).T + b2
     meter.elem(label, cells * c)
-    upd = p.w_out @ merged + p.b_out[:, None]
+    upd = merged @ p.w_out.T + p.b_out
     meter.macs(label, cells * c * c)
     meter.elem(label, cells * c)
     out = x + upd.reshape(x.shape)
@@ -440,8 +449,8 @@ def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
 
 def convlstm_step(x: np.ndarray, state: LstmState, p: ConvLstmParams,
                   meter: FlopsMeter = NULL_METER, label: str = "lstm"):
-    """Convolutional LSTM with 3x3 gates over one (C, H, W) input or T steps
-    (T, C, H, W). Returns (h', state): each step's hidden map, shaped like
+    """Convolutional LSTM with 3x3 gates over one (H, W, C) input or T steps
+    (T, H, W, C). Returns (h', state): each step's hidden map, shaped like
     x, and the state after the last step.
 
     The input convolution of all steps is one matmul; only the recurrent
@@ -449,18 +458,18 @@ def convlstm_step(x: np.ndarray, state: LstmState, p: ConvLstmParams,
     convolution is skipped while ``state.h`` is all zero (a fresh state):
     it would add exact zeros. The meter still counts its MACs.
     """
-    c, h, w = x.shape[-3:]
+    h, w, c = x.shape[-3:]
     cout = p.bias.size // 4
-    if state.h.shape != (cout, h, w) or state.c.shape != (cout, h, w):
+    if state.h.shape != (h, w, cout) or state.c.shape != (h, w, cout):
         raise ShapeError(f"LSTM state h {state.h.shape} and c {state.c.shape} "
-                         f"must both be {(cout, h, w)}")
-    gates_x = conv2d_same(x.reshape(-1, c, h, w), p.w_x)
-    hs = np.empty((len(gates_x), cout, h, w))
+                         f"must both be {(h, w, cout)}")
+    gates_x = conv2d_same(x.reshape(-1, h, w, c), p.w_x)
+    hs = np.empty((len(gates_x), h, w, cout))
     for gates, h_out in zip(gates_x, hs):
         if state.h.any():
             gates += conv2d_same(state.h, p.w_h)
-        gates += p.bias[:, None, None]
-        gi, gf, gg, go = (gates[i * cout:(i + 1) * cout] for i in range(4))
+        gates += p.bias
+        gi, gf, gg, go = (gates[..., i * cout:(i + 1) * cout] for i in range(4))
         c_new = sigmoid(gf) * state.c + sigmoid(gi) * np.tanh(gg)
         h_new = sigmoid(go) * np.tanh(c_new)
         h_out[...] = h_new
@@ -469,12 +478,12 @@ def convlstm_step(x: np.ndarray, state: LstmState, p: ConvLstmParams,
     meter.macs(label, steps * (h * w * 9 * c * 4 * cout + h * w * 9 * cout * 4 * cout))
     meter.elem(label, steps * h * w * 4 * cout)
     meter.elem(label, steps * 9 * h * w * cout)
-    return hs.reshape(x.shape[:-3] + hs.shape[1:]), state
+    return hs.reshape(x.shape[:-1] + (cout,)), state
 
 
 def downsample_features(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                         meter: FlopsMeter = NULL_METER, label: str = "down") -> np.ndarray:
-    """Merge 2x2 token neighborhoods of (..., C, H, W) maps and project to
+    """Merge 2x2 token neighborhoods of (..., H, W, C) maps and project to
     the next stage width."""
     return _patch_linear(x, 2, w, b, meter, label)
 
@@ -499,9 +508,10 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
 
     Each batch of timesteps runs stage by stage over its (T, ...) stack,
     with the LSTM states carried from step to step and batch to batch.
-    Returns (outputs, states): one list of per-stage feature maps per
-    timestep, and a new list of the updated LSTM states; the given
-    states list is left as it was.
+    Returns (outputs, states): one list of per-stage (C, H, W) feature
+    maps per timestep, each a view of the stage's channel-last stack, and
+    a new list of the updated (H, W, C) LSTM states; the given states
+    list is left as it was.
     """
     grid0 = cfg.grid(0)
     if keep.shape != grid0 or scores.shape != grid0:
@@ -533,7 +543,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
                 mlp_tokens(ts.tokens, sp.mixer, meter, f"{tag}.mlp")
                 x = scatter_tokens(ts, x)
             x, states[s] = convlstm_step(x, states[s], sp.lstm, meter, f"{tag}.lstm")
-            stage_outs.append(x)
+            stage_outs.append(np.moveaxis(x, -1, -3))
             if sp.down_w is not None:
                 x = downsample_features(x, sp.down_w, sp.down_b, meter, f"{tag}.down")
         outputs += [list(step) for step in zip(*stage_outs)]

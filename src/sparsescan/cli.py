@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def cmd_stca(args) -> int:
     res = run_stca(stream, patch=args.patch, beta=args.beta,
                    gauss=GaussianConfig(radius=args.radius, sigma=args.sigma))
     if args.out:
-        if args.out.endswith(".pgm"):
+        if Path(args.out).suffix.lower() == ".pgm":
             write_map_pgm(res.keep, args.out)
         else:
             write_map_csv(res.keep, args.out)

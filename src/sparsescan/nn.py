@@ -1,5 +1,10 @@
 """Small dense numeric primitives shared by the backbone blocks.
 
+Feature maps are channel-last, (..., H, W, C): one (H, W, C) map or a
+stack of them with leading axes. patchify, conv2d_same and
+depthwise_conv2d take and return that layout, so a map's C channels
+are its innermost, contiguous axis.
+
 Every 3x3 neighbourhood is read one way: stencil_taps writes channel-last
 maps into a bordered buffer by slice assignment and returns its nine
 shifted views. The ConvLSTM's im2col (conv2d_same), the GCI depthwise
@@ -36,13 +41,14 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def patchify(x: np.ndarray, patch: int) -> np.ndarray:
-    """Rearrange (..., C, H, W) into (..., H/P * W/P, C * P * P) patch rows."""
-    *lead, c, h, w = x.shape
+    """Rearrange (..., H, W, C) into (..., H/P * W/P, C * P * P) patch rows,
+    each row's columns in (c, ph, pw) order."""
+    *lead, h, w, c = x.shape
     if h % patch or w % patch:
         raise ShapeError(f"patch {patch} does not divide feature map {h}x{w}")
     k = len(lead)
-    v = x.reshape(*lead, c, h // patch, patch, w // patch, patch)
-    v = v.transpose(*range(k), k + 1, k + 3, k, k + 2, k + 4)
+    v = x.reshape(*lead, h // patch, patch, w // patch, patch, c)
+    v = v.transpose(*range(k), k, k + 2, k + 4, k + 1, k + 3)
     return v.reshape(*lead, (h // patch) * (w // patch), c * patch * patch)
 
 
@@ -70,36 +76,35 @@ def stencil_taps(x: np.ndarray, fill=0, edge: bool = False) -> list[np.ndarray]:
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 3x3 cross-correlation with zero padding, (..., Cin, H, W) -> (..., Cout, H, W).
+    """Stride-1 3x3 cross-correlation with zero padding, (..., H, W, Cin) -> (..., H, W, Cout).
 
     All maps form one im2col matmul, so the kernel is read once per call.
     Its (pixel, (cin, kh, kw)) columns are copied, in row blocks, from the
-    nine shifted views of a zero-bordered channel-last copy of the maps.
+    nine shifted views of a zero-bordered copy of the maps.
     """
-    *lead, cin, h, wd = x.shape
+    *lead, h, wd, cin = x.shape
     if w.shape[1:] != (cin, 3, 3):
         raise ShapeError(f"kernel {w.shape} does not fit {cin} input channels and 3x3 taps")
-    taps = stencil_taps(np.moveaxis(x, -3, -1).reshape(-1, h, wd, cin))
+    taps = stencil_taps(x.reshape(-1, h, wd, cin))
     col = np.empty((len(taps[0]), h, wd, cin, 9))
     rows = max(1, _COL_ELEMS // max(1, 9 * cin * wd))
     for m, r in np.ndindex(len(col), -(-h // rows)):
         for k, tap in enumerate(taps):
             col[m, r * rows:(r + 1) * rows, ..., k] = tap[m, r * rows:(r + 1) * rows]
     y = col.reshape(-1, cin * 9) @ w.reshape(len(w), -1).T
-    return np.moveaxis(y.reshape(*lead, h, wd, len(w)), -1, -3)
+    return y.reshape(*lead, h, wd, len(w))
 
 
 def depthwise_conv2d(x: np.ndarray, k: np.ndarray, bias: np.ndarray,
                      edge: bool = False) -> np.ndarray:
-    """Per-channel 3x3 cross-correlation of (..., C, H, W), as nine shifted
-    multiply-adds over a channel-last copy, so each runs along the channels.
-    The maps are bordered with zeros, or with edge=True with their edge
-    values, so constant fields pass through a sum-normalized kernel
-    unchanged."""
-    taps = stencil_taps(np.moveaxis(x, -3, -1), edge=edge)
+    """Per-channel 3x3 cross-correlation of (..., H, W, C), as nine shifted
+    multiply-adds, each running along the channels. The maps are bordered
+    with zeros, or with edge=True with their edge values, so constant
+    fields pass through a sum-normalized kernel unchanged."""
+    taps = stencil_taps(x, edge=edge)
     wk = k.reshape(len(k), 9).T
     out = taps[0] * wk[0]
     for i in range(1, 9):
         out += taps[i] * wk[i]
     out += bias
-    return np.ascontiguousarray(np.moveaxis(out, -1, -3))
+    return out

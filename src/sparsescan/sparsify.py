@@ -1,10 +1,11 @@
 """Gather kept tokens from a feature map and scatter them back.
 
-A feature map is a (C, H_t, W_t) array, and a stack of T maps on one
-grid is (T, C, H_t, W_t). Gathering collects the kept tokens in
-row-major coordinate order into an (n, C) matrix, or (T, n, C) for a
-stack; scattering writes them back over a base map, leaving discarded
-positions bit-equal to the base.
+A feature map is channel-last, an (H_t, W_t, C) array, and a stack of T
+maps on one grid is (T, H_t, W_t, C). Gathering collects the kept
+tokens in row-major coordinate order into an (n, C) matrix, or
+(T, n, C) for a stack, by indexing the two grid axes; scattering writes
+them back over a base map, leaving discarded positions bit-equal to the
+base.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ class TokenSet:
         return idx
 
     def regather(self, x: np.ndarray) -> TokenSet:
-        """The tokens of a (..., C, H, W) map at this set's positions, as a new set."""
-        if x.ndim < 3 or x.shape[-2:] != self.grid_shape:
+        """The tokens of a (..., H, W, C) map at this set's positions, as a new
+        set. Advanced indexing copies, so updating the tokens in place leaves
+        x as it was."""
+        if x.ndim < 3 or x.shape[-3:-1] != self.grid_shape:
             raise ShapeError(f"feature map {x.shape} does not match token grid {self.grid_shape}")
-        tokens = np.swapaxes(x[..., self.coords[:, 0], self.coords[:, 1]], -1, -2).copy()
+        tokens = x[..., self.coords[:, 0], self.coords[:, 1], :]
         return TokenSet(tokens=tokens, coords=self.coords, grid_shape=self.grid_shape)
 
 
@@ -50,21 +53,21 @@ def gather_tokens(x: np.ndarray, keep: np.ndarray) -> TokenSet:
 
 
 def scatter_tokens(ts: TokenSet, base: np.ndarray) -> np.ndarray:
-    """Write tokens into a copy of base at their coordinates; a (..., C, H, W)
+    """Write tokens into a copy of base at their coordinates; a (..., H, W, C)
     base takes a (..., n, C) token stack."""
-    if base.ndim < 3 or base.shape[-2:] != ts.grid_shape:
+    if base.ndim < 3 or base.shape[-3:-1] != ts.grid_shape:
         raise ShapeError(f"base {base.shape} does not match token grid {ts.grid_shape}")
-    want = base.shape[:-3] + (len(ts), base.shape[-3])
+    want = base.shape[:-3] + (len(ts), base.shape[-1])
     if ts.tokens.shape != want:
         raise ShapeError(f"tokens {ts.tokens.shape} do not fit base {base.shape}; expected {want}")
     if len(ts) and (
         ts.coords.min() < 0
-        or ts.coords[:, 0].max() >= base.shape[-2]
-        or ts.coords[:, 1].max() >= base.shape[-1]
+        or ts.coords[:, 0].max() >= base.shape[-3]
+        or ts.coords[:, 1].max() >= base.shape[-2]
     ):
         raise ShapeError("token coordinates fall outside the base grid")
     out = base.copy()
-    out[..., ts.coords[:, 0], ts.coords[:, 1]] = np.swapaxes(ts.tokens, -1, -2)
+    out[..., ts.coords[:, 0], ts.coords[:, 1], :] = ts.tokens
     return out
 
 

@@ -99,7 +99,7 @@ class TestPatchEmbed:
         v = rng.standard_normal((20, 64, 64))
         w = rng.standard_normal((32, 20 * 16))
         out = patch_embed(v, 4, w, np.zeros(32))
-        assert out.shape == (32, 16, 16)
+        assert out.shape == (16, 16, 32)
 
     def test_zero_grid_zero_bias(self):
         w = np.ones((8, 2 * 4))
@@ -113,8 +113,8 @@ class TestPatchEmbed:
         v[1, 0, 1] = 1.0  # channel 1, top-left patch, pixel (0,1)
         out = patch_embed(v, 2, w, np.zeros(8))
         col = 1 * 4 + 0 * 2 + 1  # channel-major flattening of the patch
-        np.testing.assert_allclose(out[:, 0, 0], w[:, col])
-        assert not out[:, 0, 1:].any()
+        np.testing.assert_allclose(out[0, 0], w[:, col])
+        assert not out[0, 1:].any()
 
 
 class TestSparseDepthwise:
@@ -127,7 +127,7 @@ class TestSparseDepthwise:
         kernel = rng.standard_normal((d, 3, 3))
         bias = rng.standard_normal(d)
         for _ in range(5):
-            x = rng.standard_normal((d, h, w))
+            x = rng.standard_normal((h, w, d))
             keep = rng.random((h, w)) < p_keep
             keep[[0, -1], rng.integers(w)] = True
             keep[rng.integers(h), [0, -1]] = True
@@ -136,8 +136,8 @@ class TestSparseDepthwise:
             np.testing.assert_array_equal(plan.ts.index[keep], np.arange(len(plan.ts)))
             assert (plan.ts.index[~keep] == -1).all()
             got = _sparse_depthwise(plan.ts.regather(x).tokens, plan.nbr, kernel, bias)
-            want = depthwise_conv2d(np.where(keep, x, 0.0), kernel, bias)
-            np.testing.assert_allclose(got, want[:, keep].T, rtol=1e-12, atol=1e-12)
+            want = depthwise_conv2d(np.where(keep[..., None], x, 0.0), kernel, bias)
+            np.testing.assert_allclose(got, want[keep], rtol=1e-12, atol=1e-12)
 
 
 def brute_force_neighbours(keep):
@@ -191,7 +191,7 @@ class TestSparseSs2d:
         keep = rng.random((8, 8)) < 0.5
         out = sparse_ss2d(x, keep, rng.uniform(0, 1, (8, 8)), p)
         off = ~keep
-        assert out[:, off].tobytes() == x[:, off].tobytes()
+        assert out[off].tobytes() == x[off].tobytes()
 
     def test_score_shape_mismatch(self):
         p = init_backbone_params(SMALL, seed=4).stages[0].ss2d
@@ -200,7 +200,7 @@ class TestSparseSs2d:
                         np.ones((4, 4)), p)
 
     # a leading timestep axis is valid, so the 4-D case is a stack on the wrong grid
-    @pytest.mark.parametrize("shape", [(8, 4, 4), (8, 8), (2, 8, 4, 4)])
+    @pytest.mark.parametrize("shape", [(4, 4, 8), (8, 8), (2, 4, 4, 8)])
     def test_map_shape_mismatch(self, shape):
         p = init_backbone_params(SMALL, seed=4).stages[0].ss2d
         with pytest.raises(ShapeError):
@@ -231,12 +231,12 @@ class TestSparseMlp:
         keep = rng.random((8, 8)) < 0.5
         out = sparse_mlp(x, keep, p)
 
-        c = x.shape[0]
-        flat = x.reshape(c, -1).T
+        c = x.shape[-1]
+        flat = x.reshape(-1, c)
         normed = layer_norm(flat, p.norm.gain, p.norm.bias)
         hidden = gelu(normed @ p.w1.T + p.b1)
-        dense = (flat + (hidden @ p.w2.T + p.b2)).T.reshape(x.shape)
-        np.testing.assert_allclose(out[:, keep], dense[:, keep], rtol=1e-12)
+        dense = (flat + (hidden @ p.w2.T + p.b2)).reshape(x.shape)
+        np.testing.assert_allclose(out[keep], dense[keep], rtol=1e-12)
 
 
 class TestBidiChannelScan:
@@ -285,11 +285,11 @@ class TestGci:
         p.w_out[:] = 0.0
         p.b_out[:] = 0.0
         g = SMALL.grid(2)
-        x = rng.standard_normal((SMALL.channels[2], *g))
+        x = rng.standard_normal((*g, SMALL.channels[2]))
         np.testing.assert_allclose(gci_forward(x, p), x, atol=1e-14)
 
     def test_pointwise_branch_only(self):
-        """Scan silenced: out = x + w_out @ (w_mix @ x + b_mix) + b_out."""
+        """Scan silenced: out = x + (x @ w_mix.T + b_mix) @ w_out.T + b_out."""
         rng = np.random.default_rng(44)
         p = init_backbone_params(SMALL, seed=9).stages[2].mixer
         for s6p in (p.s6_fwd, p.s6_bwd):
@@ -297,11 +297,11 @@ class TestGci:
             s6p.skip[:] = 0.0
         g = SMALL.grid(2)
         c = SMALL.channels[2]
-        x = rng.standard_normal((c, *g))
+        x = rng.standard_normal((*g, c))
         out = gci_forward(x, p)
-        flat = x.reshape(c, -1)
-        mixed = p.w_mix @ flat + p.b_mix[:, None]
-        expected = flat + p.w_out @ mixed + p.b_out[:, None]
+        flat = x.reshape(-1, c)
+        mixed = flat @ p.w_mix.T + p.b_mix
+        expected = flat + mixed @ p.w_out.T + p.b_out
         np.testing.assert_allclose(out, expected.reshape(x.shape),
                                    rtol=1e-12)
 
@@ -321,12 +321,12 @@ class TestGci:
         p.w_mix[1, 0], p.w_mix[1, 1] = 0.5, 3.0
         p.w_out[0, 0] = 1.0
         p.w_out[1, 1] = 1.0
-        x = np.zeros((c, *g))
-        x[0], x[1] = 4.0, 2.0
+        x = np.zeros((*g, c))
+        x[..., 0], x[..., 1] = 4.0, 2.0
         out = gci_forward(x, p)
-        np.testing.assert_allclose(out[0], 4.0 + (2.0 * 4.0 - 1.0 * 2.0))
-        np.testing.assert_allclose(out[1], 2.0 + (0.5 * 4.0 + 3.0 * 2.0))
-        np.testing.assert_allclose(out[2:], 0.0, atol=1e-14)
+        np.testing.assert_allclose(out[..., 0], 4.0 + (2.0 * 4.0 - 1.0 * 2.0))
+        np.testing.assert_allclose(out[..., 1], 2.0 + (0.5 * 4.0 + 3.0 * 2.0))
+        np.testing.assert_allclose(out[..., 2:], 0.0, atol=1e-14)
 
     def test_constant_field_kernel_collapse(self):
         """On constant input a sum-normalized depthwise kernel acts like
@@ -337,7 +337,7 @@ class TestGci:
         k /= k.sum(axis=(1, 2), keepdims=True)
         g = SMALL.grid(2)
         c = SMALL.channels[2]
-        x = np.ones((c, *g)) * rng.standard_normal((c, 1, 1))
+        x = np.ones((*g, c)) * rng.standard_normal((1, 1, c))
 
         p.dw_kernel[:] = k
         full = gci_forward(x, p)
@@ -346,6 +346,44 @@ class TestGci:
         p.dw_kernel[:] = center
         collapsed = gci_forward(x, p)
         np.testing.assert_allclose(full, collapsed, rtol=1e-10, atol=1e-12)
+
+
+class TestChannelLastMaps:
+    """Every block takes the one map layout and refuses the other with
+    ShapeError: a channel-first (C, H, W) map for the stage blocks, and a
+    channel-last (H, W, 2B) grid for patch_embed, whose voxel input is
+    channel-first."""
+
+    @pytest.mark.parametrize("block", ["patch_embed", "sparse_ss2d", "sparse_mlp",
+                                       "gci_forward", "convlstm_step", "downsample_features"])
+    def test_block_refuses_the_other_layout(self, block):
+        params = init_backbone_params(SMALL, seed=47)
+        rng = np.random.default_rng(51)
+        # stage 2 has a 4x4 grid and 12 channels and stage 3 a 2x2 grid and
+        # 16, so neither channel-first map reads as a channel-last one
+        s = 2 if block == "gci_forward" else 1
+        sp, (gh, gw), c = params.stages[s], SMALL.grid(s), SMALL.channels[s]
+        keep, scores = np.ones((gh, gw), dtype=bool), rng.random((gh, gw))
+        x = rng.standard_normal((gh, gw, c))
+        run = {
+            "patch_embed": lambda m: patch_embed(m, SMALL.patch, params.w_embed, params.b_embed),
+            "sparse_ss2d": lambda m: sparse_ss2d(m, keep, scores, sp.ss2d),
+            "sparse_mlp": lambda m: sparse_mlp(m, keep, sp.mixer),
+            "gci_forward": lambda m: gci_forward(m, sp.mixer),
+            "convlstm_step": lambda m: convlstm_step(m, init_lstm_states(SMALL)[s], sp.lstm),
+            "downsample_features": lambda m: downsample_features(m, sp.down_w, sp.down_b),
+        }[block]
+        if block == "patch_embed":
+            x = rng.standard_normal((2 * SMALL.bins, SMALL.height, SMALL.width))
+        run(x)     # the block's own layout runs
+        with pytest.raises(ShapeError):
+            run(np.moveaxis(x, 0, -1) if block == "patch_embed" else np.moveaxis(x, -1, 0))
+
+    @pytest.mark.parametrize("channels", [10, 13])
+    def test_downsample_refuses_channels_that_do_not_fit(self, channels):
+        sp = init_backbone_params(SMALL, seed=48).stages[1]
+        with pytest.raises(ShapeError, match="48 inputs per patch"):
+            downsample_features(np.zeros((4, 4, channels)), sp.down_w, sp.down_b)
 
 
 class TestSigmoid:
@@ -373,8 +411,8 @@ class TestConvLstm:
         p = ConvLstmParams(w_x=np.zeros((4 * c, c, 3, 3)),
                            w_h=np.zeros((4 * c, c, 3, 3)),
                            bias=np.zeros(4 * c))
-        s = LstmState(h=np.zeros((c, 5, 5)), c=np.zeros((c, 5, 5)))
-        h, ns = convlstm_step(np.ones((c, 5, 5)), s, p)
+        s = LstmState(h=np.zeros((5, 5, c)), c=np.zeros((5, 5, c)))
+        h, ns = convlstm_step(np.ones((5, 5, c)), s, p)
         assert not h.any()
         assert not ns.c.any()
 
@@ -386,9 +424,9 @@ class TestConvLstm:
         p = ConvLstmParams(w_x=np.zeros((4 * c, c, 3, 3)),
                            w_h=np.zeros((4 * c, c, 3, 3)),
                            bias=bias)
-        cell = np.random.default_rng(46).standard_normal((c, 3, 3))
-        s = LstmState(h=np.zeros((c, 3, 3)), c=cell.copy())
-        _, ns = convlstm_step(np.zeros((c, 3, 3)), s, p)
+        cell = np.random.default_rng(46).standard_normal((3, 3, c))
+        s = LstmState(h=np.zeros((3, 3, c)), c=cell.copy())
+        _, ns = convlstm_step(np.zeros((3, 3, c)), s, p)
         np.testing.assert_allclose(ns.c, cell, atol=1e-12)
 
     def test_single_pixel_matches_scalar_reference(self):
@@ -418,8 +456,8 @@ class TestConvLstm:
     def two_conv_reference(x, state, p):
         """The step with the recurrent convolution always taken."""
         cout = p.bias.size // 4
-        gates = conv2d_same(x, p.w_x) + conv2d_same(state.h, p.w_h) + p.bias[:, None, None]
-        gi, gf, gg, go = (gates[i * cout:(i + 1) * cout] for i in range(4))
+        gates = conv2d_same(x, p.w_x) + conv2d_same(state.h, p.w_h) + p.bias
+        gi, gf, gg, go = (gates[..., i * cout:(i + 1) * cout] for i in range(4))
         c_new = sigmoid(gf) * state.c + sigmoid(gi) * np.tanh(gg)
         return sigmoid(go) * np.tanh(c_new), c_new
 
@@ -430,8 +468,8 @@ class TestConvLstm:
         p = ConvLstmParams(w_x=rng.standard_normal((4 * c, c, 3, 3)),
                            w_h=rng.standard_normal((4 * c, c, 3, 3)),
                            bias=rng.standard_normal(4 * c))
-        x = rng.standard_normal((c, 4, 5))
-        cell = rng.standard_normal((c, 4, 5))
+        x = rng.standard_normal((4, 5, c))
+        cell = rng.standard_normal((4, 5, c))
         return x, cell, p
 
     def test_zero_state_matches_two_conv_reference(self, step_case):
@@ -446,7 +484,7 @@ class TestConvLstm:
         x, cell, p = step_case
         zero = LstmState(h=np.zeros_like(x), c=cell)
         hot = LstmState(h=np.zeros_like(x), c=cell)
-        hot.h[1, 2, 3] = 0.5
+        hot.h[2, 3, 1] = 0.5
         h0, _ = convlstm_step(x, zero, p)
         h1, ns = convlstm_step(x, hot, p)
         h_ref, c_ref = self.two_conv_reference(x, hot, p)
@@ -468,12 +506,12 @@ class TestConvLstm:
         assert [w is p.w_h for w in calls] == [False, True]
 
     @pytest.mark.parametrize("h_shape, c_shape", [
-        ((3, 3, 3), (3, 4, 5)), ((3, 4, 5), (3, 3, 3)),
-        ((2, 4, 5), (2, 4, 5)), ((3, 5, 4), (3, 5, 4))])
+        ((3, 3, 3), (4, 5, 3)), ((4, 5, 3), (3, 3, 3)),
+        ((4, 5, 2), (4, 5, 2)), ((5, 4, 3), (5, 4, 3))])
     def test_misshaped_state_rejected(self, step_case, h_shape, c_shape):
         x, _, p = step_case
         s = LstmState(h=np.zeros(h_shape), c=np.zeros(c_shape))
-        with pytest.raises(ShapeError, match=r"must both be \(3, 4, 5\)"):
+        with pytest.raises(ShapeError, match=r"must both be \(4, 5, 3\)"):
             convlstm_step(x, s, p)
 
     def test_forget_bias_initialized_positive(self):
@@ -539,8 +577,8 @@ class TestBackboneForward:
         params = init_backbone_params(SMALL, seed=18)
         voxels, keep, scores = small_inputs(seed=19)
         states = init_lstm_states(SMALL)
-        c, gh, gw = states[0].h.shape
-        states[0] = LstmState(h=np.zeros((c, gh // 2, gw // 2)), c=np.zeros((c, gh // 2, gw // 2)))
+        gh, gw, c = states[0].h.shape
+        states[0] = LstmState(h=np.zeros((gh // 2, gw // 2, c)), c=np.zeros((gh // 2, gw // 2, c)))
         with pytest.raises(ShapeError, match="LSTM state"):
             backbone_forward([voxels], keep, scores, SMALL, params, states=states)
 
@@ -587,7 +625,7 @@ def stage_composition(voxels, keep, scores, cfg, params, parallel):
     """The forward pass composed from the public map-level blocks, stage-major:
     after the per-grid embedding, each block runs once over the stack of all
     timesteps, as the forward's blocks do, so the two share every matmul's
-    shape."""
+    shape. Stage outputs are returned as backbone_forward returns them, (C, H, W)."""
     maps = [(keep, scores)]
     for _ in range(cfg.n_stages - 1):
         maps.append((max_pool2d(maps[-1][0], 2), max_pool2d(maps[-1][1], 2)))
@@ -601,7 +639,7 @@ def stage_composition(voxels, keep, scores, cfg, params, parallel):
         else:
             x = sparse_mlp(x, k_map, sp.mixer)
         x, states[s] = convlstm_step(x, states[s], sp.lstm)
-        stage_outs.append(x)
+        stage_outs.append(np.moveaxis(x, -1, -3))
         if sp.down_w is not None:
             x = downsample_features(x, sp.down_w, sp.down_b)
     return [list(step) for step in zip(*stage_outs)], states
@@ -617,11 +655,11 @@ class TestStagePlans:
         return voxels, res.keep, res.scores
 
     @pytest.mark.parametrize("parallel", [False, True])
-    @pytest.mark.parametrize("mask", ["stca", "all"])
+    @pytest.mark.parametrize("mask", ["stca", "all", "none"])
     def test_forward_equals_map_level_composition(self, scene_inputs, parallel, mask):
         voxels, keep, scores = scene_inputs
-        if mask == "all":
-            keep = np.ones_like(keep)
+        if mask in ("all", "none"):
+            keep = np.full_like(keep, mask == "all")
         else:
             assert 0 < keep.sum() < keep.size
         params = init_backbone_params(SMALL, seed=40)
@@ -701,11 +739,11 @@ class TestStageMajor:
         return voxels, res.keep, res.scores
 
     @pytest.mark.parametrize("parallel", [False, True])
-    @pytest.mark.parametrize("mask", ["stca", "all"])
+    @pytest.mark.parametrize("mask", ["stca", "all", "none"])
     def test_call_equals_single_steps_with_carried_states(self, four_steps, mask, parallel):
         voxels, keep, scores = four_steps
-        if mask == "all":
-            keep = np.ones_like(keep)
+        if mask in ("all", "none"):
+            keep = np.full_like(keep, mask == "all")
         else:
             assert 0 < keep.sum() < keep.size
         params = init_backbone_params(SMALL, seed=43)

@@ -144,6 +144,13 @@ class TestStca:
         w, h = header[1].split()
         assert (int(w), int(h)) == (16, 16)  # 64/4 token grid
 
+    @pytest.mark.parametrize("name", ["mask.PGM", "mask.Pgm"])
+    def test_pgm_suffix_in_any_case_writes_pgm(self, tmp_path, name):
+        scene = run_gen(tmp_path)
+        mask = tmp_path / name
+        assert main(["stca", str(scene), "-o", str(mask)]) == 0
+        assert mask.read_bytes().startswith(b"P5\n16 16\n")
+
     def test_scores_csv(self, tmp_path):
         scene = run_gen(tmp_path)
         mask = tmp_path / "mask.csv"

@@ -15,31 +15,31 @@ from sparsescan import nn
 from sparsescan.errors import ShapeError
 from sparsescan.nn import conv2d_same, depthwise_conv2d, stencil_taps
 
-# 1x1, 2x2, 1x5, 5x1 and 3x4 maps, and a (T, C, H, W) stack
-SHAPES = [(3, 1, 1), (4, 2, 2), (2, 1, 5), (2, 5, 1), (5, 3, 4), (3, 2, 3, 4)]
+# channel-last 1x1, 2x2, 1x5, 5x1 and 3x4 maps, and a (T, H, W, C) stack
+SHAPES = [(1, 1, 3), (2, 2, 4), (1, 5, 2), (5, 1, 2), (3, 4, 5), (3, 3, 4, 2)]
 
 
 def padded_im2col_conv(x, w):
     """conv2d_same as an np.pad + sliding_window_view im2col."""
-    *lead, cin, h, wd = x.shape
+    *lead, h, wd, cin = x.shape
     cout = w.shape[0]
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)])
-    win = sliding_window_view(xp, (3, 3), axis=(-2, -1))
-    col = np.moveaxis(win, -5, -3).reshape(-1, cin * 9)
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 3) + [(1, 1), (1, 1), (0, 0)])
+    win = sliding_window_view(xp, (3, 3), axis=(-3, -2))   # (..., H, W, C, 3, 3)
+    col = win.reshape(-1, cin * 9)
     y = col @ w.reshape(cout, -1).T
-    return np.moveaxis(y.reshape(*lead, h, wd, cout), -1, -3)
+    return y.reshape(*lead, h, wd, cout)
 
 
 def looped_depthwise(x, k, bias, mode):
     """Per-pixel, per-channel 3x3 sums over an np.pad-bordered map."""
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)], mode=mode)
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 3) + [(1, 1), (1, 1), (0, 0)], mode=mode)
     out = np.empty(x.shape)
-    h, w = x.shape[-2:]
-    for idx in np.ndindex(x.shape[:-2]):
-        c = idx[-1]
+    *lead, h, w, _ = x.shape
+    for *m, c in np.ndindex(x.shape[:-3] + x.shape[-1:]):
         for i in range(h):
             for j in range(w):
-                out[idx + (i, j)] = (xp[idx][i:i + 3, j:j + 3] * k[c]).sum() + bias[c]
+                win = xp[(*m, slice(i, i + 3), slice(j, j + 3), c)]
+                out[(*m, i, j, c)] = (win * k[c]).sum() + bias[c]
     return out
 
 
@@ -76,15 +76,15 @@ class TestConv2dSame:
     def test_equals_padded_im2col_bytes(self, shape):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(shape)
-        w = rng.standard_normal((7, shape[-3], 3, 3))
+        w = rng.standard_normal((7, shape[-1], 3, 3))
         got, want = conv2d_same(x, w), padded_im2col_conv(x, w)
-        assert got.shape == want.shape == shape[:-3] + (7,) + shape[-2:]
-        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert got.shape == want.shape == shape[:-1] + (7,)
+        assert got.tobytes() == want.tobytes()
 
     def test_row_blocks_equal_padded_im2col_bytes(self, monkeypatch):
         """Blocks of 2 rows, so a 5-row map has a short last block."""
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 3, 5, 4))
+        x = rng.standard_normal((2, 5, 4, 3))
         w = rng.standard_normal((6, 3, 3, 3))
         monkeypatch.setattr(nn, "_COL_ELEMS", 2 * 9 * 3 * 4)
         got = conv2d_same(x, w)
@@ -93,7 +93,7 @@ class TestConv2dSame:
     @pytest.mark.parametrize("wshape", [(4, 2, 3, 3), (4, 3, 5, 5), (4, 3, 1, 1)])
     def test_refuses_kernel_that_does_not_fit(self, wshape):
         with pytest.raises(ShapeError):
-            conv2d_same(np.zeros((3, 4, 4)), np.zeros(wshape))
+            conv2d_same(np.zeros((4, 4, 3)), np.zeros(wshape))
 
 
 class TestDepthwiseConv2d:
@@ -102,7 +102,7 @@ class TestDepthwiseConv2d:
     def test_matches_per_pixel_loop(self, shape, edge):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(shape)
-        c = shape[-3]
+        c = shape[-1]
         k = rng.standard_normal((c, 3, 3))
         bias = rng.standard_normal(c)
         got = depthwise_conv2d(x, k, bias, edge=edge)

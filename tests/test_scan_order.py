@@ -32,7 +32,7 @@ IPL_COORDS = [
 
 def token_set(keep):
     c = keep.shape[0] * keep.shape[1]
-    x = np.arange(float(c)).reshape(1, *keep.shape)
+    x = np.arange(float(c)).reshape(*keep.shape, 1)
     return gather_tokens(x, keep)
 
 

@@ -19,14 +19,14 @@ from sparsescan.sparsify import (
 
 
 def random_case(rng, h, w, c, p_keep):
-    x = rng.standard_normal((c, h, w))
+    x = rng.standard_normal((h, w, c))
     keep = rng.random((h, w)) < p_keep
     return x, keep
 
 
 class TestGather:
     def test_hand_case(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # a,b,c,d with C=1
+        x = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])  # a,b,c,d with C=1
         d = np.array([[1, 0], [0, 1]], dtype=bool)
         ts = gather_tokens(x, d)
         assert len(ts) == 2
@@ -41,13 +41,13 @@ class TestGather:
         np.testing.assert_array_equal(ts.coords, expected)
 
     def test_all_zeros_empty(self):
-        x = np.arange(4.0).reshape(1, 2, 2)
+        x = np.arange(4.0).reshape(2, 2, 1)
         ts = gather_tokens(x, np.zeros((2, 2), dtype=bool))
         assert len(ts) == 0
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            gather_tokens(np.zeros((1, 2, 2)), np.ones((3, 2), dtype=bool))
+            gather_tokens(np.zeros((2, 2, 1)), np.ones((3, 2), dtype=bool))
 
     def test_coords_strictly_row_major(self):
         rng = np.random.default_rng(8)
@@ -81,7 +81,7 @@ class TestScatter:
         assert out.tobytes() == x.tobytes()
 
     def test_empty_tokenset_returns_base(self):
-        base = np.arange(12.0).reshape(3, 2, 2)
+        base = np.arange(12.0).reshape(2, 2, 3)
         ts = gather_tokens(base, np.zeros((2, 2), dtype=bool))
         np.testing.assert_array_equal(scatter_tokens(ts, base), base)
 
@@ -94,7 +94,7 @@ class TestScatter:
             out = scatter_tokens(
                 TokenSet(fresh, ts.coords, ts.grid_shape), x)
             off = ~keep
-            assert out[:, off].tobytes() == x[:, off].tobytes()
+            assert out[off].tobytes() == x[off].tobytes()
 
     def test_stack_gathers_and_scatters_each_map(self):
         rng = np.random.default_rng(12)
@@ -112,13 +112,13 @@ class TestScatter:
 
     @pytest.mark.parametrize("tokens_shape", [(2, 4, 3), (4, 3), (3, 4, 2), (3, 5, 3)])
     def test_stack_of_other_shape_rejected(self, tokens_shape):
-        base = np.zeros((3, 3, 2, 2))
+        base = np.zeros((3, 2, 2, 3))
         coords = np.argwhere(np.ones((2, 2), dtype=bool))
         with pytest.raises(ShapeError):
             scatter_tokens(TokenSet(np.zeros(tokens_shape), coords, (2, 2)), base)
 
     def test_out_of_bounds_coord_rejected(self):
-        base = np.zeros((1, 2, 2))
+        base = np.zeros((2, 2, 1))
         ts = TokenSet(np.zeros((1, 1)), np.array([[5, 0]]), (2, 2))
         with pytest.raises(ShapeError):
             scatter_tokens(ts, base)

@@ -25,15 +25,19 @@ stack with a leading timestep axis through the same code. Long calls
 run in batches of _timesteps_per_batch(cfg) timesteps, which bounds the
 stack's working set.
 
-Sparse blocks compute only at kept token positions and pass discarded
-positions through bit-unchanged. Each stage's token plan is built once
-per call from the keep mask and score map, max-pooled to the stage grid,
-with the IPL window ipl_window derives from that grid; a stage gathers
-its (T, n, C) kept tokens once, runs the scan block and the MLP on them
-in place, and scatters them once, before GCI or the LSTM. All parameters
-live in plain float64 arrays; checkpoints serialize them as one flat
-little-endian blob plus a JSON manifest mapping names to byte offsets
-and shapes.
+A stage is the public map-level blocks composed, and the forward has no
+other route: sparse_ss2d, then gci_forward or sparse_mlp, then
+convlstm_step and downsample_features, with the keep mask and score map
+max-pooled 2x after each downsample. The sparse blocks compute only at
+kept token positions, gathering the (T, n, C) kept tokens of the stack
+and scattering them back, and pass discarded positions through
+bit-unchanged. sparse_ss2d builds its stage's token plan, with the IPL
+window ipl_window derives from the stage grid, once per stage per batch
+of timesteps.
+
+All parameters live in plain float64 arrays; checkpoints serialize them
+as one flat little-endian blob plus a JSON manifest mapping names to
+byte offsets and shapes.
 """
 
 from __future__ import annotations
@@ -271,7 +275,7 @@ def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
 
 @dataclass(frozen=True)
 class StagePlan:
-    """A stage's kept tokens, built once per call from its (keep, scores):
+    """A stage's kept tokens, built from its (keep, scores):
     coordinates and grid index, each token's 3x3 neighbour rows (-1 where
     discarded or off-grid) and the IPL scan permutation, in windows of
     ipl_window(keep.shape)."""
@@ -289,15 +293,6 @@ class StagePlan:
         return cls(ts, nbr, ipl_order(ts, scores, ipl_window(keep.shape)))
 
 
-def stage_plans(keep: np.ndarray, scores: np.ndarray, n_stages: int) -> list[StagePlan]:
-    """One plan per stage: the inputs, then successive 2x max-pools."""
-    plans = [StagePlan.build(keep, scores)]
-    for _ in range(n_stages - 1):
-        keep, scores = max_pool2d(keep, 2), max_pool2d(scores, 2)
-        plans.append(StagePlan.build(keep, scores))
-    return plans
-
-
 def _sparse_depthwise(tokens: np.ndarray, nbr: np.ndarray, kernel, bias):
     """3x3 depthwise pass over kept tokens; missing neighbours read as 0.
 
@@ -309,23 +304,27 @@ def _sparse_depthwise(tokens: np.ndarray, nbr: np.ndarray, kernel, bias):
     return np.einsum("nkd,dk->nd", padded[nbr], kernel.reshape(-1, 9)) + bias
 
 
-def ss2d_tokens(tokens: np.ndarray, plan: StagePlan, p: Ss2dParams,
+def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
                 meter: FlopsMeter = NULL_METER, label: str = "ss2d",
-                parallel: bool = False) -> None:
-    """Multi-direction selective scan over a stage's kept tokens, in place.
+                parallel: bool = False) -> np.ndarray:
+    """Multi-direction selective scan over the kept tokens of an (H, W, C)
+    map or a (T, H, W, C) stack; discarded ones return bit-equal.
 
-    tokens is (n, C), or (T, n, C) for T maps sharing the plan. Tokens
+    The stage plan is built from (keep, scores) once per call, and the
+    (T, n, C) kept tokens are gathered once and scattered back once. They
     are normalized, projected, depthwise-mixed (one map at a time, which
     bounds the (n, 9, D) neighbour gather), serialized forward, backward
     and in IPL order through three scan blocks, the T maps scanning as T
     sequences of one call, merged by sum, gated, projected back and added
     residually. Every projection is one matmul over all T * n rows.
     """
-    n, c = tokens.shape[-2:]
-    rows = tokens.reshape(-1, c)
+    plan = StagePlan.build(keep, scores)
+    ts = plan.ts.regather(x)
+    n, c = ts.tokens.shape[-2:]
+    rows = ts.tokens.reshape(-1, c)
     m = len(rows)
     if m == 0:
-        return
+        return x.copy()
     d = p.w_in.shape[0]
     t = layer_norm(rows, p.norm.gain, p.norm.bias)
     meter.elem(label, 8 * m * c)
@@ -348,47 +347,31 @@ def ss2d_tokens(tokens: np.ndarray, plan: StagePlan, p: Ss2dParams,
     meter.macs(label, 2 * m * c * d)
     meter.elem(label, 3 * m * d)
     mixed = np.swapaxes(acc, 0, 1).reshape(m, d) * gate
-    tokens += (mixed @ p.w_out.T + p.b_out).reshape(tokens.shape)
+    ts.tokens += (mixed @ p.w_out.T + p.b_out).reshape(ts.tokens.shape)
     meter.macs(label, m * d * c)
     meter.elem(label, m * d + 2 * m * c)
+    return scatter_tokens(ts, x)
 
 
-def mlp_tokens(tokens: np.ndarray, p: MlpParams,
-               meter: FlopsMeter = NULL_METER, label: str = "mlp") -> None:
-    """Two-layer MLP over a stage's (n, C) or (T, n, C) kept tokens, added
-    residually in place."""
-    c = tokens.shape[-1]
-    rows = tokens.reshape(-1, c)
+def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
+               meter: FlopsMeter = NULL_METER, label: str = "mlp") -> np.ndarray:
+    """Two-layer MLP added residually at the kept tokens of an (H, W, C)
+    map or a (T, H, W, C) stack; discarded ones return bit-equal."""
+    ts = gather_tokens(x, keep)
+    c = x.shape[-1]
+    rows = ts.tokens.reshape(-1, c)
     m = len(rows)
     if m == 0:
-        return
+        return x.copy()
     e = p.w1.shape[0]
     t = layer_norm(rows, p.norm.gain, p.norm.bias)
     meter.elem(label, 8 * m * c)
     hmid = gelu(t @ p.w1.T + p.b1)
     meter.macs(label, m * c * e)
     meter.elem(label, 2 * m * e)
-    tokens += (hmid @ p.w2.T + p.b2).reshape(tokens.shape)
+    ts.tokens += (hmid @ p.w2.T + p.b2).reshape(ts.tokens.shape)
     meter.macs(label, m * e * c)
     meter.elem(label, 2 * m * c)
-
-
-def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
-                meter: FlopsMeter = NULL_METER, label: str = "ss2d",
-                parallel: bool = False) -> np.ndarray:
-    """ss2d_tokens on an (H, W, C) map's, or a (T, H, W, C) stack's, kept
-    tokens; discarded ones return bit-equal."""
-    plan = StagePlan.build(keep, scores)
-    ts = plan.ts.regather(x)
-    ss2d_tokens(ts.tokens, plan, p, meter, label, parallel)
-    return scatter_tokens(ts, x)
-
-
-def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
-               meter: FlopsMeter = NULL_METER, label: str = "mlp") -> np.ndarray:
-    """mlp_tokens on a map's or a stack's kept tokens; discarded ones return bit-equal."""
-    ts = gather_tokens(x, keep)
-    mlp_tokens(ts.tokens, p, meter, label)
     return scatter_tokens(ts, x)
 
 
@@ -523,7 +506,6 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
     for v in values:
         if v.shape != (2 * cfg.bins, cfg.height, cfg.width):
             raise ShapeError(f"voxel grid shape {v.shape} does not match config")
-    plans = stage_plans(keep, scores, cfg.n_stages)
     outputs = []
     batch = _timesteps_per_batch(cfg)
     for start in range(0, len(values), batch):
@@ -532,20 +514,20 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
         # embedding weight gains nothing from a batch
         x = np.stack([patch_embed(v, cfg.patch, params.w_embed, params.b_embed, meter)
                       for v in values[start:start + batch]])
+        k_map, s_map = keep, scores
         stage_outs = []
-        for s, (sp, plan) in enumerate(zip(params.stages, plans)):
+        for s, sp in enumerate(params.stages):
             tag = f"stage{s + 1}"
-            ts = plan.ts.regather(x)
-            ss2d_tokens(ts.tokens, plan, sp.ss2d, meter, f"{tag}.ss2d", parallel)
+            x = sparse_ss2d(x, k_map, s_map, sp.ss2d, meter, f"{tag}.ss2d", parallel)
             if isinstance(sp.mixer, GciParams):
-                x = gci_forward(scatter_tokens(ts, x), sp.mixer, meter, f"{tag}.gci", parallel)
+                x = gci_forward(x, sp.mixer, meter, f"{tag}.gci", parallel)
             else:
-                mlp_tokens(ts.tokens, sp.mixer, meter, f"{tag}.mlp")
-                x = scatter_tokens(ts, x)
+                x = sparse_mlp(x, k_map, sp.mixer, meter, f"{tag}.mlp")
             x, states[s] = convlstm_step(x, states[s], sp.lstm, meter, f"{tag}.lstm")
             stage_outs.append(np.moveaxis(x, -1, -3))
             if sp.down_w is not None:
                 x = downsample_features(x, sp.down_w, sp.down_b, meter, f"{tag}.down")
+                k_map, s_map = max_pool2d(k_map, 2), max_pool2d(s_map, 2)
         outputs += [list(step) for step in zip(*stage_outs)]
     return outputs, states
 

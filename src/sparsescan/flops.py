@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 from .errors import ConfigError
@@ -157,6 +158,10 @@ def _linear_cost(rows, in_dim, out_dim):
 
 def count_analytic(cfg, kept_ratios, timesteps: int = 1) -> FlopsReport:
     """Closed-form per-block FLOPs for the given per-stage kept ratios."""
+    # bool is an int, and a fractional or negative count of timesteps would
+    # scale the costs to a fraction or below zero
+    if isinstance(timesteps, bool) or not isinstance(timesteps, Integral) or timesteps < 0:
+        raise ConfigError(f"timesteps must be a non-negative int, got {timesteps!r}")
     if len(kept_ratios) != cfg.n_stages:
         raise ConfigError(f"need {cfg.n_stages} kept ratios, got {len(kept_ratios)}")
     for r in kept_ratios:

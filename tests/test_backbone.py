@@ -7,6 +7,7 @@ and the stage shape/state contracts.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -808,6 +809,39 @@ class TestStageMajor:
                 assert rel_err(a, b) <= 1e-12
         for a, b in zip(got_states, want_states):
             assert rel_err(a.h, b.h) <= 1e-12 and rel_err(a.c, b.c) <= 1e-12
+
+
+    def test_stages_run_the_map_level_blocks_once_per_batch(self, four_steps, monkeypatch):
+        """Each batch runs every stage through sparse_ss2d, whose plan runs
+        ipl_order once, then sparse_mlp or gci_forward: one route per stage."""
+        voxels, keep, scores = four_steps
+        params = init_backbone_params(SMALL, seed=45)
+        calls = []
+
+        def recording(name, key):
+            real = getattr(bb, name)
+            sig = inspect.signature(real)
+
+            def wrapper(*args, **kwargs):
+                calls.append(key(sig.bind(*args, **kwargs).arguments))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(bb, name, wrapper)
+
+        for name in ("sparse_ss2d", "sparse_mlp", "gci_forward"):
+            recording(name, lambda a: (a["label"], len(a["x"])))
+        recording("ipl_order", lambda a: ("ipl", a["k"]))
+        monkeypatch.setattr(bb, "_timesteps_per_batch", lambda cfg: 3)
+        backbone_forward(voxels, keep, scores, SMALL, params)
+
+        def batch(t):
+            out = []
+            for s in range(SMALL.n_stages):
+                mixer = "gci" if s + 1 in SMALL.gci_stages else "mlp"
+                out += [(f"stage{s + 1}.ss2d", t), ("ipl", ipl_window(SMALL.grid(s))),
+                        (f"stage{s + 1}.{mixer}", t)]
+            return out
+        assert len(voxels) == 4
+        assert calls == batch(3) + batch(1)
 
 
 class TestCheckpoint:

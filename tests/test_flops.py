@@ -94,6 +94,17 @@ class TestAnalytic:
         assert three.dense_total == 3 * one.dense_total
         assert three.sparse_total == 3 * one.sparse_total
 
+    @pytest.mark.parametrize("timesteps", [-2, -1, 1.5, 2.0, True, "3", None])
+    def test_timesteps_not_a_non_negative_int_rejected(self, timesteps):
+        with pytest.raises(ConfigError, match="timesteps must be a non-negative int"):
+            count_analytic(SMALL, [0.5] * 4, timesteps=timesteps)
+
+    def test_zero_or_numpy_int_timesteps_accepted(self):
+        r = count_analytic(SMALL, [0.5] * 4, timesteps=0)
+        assert r.dense_total == r.sparse_total == 0
+        assert count_analytic(SMALL, [0.5] * 4, timesteps=np.int64(3)).dense_total \
+            == count_analytic(SMALL, [0.5] * 4, timesteps=3).dense_total
+
     def test_bad_ratio_rejected(self):
         with pytest.raises(ConfigError):
             count_analytic(SMALL, [1.5, 0.5, 0.5, 0.5])

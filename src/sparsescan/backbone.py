@@ -36,14 +36,17 @@ window ipl_window derives from the stage grid, once per stage per batch
 of timesteps.
 
 All parameters live in plain float64 arrays; checkpoints serialize them
-as one flat little-endian blob plus a JSON manifest mapping names to
-byte offsets and shapes.
+as one flat little-endian blob plus a JSON manifest. load_checkpoint
+accepts only the manifest save_checkpoint writes for its config, so a
+checkpoint is bound to its config, sensor size included (GCI's scan
+lanes are the stage grid's positions).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import ClassVar
 
@@ -545,59 +548,60 @@ def iter_arrays(obj, prefix=""):
     # scalars and None carry no learnable state
 
 
+def _manifest(params: BackboneParams) -> dict:
+    """The manifest save_checkpoint writes for params: each array's name, byte offset and shape."""
+    entries, offset = [], 0
+    for name, arr in iter_arrays(params):
+        entries.append({"name": name, "offset": offset, "shape": list(arr.shape)})
+        offset += 8 * arr.size
+    return {"format": _CHECKPOINT_FORMAT, "dtype": "<f8", "entries": entries}
+
+
 def save_checkpoint(params: BackboneParams, path: str | Path) -> None:
     """Write parameters as flat little-endian float64 plus a JSON manifest."""
     path = Path(path)
-    entries = []
-    offset = 0
-    chunks = []
-    for name, arr in iter_arrays(params):
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"name": name, "offset": offset, "shape": list(arr.shape)})
-        chunks.append(data.tobytes())
-        offset += len(chunks[-1])
-    path.write_bytes(b"".join(chunks))
-    manifest = {"format": _CHECKPOINT_FORMAT, "dtype": "<f8", "entries": entries}
-    Path(str(path) + ".json").write_text(json.dumps(manifest, indent=1))
+    path.write_bytes(b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                              for _, arr in iter_arrays(params)))
+    Path(str(path) + ".json").write_text(json.dumps(_manifest(params), indent=1))
+
+
+def _canonical(manifest) -> str:
+    return json.dumps(manifest, sort_keys=True)   # True == 1 and 8.0 == 8, but not as JSON
+
+
+def _first_difference(found, expected: dict) -> str:
+    """Name the first entry, or else the header, where found departs from expected."""
+    entries = found.get("entries") if isinstance(found, dict) else None
+    pairs = zip_longest(entries if isinstance(entries, list) else [], expected["entries"])
+    for i, (have, want) in enumerate(map(_canonical, pair) for pair in pairs):
+        if have != want:
+            return f"entry {i} is {have[:200]}, expected {want}"
+    have, want = ({k: v for k, v in m.items() if k != "entries"} for m in (found, expected))
+    return f"header is {_canonical(have)[:200]}, expected {_canonical(want)}"
 
 
 def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
-    """Restore parameters saved by save_checkpoint into a cfg-shaped tree."""
-    path = Path(path)
-    manifest_path = Path(str(path) + ".json")
+    """Restore the parameters save_checkpoint wrote for cfg's parameter tree."""
+    path, manifest_path = Path(path), Path(str(path) + ".json")
     if not manifest_path.exists():
         raise FormatError(f"missing checkpoint manifest {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-        entries = [(e["name"], e["offset"], tuple(e["shape"])) for e in manifest["entries"]]
-    except (ValueError, KeyError, TypeError):
-        # not JSON, not an object, or an entry without name/offset/shape
+        found = json.loads(manifest_path.read_text())
+        text = _canonical(found)
+    except (ValueError, RecursionError):
         raise FormatError(f"malformed checkpoint manifest {manifest_path}") from None
-    if manifest.get("format") != _CHECKPOINT_FORMAT:
-        raise FormatError(f"unsupported checkpoint format {manifest.get('format')!r}")
-    if manifest.get("dtype") != "<f8":
-        raise FormatError(f"unsupported checkpoint dtype {manifest.get('dtype')!r}")
-    blob = path.read_bytes()
     params = init_backbone_params(cfg, seed=0)
-    slots = dict(iter_arrays(params))
-    seen = set()
-    for name, off, shape in entries:
-        if not isinstance(name, str) or name not in slots:
-            raise FormatError(f"checkpoint entry {name!r} has no slot in this config")
-        if name in seen:
-            raise FormatError(f"checkpoint entry {name!r} appears twice")
-        # bool is an int and 8.0 == 8, so only a plain int is a dimension or an offset
-        if slots[name].shape != shape or any(type(d) is not int for d in shape):
-            raise FormatError(f"checkpoint entry {name!r} shape {shape} != {slots[name].shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if type(off) is not int or not 0 <= off <= len(blob) - 8 * count:
-            raise FormatError(f"checkpoint entry {name!r} lies outside the {len(blob)}-byte blob")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(slots[name].shape)
-        if not np.isfinite(arr).all():
+    expected = _manifest(params)
+    if text != _canonical(expected):
+        raise FormatError(f"checkpoint manifest does not fit {cfg}: "
+                          f"{_first_difference(found, expected)}")
+    blob, size = path.read_bytes(), 8 * sum(arr.size for _, arr in iter_arrays(params))
+    if len(blob) != size:
+        raise FormatError(f"checkpoint blob holds {len(blob)} bytes, its manifest {size}")
+    words = np.frombuffer(blob, dtype="<f8")
+    for name, arr in iter_arrays(params):
+        chunk, words = words[:arr.size], words[arr.size:]
+        if not np.isfinite(chunk).all():
             raise FormatError(f"checkpoint entry {name!r} holds a non-finite value")
-        np.copyto(slots[name], arr)
-        seen.add(name)
-    missing = set(slots) - seen
-    if missing:
-        raise FormatError(f"checkpoint is missing entries: {sorted(missing)[:3]}...")
+        np.copyto(arr, chunk.reshape(arr.shape))
     return params

@@ -152,16 +152,10 @@ def read_map_csv(path) -> np.ndarray:
 
 
 def write_map_pgm(a: np.ndarray, path) -> None:
-    """Write a 2D map as a binary PGM (P5), rescaled to 0..255.
-
-    Boolean maps use 0/255 exactly; an all-zero map stays all zero.
-    """
-    if a.dtype == bool:
-        pix = np.where(a, 255, 0).astype(np.uint8)
-    else:
-        top = float(a.max())
-        pix = np.zeros(a.shape, dtype=np.uint8) if top <= 0 else \
-            np.rint(255.0 * np.clip(a, 0.0, None) / top).astype(np.uint8)
+    """Write a 2D boolean mask as a binary PGM (P5), True as 255 and False as 0."""
+    if a.dtype != bool or a.ndim != 2:
+        raise ValidationError(f"a PGM map must be a 2D boolean mask, got {a.dtype} {a.shape}")
+    pix = np.where(a, 255, 0).astype(np.uint8)
     h, w = pix.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

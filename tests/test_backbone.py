@@ -6,7 +6,9 @@ lives in the acceptance battery, so here we only pin block behavior
 and the stage shape/state contracts.
 """
 
+import copy
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -14,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsescan import backbone as bb
 from sparsescan.backbone import (
@@ -610,6 +614,12 @@ class TestBackboneForward:
         with pytest.raises(ShapeError):
             backbone_forward([voxels], keep[:4], scores, cfg, params)
 
+    def test_voxel_shape_mismatch(self):
+        params = init_backbone_params(SMALL, seed=20)
+        voxels, keep, scores = small_inputs(seed=21)
+        with pytest.raises(ShapeError, match="voxel grid shape"):
+            backbone_forward([voxels[:, :-4]], keep, scores, SMALL, params)
+
     def test_full_scene_smoke(self):
         """End-to-end on a generated scene through STCA, no reference."""
         cfg = BackboneConfig()
@@ -855,6 +865,15 @@ class TestCheckpoint:
             assert na == nb
             assert a.tobytes() == b.tobytes()
 
+    def test_files_pinned(self, tmp_path):
+        # the format is frozen: these are the bytes sparsescan-checkpoint-v1 files have had
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_backbone_params(SMALL, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "7760671bf841d530fb8ae4b5b907a53155881576e199f24c6ad78b58d4866905"
+        assert hashlib.sha256((tmp_path / "model.ckpt.json").read_bytes()).hexdigest() == \
+            "e2a88233e6012e7a9c3895f69d6e34f0a7dc651dc4db25e74143ed14cb7a37d1"
+
     def test_manifest_is_json(self, tmp_path):
         params = init_backbone_params(SMALL, seed=24)
         path = tmp_path / "model.ckpt"
@@ -870,6 +889,13 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
+            load_checkpoint(path, SMALL)
+
+    def test_trailing_blob_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_backbone_params(SMALL, seed=26), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(FormatError, match="blob"):
             load_checkpoint(path, SMALL)
 
     def test_unknown_format_rejected(self, tmp_path):
@@ -901,9 +927,15 @@ class TestCheckpoint:
                               + m["entries"][1:]}),
         lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "shape": [
             float(d) for d in m["entries"][0]["shape"]]}] + m["entries"][1:]}),
+        lambda m: json.dumps({**m, "extra": 0}),
+        lambda m: json.dumps({**m, "entries": [{**m["entries"][0], "extra": 0}]
+                              + m["entries"][1:]}),
+        lambda m: json.dumps({**m, "entries": m["entries"][::-1]}),
+        lambda m: "[" * 100000,
     ], ids=["not-json", "not-object", "no-entries", "entries-not-list", "entry-not-object",
             "no-name", "no-offset", "no-shape", "list-name", "string-offset", "repeated-name",
-            "bool-offset", "float-shape"])
+            "bool-offset", "float-shape", "extra-key", "extra-entry-key", "reversed-entries",
+            "deep-nesting"])
     def test_malformed_manifest_rejected(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_backbone_params(SMALL, seed=28), path)
@@ -933,3 +965,137 @@ class TestCheckpoint:
                                inner_expand=2)
         with pytest.raises(FormatError):
             load_checkpoint(path, other)
+
+    def test_other_sensor_size_rejected(self, tmp_path):
+        # GCI's scan lanes are the stage grid's positions, so its S6 shapes follow the geometry
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_backbone_params(SMALL, seed=25), path)
+        with pytest.raises(FormatError, match=r"height=64.*stages\[2\]\.mixer\.s6_fwd\.log_a"):
+            load_checkpoint(path, dataclasses.replace(SMALL, height=64, width=64))
+
+
+@pytest.fixture(scope="module")
+def saved_small(tmp_path_factory):
+    """The manifest and blob save_checkpoint writes for a SMALL parameter tree."""
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(init_backbone_params(SMALL, seed=30), path)
+    return (path.parent / "model.ckpt.json").read_text(), path.read_bytes()
+
+
+def loads_or_refuses(path, manifest: str, blob: bytes) -> bool:
+    """Load a checkpoint written from manifest and blob: the arrays must be the
+    blob's float64 words, or the loader must raise FormatError."""
+    path.write_bytes(blob)
+    (path.parent / (path.name + ".json")).write_text(manifest)
+    try:
+        params = load_checkpoint(path, SMALL)
+    except FormatError:
+        return False
+    assert np.concatenate([a.ravel() for _, a in iter_arrays(params)]).tobytes() == blob
+    return True
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+def _target(m, data):
+    """The top-level object or one of its entries, whichever the draw picks."""
+    entries = m.get("entries")
+    if isinstance(entries, list) and entries and data.draw(st.booleans()):
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        return entry if isinstance(entry, dict) else m
+    return m
+
+
+def _edit_key(m, data):
+    t = _target(m, data)
+    t[data.draw(st.sampled_from(sorted(t) or ["name"]))] = data.draw(json_values)
+
+
+def _add_key(m, data):
+    _target(m, data)[data.draw(st.text(max_size=6))] = data.draw(json_values)
+
+
+def _drop_key(m, data):
+    t = _target(m, data)
+    if t:
+        del t[data.draw(st.sampled_from(sorted(t)))]
+
+
+def _swap_entries(m, data):
+    entries = m.get("entries")
+    if isinstance(entries, list) and entries:
+        i, j = (data.draw(st.integers(0, len(entries) - 1)) for _ in range(2))
+        entries[i], entries[j] = entries[j], entries[i]
+
+
+def _repeat_entry(m, data):
+    entries = m.get("entries")
+    if isinstance(entries, list) and entries:
+        i, j = (data.draw(st.integers(0, len(entries) - 1)) for _ in range(2))
+        entries.insert(j, copy.deepcopy(entries[i]))
+
+
+def _drop_entry(m, data):
+    entries = m.get("entries")
+    if isinstance(entries, list) and entries:
+        del entries[data.draw(st.integers(0, len(entries) - 1))]
+
+
+def _swap_int(m, data):
+    """Replace an offset or a dimension with true, its float or its string."""
+    t = _target(m, data)
+    slots = [(t, "offset")] if isinstance(t.get("offset"), int) else []
+    if isinstance(t.get("shape"), list):
+        slots += [(t["shape"], i) for i, d in enumerate(t["shape"]) if isinstance(d, int)]
+    if slots:
+        holder, key = data.draw(st.sampled_from(slots))
+        holder[key] = data.draw(st.sampled_from([True, float(holder[key]), str(holder[key])]))
+
+
+fuzz_settings = settings(max_examples=40, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCheckpointFuzz:
+    """Any manifest or blob mutation loads the blob's words or raises FormatError."""
+
+    @fuzz_settings
+    @given(data=st.data())
+    def test_manifest_mutations(self, tmp_path, saved_small, data):
+        manifest, blob = saved_small
+        m = json.loads(manifest)
+        mutations = [_edit_key, _add_key, _drop_key, _swap_entries, _repeat_entry,
+                     _drop_entry, _swap_int]
+        for mutate in data.draw(st.lists(st.sampled_from(mutations), min_size=1, max_size=3)):
+            mutate(m, data)
+        loaded = loads_or_refuses(tmp_path / "model.ckpt", json.dumps(m), blob)
+        # only the manifest save_checkpoint wrote loads, whatever its key order
+        assert loaded == (json.dumps(m, sort_keys=True)
+                          == json.dumps(json.loads(manifest), sort_keys=True))
+
+    @fuzz_settings
+    @given(data=st.data())
+    def test_blob_mutations(self, tmp_path, saved_small, data):
+        manifest, blob = saved_small
+        words = len(blob) // 8
+        value = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf])
+        kind = data.draw(st.sampled_from(["truncate", "extend", "overwrite"]))
+        if kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        elif kind == "extend":
+            blob += data.draw(st.binary(min_size=1, max_size=16))
+        else:
+            out = bytearray(blob)
+            for i, v in data.draw(st.lists(st.tuples(st.integers(0, words - 1), value),
+                                           min_size=1, max_size=4)):
+                out[8 * i:8 * i + 8] = np.float64(v).tobytes()
+            blob = bytes(out)
+        loaded = loads_or_refuses(tmp_path / "model.ckpt", manifest, blob)
+        assert loaded == (kind == "overwrite" and bool(np.isfinite(
+            np.frombuffer(blob, dtype="<f8")).all()))

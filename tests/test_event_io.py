@@ -11,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparsescan.errors import SparseScanError
+from sparsescan.errors import ConfigError, SparseScanError
 from sparsescan.event_io import (
     EVENTS_PER_CROSSING,
+    EdgeSegment,
     EventStream,
     FormatError,
     OrderingError,
@@ -351,3 +352,31 @@ class TestSceneGenerator:
         )
         mean = 100 * per_scene
         assert abs(total - mean) <= 4.0 * np.sqrt(mean)
+
+
+def _write_and_load(tmp_path, text):
+    (tmp_path / "e.csv").write_text(text)
+    return load_events(tmp_path / "e.csv")
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda tmp: EventStream([], [], [], [], 0, 8, 0, 10), ValidationError),
+    (lambda tmp: EventStream([], [], [], [], 8, 8, 10, 5), ValidationError),
+    (lambda tmp: _write_and_load(tmp, "W=8,H=x\nx,y,t,p\n"), FormatError),
+    (lambda tmp: _write_and_load(tmp, "W=8,H=8\nx,y,p,t\n"), FormatError),
+    (lambda tmp: _write_and_load(tmp, "W=8,H=8\nx,y,t,p\n1,2,3\n"), FormatError),
+    (lambda tmp: save_events(make_stream([1], [1], [2**32], [1], t1=2**32), tmp / "e.bin"),
+     ValidationError),
+    (lambda tmp: generate_synthetic_scene(SceneSpec(8, 8, 0, (), 0.0), seed=0), ConfigError),
+    (lambda tmp: generate_synthetic_scene(SceneSpec(8, 8, 1000, (), -1.0), seed=0), ConfigError),
+    (lambda tmp: generate_synthetic_scene(
+        SceneSpec(8, 8, 1000, (EdgeSegment(2, 2, 2, 2, 0.0, 0.0),), 0.0), seed=0), ConfigError),
+    (lambda tmp: scene_preset("no-such-scene"), ConfigError),
+    (lambda tmp: build_voxel_grid(make_stream([1], [1], [5], [1]), 0), ConfigError),
+    (lambda tmp: build_voxel_grid(make_stream([1], [1], [5], [1], t0=5, t1=5), 2), ConfigError),
+], ids=["zero-width", "window-reversed", "csv-non-integer-geometry", "csv-bad-header",
+        "csv-three-fields", "bin-offset-beyond-u32", "zero-duration", "negative-noise",
+        "zero-area-segment", "unknown-preset", "zero-bins", "zero-span-bins"])
+def test_refusals(tmp_path, call, error):
+    with pytest.raises(error):
+        call(tmp_path)

@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from sparsescan import nn
 from sparsescan.errors import ShapeError
-from sparsescan.nn import conv2d_same, depthwise_conv2d, stencil_taps
+from sparsescan.nn import conv2d_same, depthwise_conv2d, patchify, stencil_taps
 
 # channel-last 1x1, 2x2, 1x5, 5x1 and 3x4 maps, and a (T, H, W, C) stack
 SHAPES = [(1, 1, 3), (2, 2, 4), (1, 5, 2), (5, 1, 2), (3, 4, 5), (3, 3, 4, 2)]
@@ -109,3 +109,11 @@ class TestDepthwiseConv2d:
         want = looped_depthwise(x, k, bias, "edge" if edge else "constant")
         assert got.shape == shape and got.flags.c_contiguous
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: patchify(np.zeros((6, 8, 2)), 4),
+], ids=["patchify-indivisible-map"])
+def test_refusals(call):
+    with pytest.raises(ShapeError):
+        call()

@@ -137,3 +137,12 @@ class TestKeptRatio:
         ratios = [kept_ratio(rng.random((8, 8)) < p) for _ in range(n)]
         sigma = np.sqrt(p * (1 - p) / (n * size))
         assert abs(np.mean(ratios) - p) <= 4 * sigma
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scatter_tokens(gather_tokens(np.zeros((2, 2, 1)), np.ones((2, 2), dtype=bool)),
+                           np.zeros((2, 3, 1))),
+], ids=["scatter-base-of-other-grid"])
+def test_refusals(call):
+    with pytest.raises(ShapeError, match="token grid"):
+        call()

@@ -342,3 +342,19 @@ class TestMapSerialization:
         header, payload = raw.rsplit(b"\n", 1)
         assert header.split() == [b"P5", b"2", b"2", b"255"]
         assert payload == bytes([255, 0, 0, 255])
+
+    @pytest.mark.parametrize("a", [np.array([[0.5, np.nan]]), np.zeros((2, 2), dtype=np.uint8),
+                                   np.zeros(4, dtype=bool)], ids=["float", "uint8", "1d"])
+    def test_pgm_takes_2d_bool_masks_only(self, tmp_path, a):
+        with pytest.raises(ValidationError, match="2D boolean mask"):
+            write_map_pgm(a, tmp_path / "map.pgm")
+        assert not (tmp_path / "map.pgm").exists()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: max_pool2d(np.zeros((4, 4)), 0), ConfigError),
+    (lambda: max_pool2d(np.zeros((4, 6)), 4), ShapeError),
+], ids=["max-pool-factor-zero", "max-pool-indivisible"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()

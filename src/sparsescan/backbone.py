@@ -190,10 +190,18 @@ def _linear_init(rng, out_dim, in_dim):
     return rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim))
 
 
+class _Zeros:
+    """A np.random.Generator stand-in that draws nothing: every sample is 0."""
+    normal = uniform = staticmethod(lambda loc, scale, size: np.zeros(size))
+
+
 def init_backbone_params(cfg: BackboneConfig, seed: int = 0) -> BackboneParams:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    return _build_params(cfg, np.random.default_rng(seed))
+
+
+def _build_params(cfg: BackboneConfig, rng) -> BackboneParams:
     c1 = cfg.channels[0]
     in_dim = 2 * cfg.bins * cfg.patch * cfg.patch
     stages = []
@@ -590,7 +598,7 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
         text = _canonical(found)
     except (ValueError, RecursionError):
         raise FormatError(f"malformed checkpoint manifest {manifest_path}") from None
-    params = init_backbone_params(cfg, seed=0)
+    params = _build_params(cfg, _Zeros())   # only the tree's shapes matter here
     expected = _manifest(params)
     if text != _canonical(expected):
         raise FormatError(f"checkpoint manifest does not fit {cfg}: "

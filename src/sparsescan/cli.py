@@ -3,10 +3,11 @@
 Subcommands: gen (synthetic scenes), stca (score and threshold a stream),
 scan-viz (dump the forward's stage-1 bidi-forward, bidi-backward or IPL
 order at the forward's patch size, the IPL window taken from the token
-grid), forward (run the backbone, with an optional FLOPs report), bench
-(one FLOPs and wall-time row per scene, printed as each scene finishes),
-selftest (the acceptance battery). Domain, file and out-of-memory errors
-exit 1, usage errors exit 2.
+grid), forward (run the backbone on --timesteps sub-windows, slices of
+the time-sorted stream cut by np.searchsorted, with an optional FLOPs
+report), bench (one FLOPs and wall-time row per scene, printed as each
+scene finishes), selftest (the acceptance battery). Domain, file and
+out-of-memory errors exit 1, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -62,22 +63,16 @@ def _check_score_map(stream: EventStream) -> None:
 
 
 def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
-    """Cut the stream into n contiguous equal sub-windows."""
-    if n == 1:
-        return [stream]
+    """Cut the stream into n equal sub-windows, [lo, hi) and the last [lo, end]."""
     # offsets from window_start, so no edge leaves int64 on its way to a Python int
     steps = np.rint(np.linspace(0, stream.span, n + 1))
     edges = [stream.window_start] + [stream.window_start + int(v) for v in steps[1:-1]] \
         + [stream.window_end]
-    out = []
-    for i in range(n):
-        lo, hi = edges[i], edges[i + 1]
-        sel = (stream.ts >= lo) & ((stream.ts <= hi) if i + 1 == n else (stream.ts < hi))
-        out.append(EventStream(stream.xs[sel], stream.ys[sel],
-                               stream.ts[sel], stream.ps[sel],
-                               width=stream.width, height=stream.height,
-                               window_start=lo, window_end=hi))
-    return out
+    cuts = np.searchsorted(stream.ts, edges[:-1]).tolist() + [stream.n_events]
+    return [EventStream(stream.xs[a:b], stream.ys[a:b], stream.ts[a:b], stream.ps[a:b],
+                        width=stream.width, height=stream.height,
+                        window_start=lo, window_end=hi)
+            for a, b, lo, hi in zip(cuts, cuts[1:], edges, edges[1:])]
 
 
 def cmd_gen(args) -> int:

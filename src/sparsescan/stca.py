@@ -4,7 +4,7 @@ Activity events arrive in spatially contiguous, temporally sustained
 bursts, while sensor noise is isolated in both respects. The scoring
 pipeline turns that prior into a binary keep/discard decision per token:
 
-1. accumulate window-normalized timestamps per pixel,
+1. accumulate window-normalized timestamps per pixel (one np.bincount),
 2. average-pool pixel scores into P x P token scores,
 3. aggregate each token score over its neighborhood with Gaussian
    weights, renormalized over the in-bounds window,
@@ -55,14 +55,14 @@ def accumulate_temporal_scores(stream: EventStream) -> np.ndarray:
     An empty stream yields an all-zero map; a non-empty stream requires a
     positive window span for normalization.
     """
-    grid = np.zeros((stream.height, stream.width), dtype=np.float64)
-    if stream.n_events == 0:
-        return grid
+    if stream.n_events == 0:   # np.bincount would return int64 zeros
+        return np.zeros((stream.height, stream.width))
     if stream.span <= 0:
         raise ValidationError("cannot normalize timestamps over a zero-length window")
     tnorm = stream.offsets() / float(stream.span)
-    np.add.at(grid, (stream.ys, stream.xs), tnorm)
-    return grid
+    pixel = stream.ys * stream.width + stream.xs
+    grid = np.bincount(pixel, tnorm, minlength=stream.height * stream.width)
+    return grid.reshape(stream.height, stream.width)
 
 
 def pool_to_tokens(pixel_scores: np.ndarray, patch: int) -> np.ndarray:

@@ -865,6 +865,20 @@ class TestCheckpoint:
             assert na == nb
             assert a.tobytes() == b.tobytes()
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        params = init_backbone_params(SMALL, seed=23)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(path, SMALL)
+        for (na, a), (nb, b) in zip(iter_arrays(params), iter_arrays(loaded), strict=True):
+            assert na == nb
+            assert a.tobytes() == b.tobytes()
+
     def test_files_pinned(self, tmp_path):
         # the format is frozen: these are the bytes sparsescan-checkpoint-v1 files have had
         path = tmp_path / "model.ckpt"

@@ -212,6 +212,14 @@ class TestStreamValidation:
         with pytest.raises(ValidationError):
             make_stream([1], [1], [10], [2])
 
+    # abs() wraps at int64 min, so -2**63 must not pass as a unit polarity
+    @pytest.mark.parametrize("p", [0, 2, -2, 2**63 - 1, -2**63])
+    def test_csv_polarity_outside_pm1_refused(self, tmp_path, p):
+        path = tmp_path / "p.csv"
+        path.write_text(f"W=8,H=8\nx,y,t,p\n1,1,5,{p}\n")
+        with pytest.raises(ValidationError, match="polarities"):
+            load_events(path)
+
     def test_timestamp_outside_window(self):
         with pytest.raises(ValidationError):
             make_stream([1], [1], [5000], [1], t1=2000)

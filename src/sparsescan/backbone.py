@@ -52,6 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, FormatError, ShapeError
 from .event_io import VoxelGrid
 from .flops import NULL_METER, FlopsMeter
@@ -506,41 +507,49 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
     maps per timestep, each a view of the stage's channel-last stack, and
     a new list of the updated (H, W, C) LSTM states; the given states
     list is left as it was.
+
+    Forwards may run in several threads at once. While more than one is
+    in flight, OpenBLAS runs one thread per call so that the forwards
+    share the cores instead of contending for its one pool; a lone
+    forward leaves the thread count alone (blas.ThreadPolicy). Outputs do
+    not depend on the thread count. Another process taking a core is not
+    covered.
     """
-    grid0 = cfg.grid(0)
-    if keep.shape != grid0 or scores.shape != grid0:
-        raise ShapeError(f"keep mask and scores must have shape {grid0}")
-    states = init_lstm_states(cfg) if states is None else list(states)
-    if len(states) != cfg.n_stages:
-        raise ShapeError(f"got {len(states)} LSTM states for {cfg.n_stages} stages")
-    values = [vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox) for vox in voxels]
-    for v in values:
-        if v.shape != (2 * cfg.bins, cfg.height, cfg.width):
-            raise ShapeError(f"voxel grid shape {v.shape} does not match config")
-    outputs = []
-    batch = _timesteps_per_batch(cfg)
-    for start in range(0, len(values), batch):
-        # grid by grid: a stacked copy of the grids next to their patch rows
-        # made the allocator map fresh pages on every call, and the small
-        # embedding weight gains nothing from a batch
-        x = np.stack([patch_embed(v, cfg.patch, params.w_embed, params.b_embed, meter)
-                      for v in values[start:start + batch]])
-        k_map, s_map = keep, scores
-        stage_outs = []
-        for s, sp in enumerate(params.stages):
-            tag = f"stage{s + 1}"
-            x = sparse_ss2d(x, k_map, s_map, sp.ss2d, meter, f"{tag}.ss2d", parallel)
-            if isinstance(sp.mixer, GciParams):
-                x = gci_forward(x, sp.mixer, meter, f"{tag}.gci", parallel)
-            else:
-                x = sparse_mlp(x, k_map, sp.mixer, meter, f"{tag}.mlp")
-            x, states[s] = convlstm_step(x, states[s], sp.lstm, meter, f"{tag}.lstm")
-            stage_outs.append(np.moveaxis(x, -1, -3))
-            if sp.down_w is not None:
-                x = downsample_features(x, sp.down_w, sp.down_b, meter, f"{tag}.down")
-                k_map, s_map = max_pool2d(k_map, 2), max_pool2d(s_map, 2)
-        outputs += [list(step) for step in zip(*stage_outs)]
-    return outputs, states
+    with blas.POLICY.forward():
+        grid0 = cfg.grid(0)
+        if keep.shape != grid0 or scores.shape != grid0:
+            raise ShapeError(f"keep mask and scores must have shape {grid0}")
+        states = init_lstm_states(cfg) if states is None else list(states)
+        if len(states) != cfg.n_stages:
+            raise ShapeError(f"got {len(states)} LSTM states for {cfg.n_stages} stages")
+        values = [vox.values if isinstance(vox, VoxelGrid) else np.asarray(vox) for vox in voxels]
+        for v in values:
+            if v.shape != (2 * cfg.bins, cfg.height, cfg.width):
+                raise ShapeError(f"voxel grid shape {v.shape} does not match config")
+        outputs = []
+        batch = _timesteps_per_batch(cfg)
+        for start in range(0, len(values), batch):
+            # grid by grid: a stacked copy of the grids next to their patch rows
+            # made the allocator map fresh pages on every call, and the small
+            # embedding weight gains nothing from a batch
+            x = np.stack([patch_embed(v, cfg.patch, params.w_embed, params.b_embed, meter)
+                          for v in values[start:start + batch]])
+            k_map, s_map = keep, scores
+            stage_outs = []
+            for s, sp in enumerate(params.stages):
+                tag = f"stage{s + 1}"
+                x = sparse_ss2d(x, k_map, s_map, sp.ss2d, meter, f"{tag}.ss2d", parallel)
+                if isinstance(sp.mixer, GciParams):
+                    x = gci_forward(x, sp.mixer, meter, f"{tag}.gci", parallel)
+                else:
+                    x = sparse_mlp(x, k_map, sp.mixer, meter, f"{tag}.mlp")
+                x, states[s] = convlstm_step(x, states[s], sp.lstm, meter, f"{tag}.lstm")
+                stage_outs.append(np.moveaxis(x, -1, -3))
+                if sp.down_w is not None:
+                    x = downsample_features(x, sp.down_w, sp.down_b, meter, f"{tag}.down")
+                    k_map, s_map = max_pool2d(k_map, 2), max_pool2d(s_map, 2)
+            outputs += [list(step) for step in zip(*stage_outs)]
+        return outputs, states
 
 
 def iter_arrays(obj, prefix=""):

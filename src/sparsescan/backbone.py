@@ -4,8 +4,9 @@ Each timestep embeds a voxel grid into patch tokens, then runs four
 stages. A stage applies a sparse multi-direction scan block, a token
 mixer (a sparse MLP in the early stages, a global channel-interaction
 block in the late ones), and a convolutional LSTM whose state persists
-across timesteps; the stage output is the mixer output plus the LSTM
-response. Between stages, features are merged 2x2 and projected.
+across timesteps, fed the mixer output; the stage output is the LSTM
+hidden map h itself. Between stages, features are merged 2x2 and
+projected.
 
 Feature maps are channel-last from the patch embedding to the LSTM: a
 stage's map is (H, W, C), a stack of T maps (T, H, W, C), and the LSTM

@@ -5,11 +5,15 @@ dh/dt = a h + b x is discretized per step with a zero-order hold over
 the input-dependent step size:
 
     abar = exp(z)
-    bbar = dt * b * phi1(z),    z = dt * a,  phi1(z) = expm1(z) / z
+    bbar = dt * b * phi1(z) = expm1(z) * b / a,    z = dt * a
 
-with phi1(0) = 1. Since expm1 is accurate for tiny z, this one form is
-exact through a = 0, dt = 0 and subnormal a, and never divides by a.
-The recurrence is
+with phi1(z) = expm1(z) / z and phi1(0) = 1: Mamba's (dt a)^-1 (exp(dt a) - 1) dt b
+for diagonal a. 1/a is built once per call, so no pass divides. A zero or
+subnormal a, whose 1/a overflows, keeps the phi1 form, exact through a = 0
+and dt = 0 as expm1 is accurate for tiny z. Elsewhere the 1/a form is exact
+to rounding while z is normal; where dt * a is subnormal or underflows,
+bbar is off by less than 2^-1075 |b| / |a|, far under rounding at the
+state's scale |b x| / |a|. The recurrence is
 
     h_t = abar_t * h_{t-1} + bbar_t * x_t
     y_t = <c_t, h_t> + skip * x_t
@@ -20,9 +24,10 @@ c_t = W_c x_t, and a = -exp(log_a) elementwise, so 0 < abar <= 1 and
 the recurrence is unconditionally stable. softplus is evaluated as
 max(x, 0) + log1p(exp(-|x|)), which cannot overflow and is made of
 vectorized ufuncs (np.logaddexp(0, x) runs a scalar loop). The input
-folds into the discretization: bx = phi1(z) * b * (dt * x), with dt * x
-formed per step and lane before it broadcasts over the N states, so
-bbar * x costs no pass of its own over the coefficients.
+folds into the discretization: bx = expm1(z) * (1/a) * b * x, six passes
+over the coefficients: z = dt * a as one broadcast product (np.einsum, whose
+inner loop beats np.multiply's here; equal values, but +0 for a zero
+product), expm1, three products and exp.
 
 Coefficients and states put the state axis outside the lanes: abar and
 bx are (T, N, L), a state h is (N, L), and B sequences make them
@@ -52,11 +57,11 @@ at once and is the reference both are checked against.
 discretize_zoh writes into a given out= pair of arrays, and the state
 kernels of both scans work in place. Both also use their abar argument
 as scratch: the sequential scan overwrites each abar_t with
-abar_t * h_{t-1}, so no step allocates, and the doubling scan with
-products of abars; selective_scan_seq and selective_scan_backward scan
-copies. The outputs y_t = <c_t, h_t> come from one stacked
-(1, N) @ (N, L) product per step (np.matmul), in s6_forward and
-selective_scan_seq alike, so the two give the same bits. The public
+abar_t * h_{t-1}, so no step allocates, and the doubling scan swaps it
+with its work buffer for products of abars; selective_scan_seq and
+selective_scan_backward scan copies. The outputs y_t = <c_t, h_t> come
+from one stacked (1, N) @ (N, L) product per step (np.matmul), in
+s6_forward and selective_scan_seq alike, so the two give the same bits. The public
 functions return new arrays. s6_forward projects all T * B rows once in
 one matmul each (dt, b and c), then per chunk discretizes, scans and
 contracts in float64 chunk buffers allocated once per call and reused for
@@ -122,31 +127,40 @@ def init_s6_params(n_lanes: int, n_state: int, rng: np.random.Generator) -> S6Pa
     )
 
 
-def discretize_zoh(a, b, dt, x=None, out=None):
-    """Zero-order-hold (abar, bbar) in the phi1 form above.
+def zoh_reciprocal(a):
+    """(inv_a, tiny) of a float64 array a for discretize_zoh: 1/a where |a| >=
+    finfo.tiny, else 0, and the mask of zero or subnormal a, or None if none."""
+    normal = np.abs(a) >= np.finfo(np.float64).tiny
+    inv_a = np.divide(1.0, a, out=np.zeros_like(a), where=normal)
+    return inv_a, (None if normal.all() else ~normal)
+
+
+def discretize_zoh(a, b, dt, x=None, out=None, recip=None):
+    """Zero-order-hold (abar, bbar) in the 1/a form above.
 
     The arguments broadcast to one shape, which both results take. With x
-    given, bbar comes out multiplied by the input, as bbar * x: dt * x is
-    formed at the shapes of dt and x before it broadcasts, so a (..., 1, L)
-    dt and x fold in for the cost of one pass over the result. out, if
+    given, bbar comes out multiplied by the input, as bbar * x. out, if
     given, is a pair of float64 arrays of the result shape to write
-    (abar, bbar) into; it must not overlap the arguments. The s6 kernels
-    pass a (N, L) a, (..., N, 1) b and (..., 1, L) dt and x, so every
-    pass runs over contiguous lanes.
+    (abar, bbar) into; it must not overlap the arguments. recip is
+    zoh_reciprocal(a), built here when not given; s6_forward builds it
+    once per call. The s6 kernels pass a (N, L) a, (..., N, 1) b and
+    (..., 1, L) dt and x, so every pass runs over contiguous lanes.
     """
     a, b, dt = (np.asarray(v, dtype=np.float64) for v in (a, b, dt))
-    dtx = dt if x is None else dt * x
     if out is None:
-        shape = np.broadcast_shapes(a.shape, b.shape, np.shape(dtx))
+        shape = np.broadcast_shapes(a.shape, b.shape, dt.shape, np.shape(x))
         out = (np.empty(shape), np.empty(shape))
+    inv_a, tiny = zoh_reciprocal(a) if recip is None else recip
     abar, bbar = out
-    z = np.multiply(dt, a, out=abar)        # z lives in abar until its exp
+    z = np.einsum("...,...->...", dt, a, out=abar)   # z lives in abar until its exp
     np.expm1(z, out=bbar)
-    with np.errstate(invalid="ignore"):
-        bbar /= z                           # phi1(z), 0/0 where z = 0
-    np.copyto(bbar, 1.0, where=z == 0.0)    # phi1(0) = 1
+    bbar *= inv_a                           # dt * phi1(z) = expm1(z) / a
+    if tiny is not None:                    # the phi1 form where 1/a overflows
+        phi1 = np.divide(np.expm1(z), z, out=np.ones_like(z), where=tiny & (z != 0.0))
+        np.copyto(bbar, np.multiply(phi1, dt, out=phi1), where=tiny)
     bbar *= b
-    bbar *= dtx
+    if x is not None:
+        bbar *= x
     np.exp(z, out=abar)
     return abar, bbar
 
@@ -191,10 +205,10 @@ def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
     return a, dt.reshape(x.shape), b_t.reshape(lead + (n,)), c_t.reshape(lead + (n,))
 
 
-def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str):
+def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str, recip=None):
     """abar and bx of the steps whose dt, b and input rows are given."""
     abar, bx = discretize_zoh(a, b_t[..., :, None], dt[..., None, :], x=x[..., None, :],
-                              out=out)
+                              out=out, recip=recip)
     meter.elem(label, 6 * bx.size)
     return abar, bx
 
@@ -237,8 +251,10 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
 
     a holds abar and hs holds bx on entry; work is a spare array of the
     same shape. After the pass with shift k, hs[t] holds the recurrence summed
-    over the last 2k steps and a[t] the product of the last 2k abars, so
-    ceil(log2 R) passes finish a scan of R rows; h0 enters as part of step 0.
+    over the last 2k steps and a[t] the product of the last 2k abars, written
+    into work with the first k rows copied across before the two names swap,
+    so on return both a and work are scratch. ceil(log2 R) passes finish a
+    scan of R rows; h0 enters as part of step 0.
     The chunked callers run it on chunks of at most _chunk_rows(B * L, N) rows
     with the previous chunk's last state as h0, so a T-step sequence costs
     O(T log rows) work over ceil(T / rows) chunks in fixed-size buffers.
@@ -252,7 +268,9 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
         hs[k:] += np.multiply(a[k:], hs[:-k], out=work[k:])
         meter.macs(label, hs[k:].size)
         if 2 * k < t_len:
-            a[k:] = np.multiply(a[k:], a[:-k], out=work[k:])
+            np.multiply(a[k:], a[:-k], out=work[k:])
+            work[:k] = a[:k]
+            a, work = work, a
             meter.elem(label, a[k:].size)
         k *= 2
     return hs
@@ -379,9 +397,10 @@ def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
     y and h_T are new arrays.
     """
     a, dt, b_t, c_t = _project(x, p, meter, label)
+    recip = zoh_reciprocal(a)
 
     def fill(s, e, abar, bx):
-        _discretize(a, dt[s:e], b_t[s:e], x[s:e], (abar, bx), meter, label)
+        _discretize(a, dt[s:e], b_t[s:e], x[s:e], (abar, bx), meter, label, recip)
 
     shape = x.shape[:-1] + (p.n_state, p.n_lanes)
     return _scan_chunked(fill, shape, c_t, None, p.skip, x, parallel, meter, label)

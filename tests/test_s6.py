@@ -10,12 +10,13 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sparsescan import s6
-from sparsescan.flops import FlopsMeter, _s6_cost
+from sparsescan.flops import NULL_METER, FlopsMeter, _s6_cost
 from sparsescan.s6 import (
     S6Discretized,
     S6Params,
@@ -119,6 +120,51 @@ class TestDiscretizeZoh:
         abar, bx = state_major
         assert (abar[0] == 1.0).all() and (bx[0] == 0.0).all()
         assert (abar[:, :, :2] == 1.0).all()
+
+    def test_non_normal_lanes_match_elementwise_reference(self):
+        """Normal, zero, subnormal and -inf a in one (N, L) a: every element
+        within 4 ulp of phi1 evaluated per element with math.expm1 and exact
+        products; dt = 0 gives abar = 1 and bx = 0. Where a normal a meets a
+        dt that makes dt * a subnormal, bx may also be off by the documented
+        2^-1075 |b x| / |a|."""
+        rng = np.random.default_rng(35)
+        t_len, n, lanes = 5, 6, 8
+        tiny = np.finfo(np.float64).tiny
+        a = -np.exp(rng.uniform(-3.0, 3.0, size=(n, lanes)))
+        a[0] = 0.0                                   # a = 0 in every lane
+        a[1] = 5e-324                                # subnormal a
+        a[2, :4] = -5e-324
+        a[3, 4:] = -np.inf
+        a[4, 1] = -tiny                              # the smallest normal a
+        b = rng.standard_normal((t_len, n, 1))
+        dt = np.exp(rng.uniform(-7.0, 1.0, size=(t_len, 1, lanes)))
+        dt[0, 0, :4] = 0.0                           # dt = 0 meets only finite a:
+        dt[2, 0, 1] = 0.0                            # dt * -inf has no limit
+        x = rng.standard_normal((t_len, 1, lanes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            abar, bx = discretize_zoh(a, b, dt, x=x)
+        assert abar.shape == bx.shape == (t_len, n, lanes)
+
+        def phi1(z):
+            if math.isinf(z):
+                return Fraction(0)                   # expm1(-inf) / -inf
+            return Fraction(math.expm1(z)) / Fraction(z) if z else Fraction(1)
+
+        subnormal_z = 0
+        for t, i, l in np.ndindex(abar.shape):
+            d, z, bxl = dt[t, 0, l], dt[t, 0, l] * a[i, l], b[t, i, 0] * x[t, 0, l]
+            ref = float(Fraction(d) * phi1(z) * Fraction(b[t, i, 0]) * Fraction(x[t, 0, l]))
+            slack = 0.0
+            if 0.0 < abs(z) < tiny and abs(a[i, l]) >= tiny:
+                slack = 2.0 ** -53 * (tiny / abs(a[i, l])) * abs(bxl)   # 2^-1075 |b x| / |a|
+                subnormal_z += 1
+            assert abs(abar[t, i, l] - math.exp(z)) <= 4 * np.spacing(math.exp(z))
+            assert abs(bx[t, i, l] - ref) <= 4 * np.spacing(abs(ref)) + slack
+        assert subnormal_z > 0                       # the case is exercised
+        zero_step = np.broadcast_to(dt == 0.0, abar.shape)
+        assert (abar[zero_step] == 1.0).all() and (bx[zero_step] == 0.0).all()
+        assert (bx[:, 3, 4:] == 0.0).all() and (abar[:, 3, 4:] == 0.0).all()   # a = -inf
 
 
 class TestSoftplus:
@@ -341,6 +387,37 @@ class TestParallelScan:
         combo = run(alpha * u + beta * v)
         parts = alpha * run(u) + beta * run(v)
         np.testing.assert_allclose(combo, parts, atol=1e-12)
+
+
+def doubling_copy_back(a, hs, work, h0):
+    """The recursive-doubling scan with each product of abars copied back
+    into a: the reference for the buffer-swapping kernel."""
+    t_len = a.shape[0]
+    if h0 is not None:
+        hs[:1] += a[:1] * h0
+    k = 1
+    while k < t_len:
+        hs[k:] += np.multiply(a[k:], hs[:-k], out=work[k:])
+        if 2 * k < t_len:
+            a[k:] = np.multiply(a[k:], a[:-k], out=work[k:])
+        k *= 2
+    return hs
+
+
+class TestDoublingBuffers:
+    @pytest.mark.parametrize("with_h0", [False, True])
+    @pytest.mark.parametrize("t_len", range(1, 18))
+    def test_swapping_buffers_matches_copy_back(self, t_len, with_h0):
+        rng = np.random.default_rng(60 + t_len)
+        abar = rng.uniform(0.2, 1.0, size=(t_len, 3, 2, 5))
+        bx = rng.standard_normal(abar.shape)
+        h0 = rng.standard_normal(abar.shape[1:]) if with_h0 else None
+        a, work = abar.copy(), np.full_like(abar, np.nan)
+        got = s6._scan_states_doubling(a, bx.copy(), work, h0, NULL_METER, "")
+        want = doubling_copy_back(abar.copy(), bx.copy(), np.empty_like(abar), h0)
+        assert got.tobytes() == want.tobytes()
+        if t_len > 2:     # a product pass ran: no row of work is left unwritten
+            assert np.isfinite(a).all() and np.isfinite(work).all()
 
 
 class TestBackward:

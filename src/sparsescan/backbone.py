@@ -621,5 +621,8 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
         chunk, words = words[:arr.size], words[arr.size:]
         if not np.isfinite(chunk).all():
             raise FormatError(f"checkpoint entry {name!r} holds a non-finite value")
+        # a = -exp(log_a) must be finite; a zero or subnormal a scans exactly
+        if name.endswith(".log_a") and chunk.max() > np.log(np.finfo(np.float64).max):
+            raise FormatError(f"checkpoint entry {name!r} holds a log_a whose exp overflows")
         np.copyto(arr, chunk.reshape(arr.shape))
     return params

@@ -55,20 +55,20 @@ O(T log rows) work in all. selective_scan_seq scans the whole sequence
 at once and is the reference both are checked against.
 
 discretize_zoh writes into a given out= pair of arrays, and the state
-kernels of both scans work in place. Both also use their abar argument
-as scratch: the sequential scan overwrites each abar_t with
-abar_t * h_{t-1}, so no step allocates, and the doubling scan swaps it
-with its work buffer for products of abars; selective_scan_seq and
+kernels of both scans work in place, using their abar argument as
+scratch: the sequential scan overwrites each abar_t with abar_t * h_{t-1},
+so no step allocates, and the doubling scan multiplies in place the
+products of abars later passes read; selective_scan_seq and
 selective_scan_backward scan copies. The outputs y_t = <c_t, h_t> come
 from one stacked (1, N) @ (N, L) product per step (np.matmul), in
-s6_forward and selective_scan_seq alike, so the two give the same bits. The public
-functions return new arrays. s6_forward projects all T * B rows once in
-one matmul each (dt, b and c), then per chunk discretizes, scans and
-contracts in float64 chunk buffers allocated once per call and reused for
-every chunk: two for the sequential scan, three for the doubling one. Each
-holds one chunk, max(_CHUNK_ELEMS, B * L * N) elements at most (256 KB
-while B * L * N <= _CHUNK_ELEMS), whatever T is. Only y and h_T outlive
-the call; nothing is kept between calls.
+s6_forward and selective_scan_seq alike, so the two give the same bits.
+The public functions return new arrays. s6_forward projects all T * B
+rows once in one matmul each (dt, b and c), then per chunk discretizes,
+scans and contracts in two float64 chunk buffers allocated once per call
+and reused for every chunk. Each holds one chunk, max(_CHUNK_ELEMS,
+B * L * N) elements at most (256 KB while B * L * N <= _CHUNK_ELEMS),
+whatever T is; each doubling pass adds numpy temporaries of at most one
+chunk. Only y and h_T outlive the call; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -245,19 +245,15 @@ def _contract(hs: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
-def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
-                          h0: np.ndarray | None, meter: FlopsMeter, label: str) -> np.ndarray:
+def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, h0: np.ndarray | None,
+                          meter: FlopsMeter, label: str) -> np.ndarray:
     """Recursive-doubling inclusive scan of h_t = abar_t h_{t-1} + bx_t in place.
 
-    a holds abar and hs holds bx on entry; work is a spare array of the
-    same shape. After the pass with shift k, hs[t] holds the recurrence summed
-    over the last 2k steps and a[t] the product of the last 2k abars, written
-    into work with the first k rows copied across before the two names swap,
-    so on return both a and work are scratch. ceil(log2 R) passes finish a
-    scan of R rows; h0 enters as part of step 0.
-    The chunked callers run it on chunks of at most _chunk_rows(B * L, N) rows
-    with the previous chunk's last state as h0, so a T-step sequence costs
-    O(T log rows) work over ceil(T / rows) chunks in fixed-size buffers.
+    a holds abar and hs holds bx on entry; on return a is scratch. The pass
+    with shift k reads a[t >= k] as the product of the k abars ending at t and
+    leaves hs[t] summed over the last 2k steps; a[t >= 2k], the only rows later
+    passes read, then become products of 2k abars. ceil(log2 R) passes finish
+    a scan of R rows; h0 enters as part of step 0.
     """
     t_len = a.shape[0]
     if h0 is not None:
@@ -265,13 +261,11 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, work: np.ndarray,
         meter.macs(label, hs[:1].size)
     k = 1
     while k < t_len:
-        hs[k:] += np.multiply(a[k:], hs[:-k], out=work[k:])
+        hs[k:] += a[k:] * hs[:-k]
         meter.macs(label, hs[k:].size)
         if 2 * k < t_len:
-            np.multiply(a[k:], a[:-k], out=work[k:])
-            work[:k] = a[:k]
-            a, work = work, a
-            meter.elem(label, a[k:].size)
+            a[2 * k:] *= a[k:-k]    # numpy >= 1.13 reads overlapping operands first: no buffer
+            meter.elem(label, a[2 * k:].size)
         k *= 2
     return hs
 
@@ -342,8 +336,8 @@ def selective_scan_backward(d: S6Discretized, h0: np.ndarray | None,
     return ScanGradients(abar=g_abar, bx=g_bx, c=g_c, skip=g_skip, h0=dh)
 
 
-# Elements per chunk buffer: 256 KB of float64, so the two or three buffers
-# of a scan fit in a core's L2 together.
+# Elements per chunk buffer: 256 KB of float64, so the two buffers of a scan
+# fit in a core's L2 together.
 _CHUNK_ELEMS = 32768
 
 
@@ -362,15 +356,15 @@ def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
     t_len, state = shape[0], shape[1:]
     n = state[-2]
     rows = _chunk_rows(math.prod(state) // n, n)     # B * L lanes
-    bufs = [np.empty((min(rows, t_len),) + state) for _ in range(3 if parallel else 2)]
+    bufs = [np.empty((min(rows, t_len),) + state) for _ in range(2)]
     y = np.empty(shape[:-2] + shape[-1:])
     h = h0
     for s in range(0, t_len, rows):
         e = min(s + rows, t_len)
-        abar, hs, *work = (buf[:e - s] for buf in bufs)
+        abar, hs = (buf[:e - s] for buf in bufs)
         fill(s, e, abar, hs)
         if parallel:
-            _scan_states_doubling(abar, hs, work[0], h, meter, label)
+            _scan_states_doubling(abar, hs, h, meter, label)
         else:
             _scan_states_seq(abar, hs, h)
         _contract(hs, c[s:e], out=y[s:e])

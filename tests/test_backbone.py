@@ -970,6 +970,29 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"'stages\[1\]\.lstm\.bias'.*non-finite"):
             load_checkpoint(path, SMALL)
 
+    @pytest.mark.parametrize("value, loads", [(710.0, False), (1e300, False), (709.0, True),
+                                              (-800.0, True), (-1e300, True)])
+    def test_log_a_whose_a_overflows_rejected(self, tmp_path, value, loads):
+        # a = -exp(log_a) must be finite; a zero or subnormal a scans exactly
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_backbone_params(SMALL, seed=29), path)
+        manifest = json.loads((tmp_path / "model.ckpt.json").read_text())
+        entry = next(e for e in manifest["entries"]
+                     if e["name"] == "stages[0].ss2d.s6_fwd.log_a")
+        blob = bytearray(path.read_bytes())
+        blob[entry["offset"] + 8:entry["offset"] + 16] = np.array(value, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        if not loads:
+            with pytest.raises(FormatError,
+                               match=r"'stages\[0\]\.ss2d\.s6_fwd\.log_a'.*exp overflows"):
+                load_checkpoint(path, SMALL)
+            return
+        params = load_checkpoint(path, SMALL)
+        assert params.stages[0].ss2d.s6_fwd.log_a.flat[1] == value
+        voxels, keep, scores = small_inputs()
+        outs, _ = backbone_forward([voxels], keep, scores, SMALL, params)
+        assert all(np.isfinite(out).all() for out in outs[0])
+
     def test_wrong_geometry_rejected(self, tmp_path):
         params = init_backbone_params(SMALL, seed=25)
         path = tmp_path / "model.ckpt"
@@ -1007,6 +1030,14 @@ def loads_or_refuses(path, manifest: str, blob: bytes) -> bool:
         return False
     assert np.concatenate([a.ravel() for _, a in iter_arrays(params)]).tobytes() == blob
     return True
+
+
+def a_overflows(manifest: str, blob: bytes) -> bool:
+    """Whether a log_a entry of blob holds a value whose a = -exp(log_a) is infinite."""
+    words = np.frombuffer(blob, dtype="<f8")
+    with np.errstate(over="ignore"):
+        return any(np.isinf(np.exp(words[e["offset"] // 8:][:math.prod(e["shape"])])).any()
+                   for e in json.loads(manifest)["entries"] if e["name"].endswith(".log_a"))
 
 
 json_values = st.recursive(
@@ -1112,4 +1143,4 @@ class TestCheckpointFuzz:
             blob = bytes(out)
         loaded = loads_or_refuses(tmp_path / "model.ckpt", manifest, blob)
         assert loaded == (kind == "overwrite" and bool(np.isfinite(
-            np.frombuffer(blob, dtype="<f8")).all()))
+            np.frombuffer(blob, dtype="<f8")).all()) and not a_overflows(manifest, blob))

@@ -390,8 +390,8 @@ class TestParallelScan:
 
 
 def doubling_copy_back(a, hs, work, h0):
-    """The recursive-doubling scan with each product of abars copied back
-    into a: the reference for the buffer-swapping kernel."""
+    """The recursive-doubling scan with every product of abars computed into
+    work and copied back into a: the reference for the in-place kernel."""
     t_len = a.shape[0]
     if h0 is not None:
         hs[:1] += a[:1] * h0
@@ -406,18 +406,30 @@ def doubling_copy_back(a, hs, work, h0):
 
 class TestDoublingBuffers:
     @pytest.mark.parametrize("with_h0", [False, True])
-    @pytest.mark.parametrize("t_len", range(1, 18))
-    def test_swapping_buffers_matches_copy_back(self, t_len, with_h0):
+    @pytest.mark.parametrize("t_len", range(1, 40))
+    def test_in_place_products_match_copy_back(self, t_len, with_h0):
         rng = np.random.default_rng(60 + t_len)
         abar = rng.uniform(0.2, 1.0, size=(t_len, 3, 2, 5))
         bx = rng.standard_normal(abar.shape)
         h0 = rng.standard_normal(abar.shape[1:]) if with_h0 else None
-        a, work = abar.copy(), np.full_like(abar, np.nan)
-        got = s6._scan_states_doubling(a, bx.copy(), work, h0, NULL_METER, "")
+        got = s6._scan_states_doubling(abar.copy(), bx.copy(), h0, NULL_METER, "")
         want = doubling_copy_back(abar.copy(), bx.copy(), np.empty_like(abar), h0)
         assert got.tobytes() == want.tobytes()
-        if t_len > 2:     # a product pass ran: no row of work is left unwritten
-            assert np.isfinite(a).all() and np.isfinite(work).all()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 16, 17, 39])
+    def test_meter_counts_the_rows_each_pass_multiplies(self, rows):
+        """Each pass k < R updates R - k state rows (one multiply-add each);
+        while 2k < R it then multiplies the R - 2k product rows the next pass
+        reads: at R = 16, 49 state rows and 34 product rows."""
+        per_row = 3 * 2 * 5
+        shifts = [2 ** j for j in range((rows - 1).bit_length())]
+        want = (2 * per_row * sum(rows - k for k in shifts)
+                + per_row * sum(rows - 2 * k for k in shifts if 2 * k < rows))
+        rng = np.random.default_rng(61)
+        abar = rng.uniform(0.2, 1.0, size=(rows, 3, 2, 5))
+        meter = FlopsMeter()
+        s6._scan_states_doubling(abar, rng.standard_normal(abar.shape), None, meter, "scan")
+        assert meter.flops.get("scan", 0) == want
 
 
 class TestBackward:

@@ -34,9 +34,6 @@ class FlopsMeter:
     def elem(self, label: str, n: int) -> None:
         self.flops[label] = self.flops.get(label, 0) + int(n)
 
-    def total(self) -> int:
-        return sum(self.flops.values())
-
 
 class _NullMeter(FlopsMeter):
     def macs(self, label, n):

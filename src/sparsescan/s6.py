@@ -41,8 +41,12 @@ There are two forward scans: a sequential loop, and a recursive-doubling
 (Hillis-Steele) scan over the associative operator
 (a1, b1) . (a2, b2) = (a1 a2, a2 b1 + b2), which takes ceil(log2 R)
 passes over R rows. Both start from the bx terms, with h0 folded into
-step 0 as abar_0 * h0. A manual reverse-mode adjoint of the recurrence
-completes the kernels.
+step 0 as abar_0 * h0. The two state kernels, _scan_states_seq and
+_scan_states_doubling, share one signature (abar, hs, h0, meter, label)
+and each meters its own state updates. s6_forward alone picks one, from
+its parallel flag, and the chunk driver _scan_chunked runs whichever it
+is given. A manual reverse-mode adjoint of the recurrence completes the
+kernels.
 
 s6_forward takes a (T, L) sequence, or B equal-length sequences as
 (T, B, L), which it scans together as B * L lanes; (T, L) is the B = 1
@@ -205,25 +209,19 @@ def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
     return a, dt.reshape(x.shape), b_t.reshape(lead + (n,)), c_t.reshape(lead + (n,))
 
 
-def _discretize(a, dt, b_t, x, out, meter: FlopsMeter, label: str, recip=None):
-    """abar and bx of the steps whose dt, b and input rows are given."""
-    abar, bx = discretize_zoh(a, b_t[..., :, None], dt[..., None, :], x=x[..., None, :],
-                              out=out, recip=recip)
-    meter.elem(label, 6 * bx.size)
-    return abar, bx
-
-
 def parameterize(x: np.ndarray, p: S6Params) -> S6Discretized:
     """Build per-step (T, N, L) coefficients from the input sequence x of shape (T, L)."""
     a, dt, b_t, c_t = _project(x, p, NULL_METER, "")
-    abar, bx = _discretize(a, dt, b_t, x, None, NULL_METER, "")
+    abar, bx = discretize_zoh(a, b_t[..., :, None], dt[..., None, :], x=x[..., None, :])
     return S6Discretized(abar=abar, bx=bx, c=c_t)
 
 
-def _scan_states_seq(abar: np.ndarray, hs: np.ndarray, h0: np.ndarray | None) -> np.ndarray:
+def _scan_states_seq(abar: np.ndarray, hs: np.ndarray, h0: np.ndarray | None,
+                     meter: FlopsMeter = NULL_METER, label: str = "") -> np.ndarray:
     """Sequential scan of h_t = abar_t h_{t-1} + bx_t in place: hs holds bx on
     entry. Each abar_t row is overwritten with abar_t h_{t-1}, so no step
     allocates."""
+    meter.macs(label, hs.size)
     if h0 is not None:
         abar[:1] *= h0
         hs[:1] += abar[:1]
@@ -294,7 +292,8 @@ def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
         np.copyto(abar, d.abar[s:e])
         np.copyto(bx, d.bx[s:e])
 
-    return _scan_chunked(fill, d.abar.shape, d.c, h0, skip, x, True, NULL_METER, "")
+    return _scan_chunked(fill, d.abar.shape, d.c, h0, skip, x, _scan_states_doubling,
+                         NULL_METER, "")
 
 
 @dataclass
@@ -345,13 +344,14 @@ def _chunk_rows(lanes: int, n: int) -> int:
     return max(1, _CHUNK_ELEMS // (lanes * n))
 
 
-def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
+def _scan_chunked(fill, shape, c, h0, skip, x, scan, meter, label):
     """Scan a (T, N, L) or (T, B, N, L) recurrence chunk by chunk.
 
     fill(s, e, abar, bx) writes steps s to e - 1 of abar and bx into the
     given (e - s, ..., N, L) buffers, which are allocated once per call and
-    reused for every chunk. Each chunk's scan starts from the last state of
-    the one before. Returns new arrays (y, h_T).
+    reused for every chunk. scan(abar, hs, h, meter, label) is a state
+    kernel, _scan_states_seq or _scan_states_doubling; each chunk's scan
+    starts from the last state of the one before. Returns new arrays (y, h_T).
     """
     t_len, state = shape[0], shape[1:]
     n = state[-2]
@@ -363,14 +363,9 @@ def _scan_chunked(fill, shape, c, h0, skip, x, parallel, meter, label):
         e = min(s + rows, t_len)
         abar, hs = (buf[:e - s] for buf in bufs)
         fill(s, e, abar, hs)
-        if parallel:
-            _scan_states_doubling(abar, hs, h, meter, label)
-        else:
-            _scan_states_seq(abar, hs, h)
+        scan(abar, hs, h, meter, label)
         _contract(hs, c[s:e], out=y[s:e])
         h = hs[-1].copy()        # the next chunk overwrites hs
-    if not parallel:                        # the doubling meters its own passes
-        meter.macs(label, y.size * n)
     meter.macs(label, y.size * n)           # output contraction
     if skip is not None:
         y += skip * x
@@ -394,7 +389,10 @@ def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
     recip = zoh_reciprocal(a)
 
     def fill(s, e, abar, bx):
-        _discretize(a, dt[s:e], b_t[s:e], x[s:e], (abar, bx), meter, label, recip)
+        discretize_zoh(a, b_t[s:e, ..., :, None], dt[s:e, ..., None, :],
+                       x=x[s:e, ..., None, :], out=(abar, bx), recip=recip)
+        meter.elem(label, 6 * bx.size)
 
     shape = x.shape[:-1] + (p.n_state, p.n_lanes)
-    return _scan_chunked(fill, shape, c_t, None, p.skip, x, parallel, meter, label)
+    scan = _scan_states_doubling if parallel else _scan_states_seq
+    return _scan_chunked(fill, shape, c_t, None, p.skip, x, scan, meter, label)

@@ -147,10 +147,6 @@ def write_map_csv(a: np.ndarray, path) -> None:
     np.savetxt(path, arr, fmt=fmt, delimiter=",")
 
 
-def read_map_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
 def write_map_pgm(a: np.ndarray, path) -> None:
     """Write a 2D boolean mask as a binary PGM (P5), True as 255 and False as 0."""
     if a.dtype != bool or a.ndim != 2:

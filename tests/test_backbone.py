@@ -865,6 +865,13 @@ class TestCheckpoint:
             assert na == nb
             assert a.tobytes() == b.tobytes()
 
+    def test_missing_manifest_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_backbone_params(SMALL, seed=23), path)
+        (tmp_path / "model.ckpt.json").unlink()
+        with pytest.raises(FormatError, match="missing checkpoint manifest"):
+            load_checkpoint(path, SMALL)
+
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         params = init_backbone_params(SMALL, seed=23)
         path = tmp_path / "model.ckpt"
@@ -1130,11 +1137,19 @@ class TestCheckpointFuzz:
         manifest, blob = saved_small
         words = len(blob) // 8
         value = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf])
-        kind = data.draw(st.sampled_from(["truncate", "extend", "overwrite"]))
+        kind = data.draw(st.sampled_from(["truncate", "extend", "overwrite", "log_a"]))
         if kind == "truncate":
             blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
         elif kind == "extend":
             blob += data.draw(st.binary(min_size=1, max_size=16))
+        elif kind == "log_a":
+            # one log_a word near log(float64 max) ~ 709.78, where exp(log_a) overflows
+            entry = data.draw(st.sampled_from([e for e in json.loads(manifest)["entries"]
+                                               if e["name"].endswith(".log_a")]))
+            i = entry["offset"] // 8 + data.draw(st.integers(0, math.prod(entry["shape"]) - 1))
+            out = bytearray(blob)
+            out[8 * i:8 * i + 8] = np.float64(data.draw(st.floats(700, 720))).tobytes()
+            blob = bytes(out)
         else:
             out = bytearray(blob)
             for i, v in data.draw(st.lists(st.tuples(st.integers(0, words - 1), value),
@@ -1142,5 +1157,5 @@ class TestCheckpointFuzz:
                 out[8 * i:8 * i + 8] = np.float64(v).tobytes()
             blob = bytes(out)
         loaded = loads_or_refuses(tmp_path / "model.ckpt", manifest, blob)
-        assert loaded == (kind == "overwrite" and bool(np.isfinite(
+        assert loaded == (kind in ("overwrite", "log_a") and bool(np.isfinite(
             np.frombuffer(blob, dtype="<f8")).all()) and not a_overflows(manifest, blob))

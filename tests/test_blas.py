@@ -5,9 +5,12 @@ forced by a barrier inside the forward; the real library runs the
 concurrent forwards, whose outputs must equal sequential calls byte for byte.
 """
 
+import ctypes
+import io
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -194,6 +197,53 @@ class TestThreadPolicy:
         sets = [c[1] for c in api.calls if c[0] == "set"]
         assert sets and sets == [1, 4] * (len(sets) // 2)
         assert api.lookups == 1
+
+
+class FakeLibrary:
+    """A loaded library that exports the given symbols, as ctypes functions do."""
+
+    def __init__(self, *names):
+        for name in names:
+            setattr(self, name, types.SimpleNamespace())
+
+
+class TestFindThreadApi:
+    """find_thread_api's fallbacks, over a fake /proc/self/maps and ctypes.CDLL."""
+
+    @staticmethod
+    def fake_maps(monkeypatch, *libs):
+        lines = "".join(f"7f00-7f01 r-xp 0 08:01 1 {lib}\n" for lib in libs)
+        monkeypatch.setattr(blas, "open", lambda path: io.StringIO(lines), raising=False)
+
+    def test_unreadable_maps_give_none(self, monkeypatch):
+        def refuse(path):
+            raise PermissionError(path)
+
+        monkeypatch.setattr(blas, "open", refuse, raising=False)
+        assert blas.find_thread_api() is None
+
+    def test_library_that_fails_to_load_is_skipped(self, monkeypatch):
+        get_name, set_name = blas._SYMBOLS[-1]
+        good = FakeLibrary(get_name, set_name)
+        loads = []
+
+        def cdll(path):
+            loads.append(path)
+            if path == "/lib/a-libopenblas.so":
+                raise OSError(path)
+            return good
+
+        self.fake_maps(monkeypatch, "/lib/b-libopenblas.so", "/lib/a-libopenblas.so")
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert blas.find_thread_api() == (getattr(good, get_name), getattr(good, set_name))
+        assert loads == ["/lib/a-libopenblas.so", "/lib/b-libopenblas.so"]
+
+    def test_library_without_a_symbol_pair_gives_none(self, monkeypatch):
+        # each pair lacks one half, so no (get, set) pair is complete
+        halves = [pair[i % 2] for i, pair in enumerate(blas._SYMBOLS)]
+        self.fake_maps(monkeypatch, "/lib/libopenblas.so")
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeLibrary(*halves))
+        assert blas.find_thread_api() is None
 
 
 class TestConcurrentForwards:

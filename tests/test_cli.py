@@ -10,11 +10,12 @@ import json
 import numpy as np
 import pytest
 
+from sparsescan.acceptance import CriterionResult
 from sparsescan.backbone import StagePlan
 from sparsescan.cli import _BUDGET_BYTES, _gen_bytes, _split_windows, main
 from sparsescan.event_io import EventStream, generate_synthetic_scene, load_events, \
     save_events, scene_preset
-from sparsescan.stca import read_map_csv, run_stca
+from sparsescan.stca import run_stca
 
 
 def _refuse_generation(spec, seed):
@@ -158,7 +159,7 @@ class TestStca:
         rc = main(["stca", str(scene), "-o", str(mask),
                    "--scores", str(scores)])
         assert rc == 0
-        s = read_map_csv(scores)
+        s = np.loadtxt(scores, delimiter=",", ndmin=2)
         assert s.shape == (16, 16)
         assert (s >= 0).all()
 
@@ -220,7 +221,7 @@ class TestScanViz:
             body = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
             np.testing.assert_array_equal(body[:, 0], np.arange(len(body)))
             rows[order] = body[:, 1:]
-        kept = np.argwhere(read_map_csv(mask).astype(bool))
+        kept = np.argwhere(np.loadtxt(mask, delimiter=",", ndmin=2).astype(bool))
         assert len(kept) > 1
         np.testing.assert_array_equal(rows["bidi-forward"], kept)
         np.testing.assert_array_equal(rows["bidi-backward"], kept[::-1])
@@ -311,7 +312,7 @@ class TestForward:
         rc = main(["forward", str(scene), "--report", str(report)])
         assert rc == 0
         doc = json.loads(report.read_text())
-        kept = read_map_csv(mask).astype(bool).mean()
+        kept = np.loadtxt(mask, delimiter=",", ndmin=2).astype(bool).mean()
         blk = doc["blocks"]["stage1.ss2d"]
         assert blk["sparse"] / blk["dense"] == pytest.approx(kept, abs=0.02)
 
@@ -420,6 +421,34 @@ class TestBench:
         rc = main(["bench", "--scenes", scenes])
         assert rc == 1
         assert "--scenes" in capsys.readouterr().err
+
+
+class TestSelftest:
+    """cmd_selftest's verdict over a stubbed battery of ten criteria."""
+
+    @staticmethod
+    def stub_battery(monkeypatch, passed=(True,) * 10, seconds=0.1):
+        def run_all(verbose=False):
+            return [CriterionResult(f"c{i}", ok, "stub", seconds) for i, ok in enumerate(passed)]
+
+        monkeypatch.setattr("sparsescan.acceptance.run_all", run_all)
+
+    def test_every_criterion_passing_exits_zero(self, monkeypatch, capsys):
+        self.stub_battery(monkeypatch)
+        assert main(["selftest"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  battery runtime" in out and "11/11 criteria passed" in out
+
+    def test_one_failing_criterion_exits_one(self, monkeypatch, capsys):
+        self.stub_battery(monkeypatch, passed=(True,) * 9 + (False,))
+        assert main(["selftest"]) == 1
+        assert "10/11 criteria passed" in capsys.readouterr().out
+
+    def test_battery_over_budget_exits_one(self, monkeypatch, capsys):
+        self.stub_battery(monkeypatch, seconds=6.0)     # 60 s in all: the budget is < 60 s
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  battery runtime: 60.0s" in out and "10/11 criteria passed" in out
 
 
 HUGE = str(10**30)

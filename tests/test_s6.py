@@ -541,7 +541,7 @@ class TestForwardWrapper:
         x = rng.standard_normal((10, 4))
         meter = FlopsMeter()
         s6_forward(x, p, meter=meter, label="probe")
-        assert meter.total() > 0
+        assert sum(meter.flops.values()) > 0
         assert any(k.startswith("probe") for k in meter.flops)
 
     @pytest.mark.parametrize("parallel", [False, True])
@@ -783,8 +783,7 @@ class TestChunks:
         x, p = self.inputs(t_len, lanes, n)
         y, _, peak, _ = traced_call(x, p, parallel)
         assert y.shape == (t_len, lanes)
-        buffers = 3 if parallel else 2
-        assert peak <= buffers * self.ROWS * lanes * n * 8 + call_bytes(x, n)
+        assert peak <= 2 * self.ROWS * lanes * n * 8 + call_bytes(x, n)
         assert peak < t_len * lanes * n * 8
 
     def test_sequential_meter_matches_analytic_count(self):

@@ -14,14 +14,13 @@ from .event_io import EdgeSegment, EventStream, SceneSpec, VoxelGrid, \
     load_events, save_events, scene_preset
 from .stca import GaussianConfig, StcaResult, accumulate_temporal_scores, \
     build_sparsification_map, compute_threshold, gaussian_aggregate, \
-    max_pool2d, pool_to_tokens, run_stca
-from .sparsify import TokenSet, gather_tokens, kept_ratio, scatter_tokens
+    kept_ratio, max_pool2d, pool_to_tokens, run_stca
 from .scan_order import invert, ipl_order
 from .s6 import S6Discretized, S6Params, ScanGradients, discretize_zoh, \
     init_s6_params, s6_forward, selective_scan_backward, \
     selective_scan_parallel, selective_scan_seq, softplus
-from .backbone import BackboneConfig, BackboneParams, backbone_forward, \
-    convlstm_step, gci_forward, init_backbone_params, \
+from .backbone import BackboneConfig, BackboneParams, StagePlan, \
+    backbone_forward, convlstm_step, gci_forward, init_backbone_params, \
     init_lstm_states, load_checkpoint, patch_embed, save_checkpoint, \
     sparse_mlp, sparse_ss2d
 from .flops import BlockCost, FlopsMeter, FlopsReport, count_analytic, \
@@ -34,16 +33,16 @@ __all__ = [
     "EdgeSegment", "EventStream", "FlopsMeter", "FlopsReport",
     "FormatError", "GaussianConfig", "OrderingError",
     "S6Discretized", "S6Params", "ScanGradients", "SceneSpec", "ShapeError",
-    "SparseScanError", "StcaResult", "TokenSet", "ValidationError",
+    "SparseScanError", "StagePlan", "StcaResult", "ValidationError",
     "VoxelGrid", "accumulate_temporal_scores", "backbone_forward",
     "build_sparsification_map", "build_voxel_grid", "compute_threshold",
     "convlstm_step", "count_analytic", "discretize_zoh",
-    "event_spatial_ratio", "gather_tokens", "gaussian_aggregate",
+    "event_spatial_ratio", "gaussian_aggregate",
     "gci_forward", "generate_synthetic_scene", "init_backbone_params",
     "init_lstm_states", "init_s6_params", "invert", "ipl_order",
     "is_token_wise", "kept_ratio", "load_checkpoint", "load_events",
     "max_pool2d", "measure", "patch_embed", "pool_to_tokens", "run_stca",
-    "s6_forward", "save_checkpoint", "save_events", "scatter_tokens",
+    "s6_forward", "save_checkpoint", "save_events",
     "scene_preset", "selective_scan_backward", "selective_scan_parallel",
     "selective_scan_seq", "softplus", "sparse_mlp", "sparse_ss2d",
 ]

@@ -24,7 +24,6 @@ from .nn import depthwise_conv2d, gelu, layer_norm, silu
 from .s6 import S6Discretized, discretize_zoh, selective_scan_backward, \
     selective_scan_parallel, selective_scan_seq, s6_forward
 from .scan_order import invert, ipl_order
-from .sparsify import gather_tokens, scatter_tokens
 from .stca import GaussianConfig, gaussian_aggregate, max_pool2d, run_stca
 
 
@@ -280,9 +279,9 @@ def criterion_ipl_properties() -> CriterionResult:
         scores = rng.choice(np.arange(6, dtype=np.float64), size=(h, w)) \
             if rng.random() < 0.5 else rng.random((h, w))
         keep = rng.random((h, w)) < rng.uniform(0.2, 1.0)
-        ts = gather_tokens(np.zeros((h, w, 1)), keep)
-        perm = ipl_order(ts, scores, k)
-        n = len(ts)
+        plan = bb.StagePlan.build(keep, scores)
+        perm = ipl_order(plan.index, scores, k)
+        n = len(plan)
         if sorted(perm.tolist()) != list(range(n)):
             ok, detail = False, f"not a bijection at trial {trial}"
             break
@@ -290,7 +289,7 @@ def criterion_ipl_properties() -> CriterionResult:
             ok, detail = False, f"inverse failed at trial {trial}"
             break
         maxima = scores.reshape(h // k, k, w // k, k).max(axis=(1, 3)).ravel()
-        win_of_token = (ts.coords[:, 0] // k) * (w // k) + (ts.coords[:, 1] // k)
+        win_of_token = (plan.coords[:, 0] // k) * (w // k) + (plan.coords[:, 1] // k)
         visited = win_of_token[perm]
         # each window's tokens form one contiguous run
         change = np.flatnonzero(np.diff(visited)) + 1
@@ -328,8 +327,8 @@ def criterion_gather_scatter() -> CriterionResult:
         w = int(rng.choice((2, 4, 8)))
         x = rng.normal(size=(h, w, c))
         keep = rng.random((h, w)) < rng.random()
-        ts = gather_tokens(x, keep)
-        back = scatter_tokens(ts, x)
+        plan = bb.StagePlan.build(keep, np.zeros((h, w)))
+        back = plan.scatter(plan.gather(x), x)
         if back.tobytes() != x.tobytes():
             ok, detail = False, f"round-trip mismatch at trial {trial}"
             break
@@ -342,8 +341,9 @@ def criterion_gather_scatter() -> CriterionResult:
             keep = rng.random((8, 8)) < 0.5
             scores = rng.random((8, 8))
             disc = ~keep
-            y1 = bb.sparse_ss2d(x, keep, scores, params.stages[0].ss2d)
-            y2 = bb.sparse_mlp(x, keep, params.stages[0].mixer)
+            plan = bb.StagePlan.build(keep, scores)
+            y1 = bb.sparse_ss2d(x, plan, params.stages[0].ss2d)
+            y2 = bb.sparse_mlp(x, plan, params.stages[0].mixer)
             if not (np.array_equal(y1[disc], x[disc])
                     and np.array_equal(y2[disc], x[disc])):
                 ok, detail = False, f"passthrough mismatch at trial {trial}"
@@ -363,7 +363,7 @@ def _full_grid_ipl(scores):
 
 
 def _dense_ss2d(x, scores, p):
-    """Reference block without any gather/scatter or TokenSet plumbing."""
+    """Reference block without any gather/scatter or StagePlan plumbing."""
     h, w, c = x.shape
     m = h * w
     t = layer_norm(x.reshape(m, c), p.norm.gain, p.norm.bias)
@@ -426,9 +426,10 @@ def criterion_dense_consistency() -> CriterionResult:
     for _ in range(5):
         x = rng.normal(size=(8, 8, 8))
         scores = rng.random((8, 8))
-        worst = max(worst, _rel_err(bb.sparse_ss2d(x, ones, scores, sp.stages[0].ss2d),
+        plan = bb.StagePlan.build(ones, scores)
+        worst = max(worst, _rel_err(bb.sparse_ss2d(x, plan, sp.stages[0].ss2d),
                                     _dense_ss2d(x, scores, sp.stages[0].ss2d)))
-        worst = max(worst, _rel_err(bb.sparse_mlp(x, ones, sp.stages[0].mixer),
+        worst = max(worst, _rel_err(bb.sparse_mlp(x, plan, sp.stages[0].mixer),
                                     _dense_mlp(x, sp.stages[0].mixer)))
     cfg = bb.BackboneConfig()
     params = bb.init_backbone_params(cfg, seed=0)

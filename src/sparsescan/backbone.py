@@ -29,12 +29,13 @@ stack's working set.
 A stage is the public map-level blocks composed, and the forward has no
 other route: sparse_ss2d, then gci_forward or sparse_mlp, then
 convlstm_step and downsample_features, with the keep mask and score map
-max-pooled 2x after each downsample. The sparse blocks compute only at
-kept token positions, gathering the (T, n, C) kept tokens of the stack
-and scattering them back, and pass discarded positions through
-bit-unchanged. sparse_ss2d builds its stage's token plan, with the IPL
-window ipl_window derives from the stage grid, once per stage per batch
-of timesteps.
+max-pooled 2x after each downsample. backbone_forward builds each
+stage's StagePlan (kept coordinates, grid index, neighbour table and the
+IPL order, in the window ipl_window derives from the stage grid) once
+per batch of timesteps, and both token blocks of the stage take that one
+plan. They compute only at kept token positions, gathering the
+(T, n, C) kept tokens of the stack through the plan and scattering them
+back, and pass discarded positions through bit-unchanged.
 
 All parameters live in plain float64 arrays; checkpoints serialize them
 as one flat little-endian blob plus a JSON manifest. load_checkpoint
@@ -59,9 +60,8 @@ from .event_io import VoxelGrid
 from .flops import NULL_METER, FlopsMeter
 from .nn import (conv2d_same, depthwise_conv2d, gelu, layer_norm, patchify, sigmoid, silu,
                  stencil_taps)
-from .s6 import S6Params, init_s6_params, s6_forward
+from .s6 import S6Params, init_s6_params, s6_forward, value_fault
 from .scan_order import ipl_order
-from .sparsify import TokenSet, gather_tokens, scatter_tokens
 from .stca import max_pool2d
 
 _CHECKPOINT_FORMAT = "sparsescan-checkpoint-v1"
@@ -288,22 +288,54 @@ def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
 
 @dataclass(frozen=True)
 class StagePlan:
-    """A stage's kept tokens, built from its (keep, scores):
-    coordinates and grid index, each token's 3x3 neighbour rows (-1 where
-    discarded or off-grid) and the IPL scan permutation, in windows of
-    ipl_window(keep.shape)."""
+    """A stage's kept tokens, built once from its (keep, scores) and read by
+    both of its token blocks: row-major coordinates, the grid index (each
+    position's token row, -1 where discarded), each token's 3x3 neighbour
+    rows (-1 where discarded or off-grid) and the IPL scan permutation, in
+    windows of ipl_window(keep.shape). gather and scatter move the kept
+    tokens of an (H, W, C) map or a (T, H, W, C) stack as (n, C) or
+    (T, n, C) rows; discarded positions keep the base's bits."""
 
-    ts: TokenSet       # coordinates and grid index; no channels
-    nbr: np.ndarray    # (n, 9) int64
-    ipl: np.ndarray    # (n,) int64
+    coords: np.ndarray   # (n, 2) int64, rows then cols
+    index: np.ndarray    # (H, W) int64
+    nbr: np.ndarray      # (n, 9) int64
+    ipl: np.ndarray      # (n,) int64
 
     @classmethod
     def build(cls, keep: np.ndarray, scores: np.ndarray) -> StagePlan:
-        ts = gather_tokens(np.empty(keep.shape + (0,)), keep)
-        rows, cols = ts.coords.T
-        taps = stencil_taps(ts.index[..., None], fill=-1)     # (H, W, 1) views
+        coords = np.argwhere(keep).astype(np.int64)
+        rows, cols = coords.T
+        index = np.full(keep.shape, -1, dtype=np.int64)
+        index[rows, cols] = np.arange(len(coords))
+        taps = stencil_taps(index[..., None], fill=-1)     # (H, W, 1) views
         nbr = np.stack([tap[rows, cols, 0] for tap in taps], axis=1)
-        return cls(ts, nbr, ipl_order(ts, scores, ipl_window(keep.shape)))
+        return cls(coords, index, nbr, ipl_order(index, scores, ipl_window(keep.shape)))
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def _check_grid(self, x: np.ndarray, what: str) -> None:
+        if x.ndim < 3 or x.shape[-3:-1] != self.index.shape:
+            raise ShapeError(f"{what} {x.shape} does not match token grid {self.index.shape}")
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The kept tokens of a (..., H, W, C) map as (..., n, C) rows.
+        Advanced indexing copies, so updating them in place leaves x as it was."""
+        self._check_grid(x, "feature map")
+        return x[..., self.coords[:, 0], self.coords[:, 1], :]
+
+    def scatter(self, tokens: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Write (..., n, C) tokens into a copy of a (..., H, W, C) base at
+        their coordinates."""
+        self._check_grid(base, "base")
+        want = base.shape[:-3] + (len(self), base.shape[-1])
+        if tokens.shape != want:
+            raise ShapeError(f"tokens {tokens.shape} do not fit base {base.shape}; expected {want}")
+        if not ((self.coords >= 0) & (self.coords < self.index.shape)).all():
+            raise ShapeError("token coordinates fall outside the base grid")
+        out = base.copy()
+        out[..., self.coords[:, 0], self.coords[:, 1], :] = tokens
+        return out
 
 
 def _sparse_depthwise(tokens: np.ndarray, nbr: np.ndarray, kernel, bias):
@@ -317,24 +349,23 @@ def _sparse_depthwise(tokens: np.ndarray, nbr: np.ndarray, kernel, bias):
     return np.einsum("nkd,dk->nd", padded[nbr], kernel.reshape(-1, 9)) + bias
 
 
-def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dParams,
+def sparse_ss2d(x: np.ndarray, plan: StagePlan, p: Ss2dParams,
                 meter: FlopsMeter = NULL_METER, label: str = "ss2d",
                 parallel: bool = False) -> np.ndarray:
     """Multi-direction selective scan over the kept tokens of an (H, W, C)
     map or a (T, H, W, C) stack; discarded ones return bit-equal.
 
-    The stage plan is built from (keep, scores) once per call, and the
-    (T, n, C) kept tokens are gathered once and scattered back once. They
-    are normalized, projected, depthwise-mixed (one map at a time, which
-    bounds the (n, 9, D) neighbour gather), serialized forward, backward
-    and in IPL order through three scan blocks, the T maps scanning as T
-    sequences of one call, merged by sum, gated, projected back and added
-    residually. Every projection is one matmul over all T * n rows.
+    The (T, n, C) kept tokens are gathered through the stage plan once and
+    scattered back once. They are normalized, projected, depthwise-mixed
+    (one map at a time, which bounds the (n, 9, D) neighbour gather),
+    serialized forward, backward and in IPL order through three scan
+    blocks, the T maps scanning as T sequences of one call, merged by sum,
+    gated, projected back and added residually. Every projection is one
+    matmul over all T * n rows.
     """
-    plan = StagePlan.build(keep, scores)
-    ts = plan.ts.regather(x)
-    n, c = ts.tokens.shape[-2:]
-    rows = ts.tokens.reshape(-1, c)
+    tokens = plan.gather(x)
+    n, c = tokens.shape[-2:]
+    rows = tokens.reshape(-1, c)
     m = len(rows)
     if m == 0:
         return x.copy()
@@ -360,19 +391,19 @@ def sparse_ss2d(x: np.ndarray, keep: np.ndarray, scores: np.ndarray, p: Ss2dPara
     meter.macs(label, 2 * m * c * d)
     meter.elem(label, 3 * m * d)
     mixed = np.swapaxes(acc, 0, 1).reshape(m, d) * gate
-    ts.tokens += (mixed @ p.w_out.T + p.b_out).reshape(ts.tokens.shape)
+    tokens += (mixed @ p.w_out.T + p.b_out).reshape(tokens.shape)
     meter.macs(label, m * d * c)
     meter.elem(label, m * d + 2 * m * c)
-    return scatter_tokens(ts, x)
+    return plan.scatter(tokens, x)
 
 
-def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
+def sparse_mlp(x: np.ndarray, plan: StagePlan, p: MlpParams,
                meter: FlopsMeter = NULL_METER, label: str = "mlp") -> np.ndarray:
     """Two-layer MLP added residually at the kept tokens of an (H, W, C)
     map or a (T, H, W, C) stack; discarded ones return bit-equal."""
-    ts = gather_tokens(x, keep)
+    tokens = plan.gather(x)
     c = x.shape[-1]
-    rows = ts.tokens.reshape(-1, c)
+    rows = tokens.reshape(-1, c)
     m = len(rows)
     if m == 0:
         return x.copy()
@@ -382,10 +413,10 @@ def sparse_mlp(x: np.ndarray, keep: np.ndarray, p: MlpParams,
     hmid = gelu(t @ p.w1.T + p.b1)
     meter.macs(label, m * c * e)
     meter.elem(label, 2 * m * e)
-    ts.tokens += (hmid @ p.w2.T + p.b2).reshape(ts.tokens.shape)
+    tokens += (hmid @ p.w2.T + p.b2).reshape(tokens.shape)
     meter.macs(label, m * e * c)
     meter.elem(label, 2 * m * c)
-    return scatter_tokens(ts, x)
+    return plan.scatter(tokens, x)
 
 
 def bidi_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
@@ -539,11 +570,12 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
             stage_outs = []
             for s, sp in enumerate(params.stages):
                 tag = f"stage{s + 1}"
-                x = sparse_ss2d(x, k_map, s_map, sp.ss2d, meter, f"{tag}.ss2d", parallel)
+                plan = StagePlan.build(k_map, s_map)
+                x = sparse_ss2d(x, plan, sp.ss2d, meter, f"{tag}.ss2d", parallel)
                 if isinstance(sp.mixer, GciParams):
                     x = gci_forward(x, sp.mixer, meter, f"{tag}.gci", parallel)
                 else:
-                    x = sparse_mlp(x, k_map, sp.mixer, meter, f"{tag}.mlp")
+                    x = sparse_mlp(x, plan, sp.mixer, meter, f"{tag}.mlp")
                 x, states[s] = convlstm_step(x, states[s], sp.lstm, meter, f"{tag}.lstm")
                 stage_outs.append(np.moveaxis(x, -1, -3))
                 if sp.down_w is not None:
@@ -619,10 +651,8 @@ def load_checkpoint(path: str | Path, cfg: BackboneConfig) -> BackboneParams:
     words = np.frombuffer(blob, dtype="<f8")
     for name, arr in iter_arrays(params):
         chunk, words = words[:arr.size], words[arr.size:]
-        if not np.isfinite(chunk).all():
-            raise FormatError(f"checkpoint entry {name!r} holds a non-finite value")
-        # a = -exp(log_a) must be finite; a zero or subnormal a scans exactly
-        if name.endswith(".log_a") and chunk.max() > np.log(np.finfo(np.float64).max):
-            raise FormatError(f"checkpoint entry {name!r} holds a log_a whose exp overflows")
+        fault = value_fault(name, chunk)
+        if fault:
+            raise FormatError(f"checkpoint entry {name!r} {fault}")
         np.copyto(arr, chunk.reshape(arr.shape))
     return params

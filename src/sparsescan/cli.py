@@ -25,8 +25,7 @@ from .event_io import EVENTS_PER_CROSSING, EventStream, SceneSpec, build_voxel_g
     check_geometry_fits, event_spatial_ratio, generate_synthetic_scene, load_events, \
     save_events, scene_preset
 from .flops import measure
-from .sparsify import kept_ratio
-from .stca import GaussianConfig, run_stca, write_map_csv, write_map_pgm
+from .stca import GaussianConfig, kept_ratio, run_stca, write_map_csv, write_map_pgm
 
 _ORDER_CHOICES = ("bidi-forward", "bidi-backward", "ipl")
 # gen, stca, scan-viz and forward refuse work whose largest arrays are
@@ -121,12 +120,12 @@ def cmd_scan_viz(args) -> int:
     if args.order == "ipl":
         perm = plan.ipl
     else:
-        perm = np.arange(len(plan.ts))
+        perm = np.arange(len(plan))
         if args.order == "bidi-backward":
             perm = perm[::-1]
     lines = ["position,row,col"]
     for i, t in enumerate(perm):
-        lines.append(f"{i},{plan.ts.coords[t, 0]},{plan.ts.coords[t, 1]}")
+        lines.append(f"{i},{plan.coords[t, 0]},{plan.coords[t, 1]}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

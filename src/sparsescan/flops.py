@@ -198,8 +198,7 @@ def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsR
     import numpy as np
 
     from .backbone import backbone_forward
-    from .sparsify import kept_ratio
-    from .stca import max_pool2d
+    from .stca import kept_ratio, max_pool2d
 
     sparse_meter = FlopsMeter()
     backbone_forward(voxels, keep, scores, cfg, params,

@@ -78,17 +78,30 @@ chunk. Only y and h_T outlive the call; nothing is kept between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 from .flops import NULL_METER, FlopsMeter
+
+
+def value_fault(name: str, values) -> str | None:
+    """What makes a parameter array unusable, or None: a non-finite value,
+    or a log_a whose a = -exp(log_a) overflows (a zero or subnormal a
+    scans exactly)."""
+    if not np.isfinite(values).all():
+        return "holds a non-finite value"
+    if name.endswith("log_a") and (values > np.log(np.finfo(np.float64).max)).any():
+        return "holds a log_a whose exp overflows"
+    return None
 
 
 @dataclass
 class S6Params:
-    """Learnable state of one scan block over L lanes and N states."""
+    """Learnable state of one scan block over L lanes and N states, checked
+    at construction: ShapeError where the shapes disagree, ValidationError
+    on a value_fault."""
 
     log_a: np.ndarray    # (L, N); a = -exp(log_a)
     w_dt: np.ndarray     # (L, L)
@@ -96,6 +109,21 @@ class S6Params:
     w_b: np.ndarray      # (N, L)
     w_c: np.ndarray      # (N, L)
     skip: np.ndarray     # (L,)
+
+    def __post_init__(self):
+        if np.ndim(self.log_a) != 2:
+            raise ShapeError(f"S6Params.log_a must be (L, N), got {np.shape(self.log_a)}")
+        lanes, n = np.shape(self.log_a)
+        want = {"log_a": (lanes, n), "w_dt": (lanes, lanes), "b_dt": (lanes,),
+                "w_b": (n, lanes), "w_c": (n, lanes), "skip": (lanes,)}
+        for f in fields(self):
+            values = getattr(self, f.name)
+            if np.shape(values) != want[f.name]:
+                raise ShapeError(f"S6Params.{f.name} is {np.shape(values)}, "
+                                 f"expected {want[f.name]}")
+            fault = value_fault(f.name, values)
+            if fault:
+                raise ValidationError(f"S6Params.{f.name} {fault}")
 
     @property
     def n_lanes(self) -> int:

@@ -1,8 +1,9 @@
 """Serialization orders for kept tokens.
 
-All orders are permutations of TokenSet indices (which are row-major by
-construction), so applying one to the token matrix produces the scan
-sequence and its inverse restores row-major order.
+All orders are permutations of a stage's kept-token rows, numbered
+row-major by a grid index (each position's row, -1 where discarded), so
+applying one to the token matrix produces the scan sequence and its
+inverse restores row-major order.
 
 The importance-prioritized local (IPL) order serializes high-activity
 windows first: the token grid is tiled into k x k windows, windows are
@@ -17,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .sparsify import TokenSet
 from .stca import max_pool2d
 
 
-def ipl_order(ts: TokenSet, scores: np.ndarray, k: int) -> np.ndarray:
-    """Importance-prioritized local order over the kept tokens, k x k windows."""
-    h, w = ts.grid_shape
+def ipl_order(index: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Importance-prioritized local order over the kept tokens of an (H, W)
+    grid index, k x k windows."""
+    h, w = index.shape
     if scores.shape != (h, w):
         raise ShapeError(f"score map {scores.shape} does not match grid {(h, w)}")
     if k < 1:
@@ -35,7 +36,7 @@ def ipl_order(ts: TokenSet, scores: np.ndarray, k: int) -> np.ndarray:
     window_order = np.argsort(-maxima, kind="stable")
     flat = np.arange(h * w, dtype=np.int64).reshape(h, w)
     windows = flat.reshape(h // k, k, w // k, k).transpose(0, 2, 1, 3).reshape(-1, k * k)
-    hits = ts.index.ravel()[windows[window_order].ravel()]
+    hits = index.ravel()[windows[window_order].ravel()]
     return hits[hits >= 0]
 
 

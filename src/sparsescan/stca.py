@@ -115,6 +115,11 @@ def build_sparsification_map(token_scores: np.ndarray, threshold: float) -> np.n
     return token_scores >= threshold
 
 
+def kept_ratio(keep: np.ndarray) -> float:
+    """Fraction of tokens kept, in [0, 1]."""
+    return float(np.count_nonzero(keep)) / keep.size
+
+
 def max_pool2d(a: np.ndarray, factor: int) -> np.ndarray:
     """Max-pool a 2D map by an integer factor that divides both dims."""
     h, w = a.shape

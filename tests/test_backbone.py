@@ -137,10 +137,10 @@ class TestSparseDepthwise:
             keep[[0, -1], rng.integers(w)] = True
             keep[rng.integers(h), [0, -1]] = True
             plan = StagePlan.build(keep, np.zeros((h, w)))
-            assert plan.ts.index.dtype == np.int64
-            np.testing.assert_array_equal(plan.ts.index[keep], np.arange(len(plan.ts)))
-            assert (plan.ts.index[~keep] == -1).all()
-            got = _sparse_depthwise(plan.ts.regather(x).tokens, plan.nbr, kernel, bias)
+            assert plan.index.dtype == np.int64
+            np.testing.assert_array_equal(plan.index[keep], np.arange(len(plan)))
+            assert (plan.index[~keep] == -1).all()
+            got = _sparse_depthwise(plan.gather(x), plan.nbr, kernel, bias)
             want = depthwise_conv2d(np.where(keep[..., None], x, 0.0), kernel, bias)
             np.testing.assert_allclose(got, want[keep], rtol=1e-12, atol=1e-12)
 
@@ -176,7 +176,7 @@ class TestSparseSs2d:
         p = init_backbone_params(SMALL, seed=1).stages[0].ss2d
         x = rng.standard_normal((8, 8, 8))
         keep = np.zeros((8, 8), dtype=bool)
-        out = sparse_ss2d(x, keep, np.ones((8, 8)), p)
+        out = sparse_ss2d(x, StagePlan.build(keep, np.ones((8, 8))), p)
         assert out.tobytes() == x.tobytes()
 
     def test_zero_out_projection_is_identity(self):
@@ -186,7 +186,7 @@ class TestSparseSs2d:
         p.b_out[:] = 0.0
         x = rng.standard_normal((8, 8, 8))
         keep = rng.random((8, 8)) < 0.6
-        out = sparse_ss2d(x, keep, np.ones((8, 8)), p)
+        out = sparse_ss2d(x, StagePlan.build(keep, np.ones((8, 8))), p)
         np.testing.assert_allclose(out, x, atol=1e-14)
 
     def test_discarded_positions_bit_equal(self):
@@ -194,22 +194,21 @@ class TestSparseSs2d:
         p = init_backbone_params(SMALL, seed=3).stages[0].ss2d
         x = rng.standard_normal((8, 8, 8))
         keep = rng.random((8, 8)) < 0.5
-        out = sparse_ss2d(x, keep, rng.uniform(0, 1, (8, 8)), p)
+        out = sparse_ss2d(x, StagePlan.build(keep, rng.uniform(0, 1, (8, 8))), p)
         off = ~keep
         assert out[off].tobytes() == x[off].tobytes()
 
     def test_score_shape_mismatch(self):
-        p = init_backbone_params(SMALL, seed=4).stages[0].ss2d
         with pytest.raises(ShapeError):
-            sparse_ss2d(np.zeros((8, 8, 8)), np.ones((8, 8), dtype=bool),
-                        np.ones((4, 4)), p)
+            StagePlan.build(np.ones((8, 8), dtype=bool), np.ones((4, 4)))
 
     # a leading timestep axis is valid, so the 4-D case is a stack on the wrong grid
     @pytest.mark.parametrize("shape", [(4, 4, 8), (8, 8), (2, 4, 4, 8)])
     def test_map_shape_mismatch(self, shape):
         p = init_backbone_params(SMALL, seed=4).stages[0].ss2d
         with pytest.raises(ShapeError):
-            sparse_ss2d(np.zeros(shape), np.ones((8, 8), dtype=bool), np.ones((8, 8)), p)
+            sparse_ss2d(np.zeros(shape), StagePlan.build(np.ones((8, 8), dtype=bool),
+                                                         np.ones((8, 8))), p)
 
 
 class TestSparseMlp:
@@ -217,7 +216,7 @@ class TestSparseMlp:
         rng = np.random.default_rng(37)
         p = init_backbone_params(SMALL, seed=5).stages[0].mixer
         x = rng.standard_normal((8, 8, 8))
-        out = sparse_mlp(x, np.zeros((8, 8), dtype=bool), p)
+        out = sparse_mlp(x, StagePlan.build(np.zeros((8, 8), dtype=bool), np.ones((8, 8))), p)
         assert out.tobytes() == x.tobytes()
 
     def test_zero_second_layer_is_identity(self):
@@ -227,14 +226,15 @@ class TestSparseMlp:
         p.b2[:] = 0.0
         x = rng.standard_normal((8, 8, 8))
         keep = rng.random((8, 8)) < 0.7
-        np.testing.assert_allclose(sparse_mlp(x, keep, p), x, atol=1e-14)
+        np.testing.assert_allclose(sparse_mlp(x, StagePlan.build(keep, np.ones((8, 8))), p), x,
+                                   atol=1e-14)
 
     def test_kept_positions_match_dense_reference(self):
         rng = np.random.default_rng(39)
         p = init_backbone_params(SMALL, seed=7).stages[0].mixer
         x = rng.standard_normal((8, 8, 8))
         keep = rng.random((8, 8)) < 0.5
-        out = sparse_mlp(x, keep, p)
+        out = sparse_mlp(x, StagePlan.build(keep, np.ones((8, 8))), p)
 
         c = x.shape[-1]
         flat = x.reshape(-1, c)
@@ -368,12 +368,12 @@ class TestChannelLastMaps:
         # 16, so neither channel-first map reads as a channel-last one
         s = 2 if block == "gci_forward" else 1
         sp, (gh, gw), c = params.stages[s], SMALL.grid(s), SMALL.channels[s]
-        keep, scores = np.ones((gh, gw), dtype=bool), rng.random((gh, gw))
+        plan = StagePlan.build(np.ones((gh, gw), dtype=bool), rng.random((gh, gw)))
         x = rng.standard_normal((gh, gw, c))
         run = {
             "patch_embed": lambda m: patch_embed(m, SMALL.patch, params.w_embed, params.b_embed),
-            "sparse_ss2d": lambda m: sparse_ss2d(m, keep, scores, sp.ss2d),
-            "sparse_mlp": lambda m: sparse_mlp(m, keep, sp.mixer),
+            "sparse_ss2d": lambda m: sparse_ss2d(m, plan, sp.ss2d),
+            "sparse_mlp": lambda m: sparse_mlp(m, plan, sp.mixer),
             "gci_forward": lambda m: gci_forward(m, sp.mixer),
             "convlstm_step": lambda m: convlstm_step(m, init_lstm_states(SMALL)[s], sp.lstm),
             "downsample_features": lambda m: downsample_features(m, sp.down_w, sp.down_b),
@@ -644,11 +644,12 @@ def stage_composition(voxels, keep, scores, cfg, params, parallel):
     x = np.stack([patch_embed(v, cfg.patch, params.w_embed, params.b_embed) for v in voxels])
     stage_outs = []
     for s, (sp, (k_map, s_map)) in enumerate(zip(params.stages, maps)):
-        x = sparse_ss2d(x, k_map, s_map, sp.ss2d, parallel=parallel)
+        plan = StagePlan.build(k_map, s_map)
+        x = sparse_ss2d(x, plan, sp.ss2d, parallel=parallel)
         if isinstance(sp.mixer, GciParams):
             x = gci_forward(x, sp.mixer, parallel=parallel)
         else:
-            x = sparse_mlp(x, k_map, sp.mixer)
+            x = sparse_mlp(x, plan, sp.mixer)
         x, states[s] = convlstm_step(x, states[s], sp.lstm)
         stage_outs.append(np.moveaxis(x, -1, -3))
         if sp.down_w is not None:
@@ -688,15 +689,48 @@ class TestStagePlans:
         calls = []
         real = bb.ipl_order
 
-        def counting(ts, scores, k):
+        def counting(index, scores, k):
             calls.append(k)
-            return real(ts, scores, k)
+            return real(index, scores, k)
 
         monkeypatch.setattr(bb, "ipl_order", counting)
         params = init_backbone_params(SMALL, seed=41)
         voxels, keep, scores = small_inputs(seed=42)
         backbone_forward([voxels] * 4, keep, scores, SMALL, params)
         assert tuple(calls) == tuple(ipl_window(SMALL.grid(s)) for s in range(SMALL.n_stages))
+
+    @pytest.mark.parametrize("batch, batches", [(8, 1), (3, 2)])
+    def test_one_plan_per_stage_per_batch_shared_by_both_blocks(self, monkeypatch, batch,
+                                                                batches):
+        """backbone_forward builds n_stages plans per batch of timesteps, and a
+        stage's sparse_mlp receives the very plan its sparse_ss2d used."""
+        built, used = [], {"ss2d": [], "mlp": []}
+        real_build = StagePlan.build.__func__
+        real_ss2d, real_mlp = bb.sparse_ss2d, bb.sparse_mlp
+
+        def build(cls, keep, scores):
+            built.append(real_build(cls, keep, scores))
+            return built[-1]
+
+        def ss2d(x, plan, *args, **kwargs):
+            used["ss2d"].append(plan)
+            return real_ss2d(x, plan, *args, **kwargs)
+
+        def mlp(x, plan, *args, **kwargs):
+            used["mlp"].append(plan)
+            return real_mlp(x, plan, *args, **kwargs)
+
+        monkeypatch.setattr(StagePlan, "build", classmethod(build))
+        monkeypatch.setattr(bb, "sparse_ss2d", ss2d)
+        monkeypatch.setattr(bb, "sparse_mlp", mlp)
+        monkeypatch.setattr(bb, "_timesteps_per_batch", lambda cfg: batch)
+        voxels, keep, scores = small_inputs(seed=42)
+        backbone_forward([voxels] * 4, keep, scores, SMALL, init_backbone_params(SMALL, seed=41))
+        assert len(built) == batches * SMALL.n_stages
+        assert [id(p) for p in used["ss2d"]] == [id(p) for p in built]
+        mlp_stages = [s for s in range(SMALL.n_stages) if s + 1 not in SMALL.gci_stages]
+        assert [id(p) for p in used["mlp"]] == [id(built[b * SMALL.n_stages + s])
+                                                for b in range(batches) for s in mlp_stages]
 
 
 def rel_err(got, want):
@@ -822,8 +856,8 @@ class TestStageMajor:
 
 
     def test_stages_run_the_map_level_blocks_once_per_batch(self, four_steps, monkeypatch):
-        """Each batch runs every stage through sparse_ss2d, whose plan runs
-        ipl_order once, then sparse_mlp or gci_forward: one route per stage."""
+        """Each batch builds every stage's plan, which runs ipl_order once,
+        then runs sparse_ss2d and sparse_mlp or gci_forward: one route per stage."""
         voxels, keep, scores = four_steps
         params = init_backbone_params(SMALL, seed=45)
         calls = []
@@ -847,7 +881,7 @@ class TestStageMajor:
             out = []
             for s in range(SMALL.n_stages):
                 mixer = "gci" if s + 1 in SMALL.gci_stages else "mlp"
-                out += [(f"stage{s + 1}.ss2d", t), ("ipl", ipl_window(SMALL.grid(s))),
+                out += [("ipl", ipl_window(SMALL.grid(s))), (f"stage{s + 1}.ss2d", t),
                         (f"stage{s + 1}.{mixer}", t)]
             return out
         assert len(voxels) == 4

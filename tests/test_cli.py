@@ -226,6 +226,15 @@ class TestScanViz:
         np.testing.assert_array_equal(rows["bidi-forward"], kept)
         np.testing.assert_array_equal(rows["bidi-backward"], kept[::-1])
 
+    @pytest.mark.parametrize("order", ["bidi-forward", "bidi-backward", "ipl"])
+    def test_no_kept_token_writes_header_only(self, tmp_path, order):
+        """A tiny beta overflows the threshold, so no token is kept."""
+        scene = run_gen(tmp_path)
+        out = tmp_path / "order.csv"
+        assert main(["scan-viz", str(scene), "--order", order, "--beta", "1e-300",
+                     "-o", str(out)]) == 0
+        assert out.read_text() == "position,row,col\n"
+
     # token grids 16x16 (IPL window 2) and 11x11 (IPL window 1)
     @pytest.mark.parametrize("size", [64, 44])
     def test_ipl_rows_are_the_stage_plan(self, tmp_path, size):
@@ -238,7 +247,7 @@ class TestScanViz:
         res = run_stca(load_events(scene), patch=4)
         plan = StagePlan.build(res.keep, res.scores)
         np.testing.assert_array_equal(body[:, 0], np.arange(len(plan.ipl)))
-        np.testing.assert_array_equal(body[:, 1:], plan.ts.coords[plan.ipl])
+        np.testing.assert_array_equal(body[:, 1:], plan.coords[plan.ipl])
 
 
 class TestScoreMapBudget:

@@ -29,7 +29,7 @@ from sparsescan.s6 import (
     selective_scan_seq,
     softplus,
 )
-from sparsescan.errors import ShapeError
+from sparsescan.errors import ShapeError, ValidationError
 
 
 def const_disc(t, abar, bx, c, lanes=1, n_state=1):
@@ -258,6 +258,39 @@ class TestParameterize:
         p = init_s6_params(3, 4, rng)
         with pytest.raises(ShapeError):
             parameterize(np.zeros((5, 7)), p)
+
+    @staticmethod
+    def fields_of(p):
+        return {f: getattr(p, f).copy() for f in ("log_a", "w_dt", "b_dt", "w_b", "w_c", "skip")}
+
+    @pytest.mark.parametrize("field", ["log_a", "w_dt", "b_dt", "w_b", "w_c", "skip"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_hand_built_non_finite_rejected(self, field, value):
+        arrays = self.fields_of(init_s6_params(3, 4, np.random.default_rng(23)))
+        arrays[field].flat[-1] = value
+        with pytest.raises(ValidationError, match=f"S6Params.{field} holds a non-finite"):
+            S6Params(**arrays)
+
+    @pytest.mark.parametrize("value, ok", [(709.78, True), (709.79, False), (1e300, False)])
+    def test_hand_built_log_a_whose_a_overflows_rejected(self, value, ok):
+        """The rule load_checkpoint applies to a file: a = -exp(log_a) must be finite."""
+        arrays = self.fields_of(init_s6_params(3, 4, np.random.default_rng(24)))
+        arrays["log_a"][1, 2] = value
+        if ok:
+            y, _ = s6_forward(np.ones((2, 3)), S6Params(**arrays))
+            assert np.isfinite(y).all()
+        else:
+            with pytest.raises(ValidationError, match="exp overflows"):
+                S6Params(**arrays)
+
+    @pytest.mark.parametrize("field, shape", [
+        ("log_a", (3,)), ("log_a", (3, 4, 1)), ("w_dt", (3, 4)), ("b_dt", (4,)),
+        ("w_b", (3, 4)), ("w_c", (4, 2)), ("skip", (3, 1))])
+    def test_hand_built_shapes_that_disagree_rejected(self, field, shape):
+        arrays = self.fields_of(init_s6_params(3, 4, np.random.default_rng(25)))
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(ShapeError, match=f"S6Params.{field}"):
+            S6Params(**arrays)
 
     def test_step_underflow_to_zero(self):
         rng = np.random.default_rng(21)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsescan.backbone import StagePlan
 from sparsescan.errors import ConfigError, ShapeError
 from sparsescan.scan_order import invert, ipl_order
-from sparsescan.sparsify import gather_tokens
 
 IPL_SCORES = np.array([
     [5.0, 1.0, 0.0, 0.0],
@@ -30,14 +30,13 @@ IPL_COORDS = [
 ]
 
 
-def token_set(keep):
-    c = keep.shape[0] * keep.shape[1]
-    x = np.arange(float(c)).reshape(*keep.shape, 1)
-    return gather_tokens(x, keep)
+def plan_of(keep):
+    """The kept tokens' coordinates and grid index, from a stage plan."""
+    return StagePlan.build(keep, np.zeros(keep.shape))
 
 
 def full(h, w):
-    return token_set(np.ones((h, w), dtype=bool))
+    return plan_of(np.ones((h, w), dtype=bool))
 
 
 def random_keep(rng, h, w):
@@ -48,23 +47,23 @@ def random_keep(rng, h, w):
 
 class TestIpl:
     def test_frozen_4x4_case(self):
-        ts = full(4, 4)
-        order = ipl_order(ts, IPL_SCORES, 2)
-        visited = [tuple(ts.coords[i]) for i in order]
+        plan = full(4, 4)
+        order = ipl_order(plan.index, IPL_SCORES, 2)
+        visited = [tuple(plan.coords[i]) for i in order]
         assert visited == IPL_COORDS
 
     def test_frozen_case_with_discard(self):
         keep = np.ones((4, 4), dtype=bool)
         keep[0, 1] = False
-        ts = token_set(keep)
-        order = ipl_order(ts, IPL_SCORES, 2)
-        visited = [tuple(ts.coords[i]) for i in order]
+        plan = plan_of(keep)
+        order = ipl_order(plan.index, IPL_SCORES, 2)
+        visited = [tuple(plan.coords[i]) for i in order]
         assert visited == [c for c in IPL_COORDS if c != (0, 1)]
 
     def test_uniform_scores_row_major_by_window(self):
-        ts = full(4, 4)
-        order = ipl_order(ts, np.ones((4, 4)), 2)
-        visited = [tuple(ts.coords[i]) for i in order]
+        plan = full(4, 4)
+        order = ipl_order(plan.index, np.ones((4, 4)), 2)
+        visited = [tuple(plan.coords[i]) for i in order]
         expected = []
         for wi in range(2):
             for wj in range(2):
@@ -76,20 +75,20 @@ class TestIpl:
     def test_window_equals_grid_gives_row_major(self):
         rng = np.random.default_rng(14)
         keep = random_keep(rng, 4, 4)
-        ts = token_set(keep)
-        order = ipl_order(ts, rng.random((4, 4)), 4)
-        np.testing.assert_array_equal(order, np.arange(len(ts)))
+        plan = plan_of(keep)
+        order = ipl_order(plan.index, rng.random((4, 4)), 4)
+        np.testing.assert_array_equal(order, np.arange(len(plan)))
 
     def test_global_max_window_first(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
             keep = random_keep(rng, 6, 6)
             scores = rng.random((6, 6))
-            ts = token_set(keep)
-            order = ipl_order(ts, scores, 2)
+            plan = plan_of(keep)
+            order = ipl_order(plan.index, scores, 2)
             top = np.unravel_index(np.argmax(scores), scores.shape)
             top_win = (top[0] // 2, top[1] // 2)
-            first = tuple(ts.coords[order[0]])
+            first = tuple(plan.coords[order[0]])
             # the winning window may hold no kept tokens; then it is skipped
             win_keep = keep[2 * top_win[0]:2 * top_win[0] + 2,
                             2 * top_win[1]:2 * top_win[1] + 2]
@@ -101,9 +100,9 @@ class TestIpl:
         for _ in range(50):
             keep = random_keep(rng, 6, 6)
             scores = rng.random((6, 6))
-            ts = token_set(keep)
-            order = ipl_order(ts, scores, 2)
-            wins = [(ts.coords[i][0] // 2, ts.coords[i][1] // 2)
+            plan = plan_of(keep)
+            order = ipl_order(plan.index, scores, 2)
+            wins = [(plan.coords[i][0] // 2, plan.coords[i][1] // 2)
                     for i in order]
             seen = []
             for w in wins:
@@ -116,16 +115,16 @@ class TestIpl:
 
     def test_non_dividing_window_rejected(self):
         with pytest.raises(ShapeError):
-            ipl_order(full(4, 4), np.ones((4, 4)), 3)
+            ipl_order(full(4, 4).index, np.ones((4, 4)), 3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_window_below_one_rejected(self, k):
         with pytest.raises(ConfigError, match="at least 1"):
-            ipl_order(full(4, 4), np.ones((4, 4)), k)
+            ipl_order(full(4, 4).index, np.ones((4, 4)), k)
 
     def test_score_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ipl_order(full(4, 4), np.ones((2, 2)), 2)
+            ipl_order(full(4, 4).index, np.ones((2, 2)), 2)
 
 
 class TestInvert:

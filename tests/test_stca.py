@@ -20,7 +20,6 @@ from sparsescan.event_io import (
     generate_synthetic_scene,
     scene_preset,
 )
-from sparsescan.sparsify import kept_ratio
 from sparsescan.stca import (
     ConfigError,
     GaussianConfig,
@@ -29,6 +28,7 @@ from sparsescan.stca import (
     build_sparsification_map,
     compute_threshold,
     gaussian_aggregate,
+    kept_ratio,
     max_pool2d,
     pool_to_tokens,
     run_stca,
@@ -226,6 +226,21 @@ class TestDownsample:
         for _ in range(100):
             d = rng.random((8, 8)) < rng.uniform(0.05, 0.95)
             assert kept_ratio(max_pool2d(d, 2)) >= kept_ratio(d)
+
+
+class TestKeptRatio:
+    def test_half(self):
+        assert kept_ratio(np.array([[1, 0], [0, 1]], dtype=bool)) == 0.5
+
+    def test_all_ones(self):
+        assert kept_ratio(np.ones((3, 3), dtype=bool)) == 1.0
+
+    def test_bernoulli_mean(self):
+        rng = np.random.default_rng(11)
+        p, n, size = 0.3, 400, 64
+        ratios = [kept_ratio(rng.random((8, 8)) < p) for _ in range(n)]
+        sigma = np.sqrt(p * (1 - p) / (n * size))
+        assert abs(np.mean(ratios) - p) <= 4 * sigma
 
 
 def brute_force_keep(stream, patch, gauss, beta):

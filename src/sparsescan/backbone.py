@@ -58,8 +58,8 @@ from . import blas
 from .errors import ConfigError, FormatError, ShapeError
 from .event_io import VoxelGrid
 from .flops import NULL_METER, FlopsMeter
-from .nn import (conv2d_same, depthwise_conv2d, gelu, layer_norm, patchify, sigmoid, silu,
-                 stencil_taps)
+from .nn import (conv2d_same, depthwise_conv2d, gelu, layer_norm, linear, patchify, sigmoid,
+                 silu, stencil_taps)
 from .s6 import S6Params, init_s6_params, s6_forward, value_fault
 from .scan_order import ipl_order
 from .stca import max_pool2d
@@ -255,6 +255,28 @@ def _build_params(cfg: BackboneConfig, rng) -> BackboneParams:
                           b_embed=np.zeros(c1), stages=stages)
 
 
+def count_params(cfg: BackboneConfig) -> int:
+    """The number of float64 values in init_backbone_params(cfg), from the
+    config's shapes alone: nothing is drawn or allocated."""
+    def s6(lanes):   # log_a, w_b and w_c; w_dt; b_dt and skip
+        return 3 * lanes * cfg.n_state + lanes * lanes + 2 * lanes
+
+    total = (2 * cfg.bins * cfg.patch ** 2 + 1) * cfg.channels[0]
+    for s, c in enumerate(cfg.channels):
+        d = cfg.inner_expand * c
+        total += 2 * c + 2 * (c + 1) * d + 10 * d + 3 * s6(d) + (d + 1) * c
+        if (s + 1) in cfg.gci_stages:
+            gh, gw = cfg.grid(s)
+            total += 3 * (c + 1) * c + 10 * c + 2 * s6(gh * gw)
+        else:
+            e = cfg.mlp_expand * c
+            total += 2 * c + (c + 1) * e + (e + 1) * c
+        total += 72 * c * c + 4 * c
+        if s + 1 < cfg.n_stages:
+            total += (4 * c + 1) * cfg.channels[s + 1]
+    return total
+
+
 def init_lstm_states(cfg: BackboneConfig) -> list[LstmState]:
     out = []
     for s, c in enumerate(cfg.channels):
@@ -271,10 +293,7 @@ def _patch_linear(x: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
     if per_patch != w.shape[1]:
         raise ShapeError(f"{label} expects {w.shape[1]} inputs per patch, got {per_patch}")
     col = patchify(x, patch)
-    rows = col.reshape(-1, col.shape[-1])
-    y = rows @ w.T + b
-    meter.macs(label, rows.size * w.shape[0])
-    meter.elem(label, y.size)
+    y = linear(col.reshape(-1, col.shape[-1]), w, b, meter, label)
     h, wd = x.shape[-3:-1]
     return y.reshape(x.shape[:-3] + (h // patch, wd // patch, -1))
 
@@ -372,7 +391,7 @@ def sparse_ss2d(x: np.ndarray, plan: StagePlan, p: Ss2dParams,
     d = p.w_in.shape[0]
     t = layer_norm(rows, p.norm.gain, p.norm.bias)
     meter.elem(label, 8 * m * c)
-    pre = (t @ p.w_in.T + p.b_in).reshape(-1, n, d)
+    pre = linear(t, p.w_in, p.b_in, meter, label).reshape(-1, n, d)
     seq = np.empty((n, len(pre), d))      # scan order: token, map, channel
     for i in range(len(pre)):
         seq[:, i] = _sparse_depthwise(pre[i], plan.nbr, p.dw_kernel, p.dw_bias)
@@ -387,13 +406,11 @@ def sparse_ss2d(x: np.ndarray, plan: StagePlan, p: Ss2dParams,
     acc[plan.ipl] += y
     meter.elem(label, m * d)
     del y
-    gate = silu(t @ p.w_gate.T + p.b_gate)
-    meter.macs(label, 2 * m * c * d)
-    meter.elem(label, 3 * m * d)
+    gate = silu(linear(t, p.w_gate, p.b_gate, meter, label))
+    meter.elem(label, m * d)
     mixed = np.swapaxes(acc, 0, 1).reshape(m, d) * gate
-    tokens += (mixed @ p.w_out.T + p.b_out).reshape(tokens.shape)
-    meter.macs(label, m * d * c)
-    meter.elem(label, m * d + 2 * m * c)
+    tokens += linear(mixed, p.w_out, p.b_out, meter, label).reshape(tokens.shape)
+    meter.elem(label, m * d + m * c)
     return plan.scatter(tokens, x)
 
 
@@ -407,15 +424,12 @@ def sparse_mlp(x: np.ndarray, plan: StagePlan, p: MlpParams,
     m = len(rows)
     if m == 0:
         return x.copy()
-    e = p.w1.shape[0]
     t = layer_norm(rows, p.norm.gain, p.norm.bias)
     meter.elem(label, 8 * m * c)
-    hmid = gelu(t @ p.w1.T + p.b1)
-    meter.macs(label, m * c * e)
-    meter.elem(label, 2 * m * e)
-    tokens += (hmid @ p.w2.T + p.b2).reshape(tokens.shape)
-    meter.macs(label, m * e * c)
-    meter.elem(label, 2 * m * c)
+    hmid = gelu(linear(t, p.w1, p.b1, meter, label))
+    meter.elem(label, hmid.size)
+    tokens += linear(hmid, p.w2, p.b2, meter, label).reshape(tokens.shape)
+    meter.elem(label, m * c)
     return plan.scatter(tokens, x)
 
 
@@ -453,22 +467,16 @@ def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
         raise ShapeError(f"GCI scans {p.s6_fwd.n_lanes} grid cells, got a {h}x{w} map")
     rows = x.reshape(-1, c)
     cells = len(rows)
-    pre = rows @ p.w_pre.T + p.b_pre
-    meter.macs(label, cells * c * c)
-    meter.elem(label, cells * c)
+    pre = linear(rows, p.w_pre, p.b_pre, meter, label)
     b1_in = silu(depthwise_conv2d(pre.reshape(x.shape), p.dw_kernel, p.dw_bias, edge=True))
     meter.macs(label, 9 * cells * c)
     meter.elem(label, 2 * cells * c)
     # the one transpose: channels become the scan axis, the cells its lanes
     b1 = bidi_scan(np.moveaxis(b1_in, -1, 0), p.s6_fwd, p.s6_bwd, meter, label, parallel)
-    b2 = rows @ p.w_mix.T + p.b_mix
-    meter.macs(label, cells * c * c)
-    meter.elem(label, cells * c)
+    b2 = linear(rows, p.w_mix, p.b_mix, meter, label)
     merged = b1.reshape(c, cells).T + b2
     meter.elem(label, cells * c)
-    upd = merged @ p.w_out.T + p.b_out
-    meter.macs(label, cells * c * c)
-    meter.elem(label, cells * c)
+    upd = linear(merged, p.w_out, p.b_out, meter, label)
     out = x + upd.reshape(x.shape)
     meter.elem(label, cells * c)
     return out

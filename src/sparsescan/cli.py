@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, StagePlan, backbone_forward, init_backbone_params
+from .backbone import BackboneConfig, StagePlan, backbone_forward, count_params, \
+    init_backbone_params
 from .errors import ConfigError, SparseScanError
 from .event_io import EVENTS_PER_CROSSING, EventStream, SceneSpec, build_voxel_grid, \
     check_geometry_fits, event_spatial_ratio, generate_synthetic_scene, load_events, \
@@ -144,12 +145,11 @@ def cmd_forward(args) -> int:
         raise ConfigError(f"--timesteps {args.timesteps} exceeds the stream's span of "
                           f"{stream.span} us; each timestep needs at least 1 us")
     cfg = BackboneConfig(height=stream.height, width=stream.width, bins=args.bins)
-    # float64 (2B, H, W) grid per timestep and (C1, 2B * P * P) embedding weight
-    need = 8 * 2 * cfg.bins * (args.timesteps * cfg.height * cfg.width
-                               + cfg.channels[0] * cfg.patch ** 2)
+    # float64 (2B, H, W) grid per timestep and every backbone parameter
+    need = 8 * (2 * cfg.bins * args.timesteps * cfg.height * cfg.width + count_params(cfg))
     if need > _BUDGET_BYTES:
         raise ConfigError(f"--timesteps {args.timesteps} and -B {args.bins} need an estimated "
-                          f"{need} bytes of voxel grids and embedding weight, above the "
+                          f"{need} bytes of voxel grids and parameters, above the "
                           f"{_BUDGET_BYTES}-byte limit")
     res = run_stca(stream, patch=cfg.patch, beta=args.beta)
     voxels = [build_voxel_grid(sub, cfg.bins) for sub in

@@ -4,10 +4,12 @@ Convention: one multiply-accumulate costs 2 FLOPs; every other scalar
 operation, nonlinearities included, costs 1 FLOP per element. Kernels
 increment a :class:`FlopsMeter` with what they actually execute, so
 token-wise blocks scale with the kept-token count while dense blocks do
-not; the one exception is convlstm_step, which counts the recurrent
-convolution it skips on a fresh (all-zero) state. :func:`count_analytic`
-reproduces the same totals from the configuration alone (sequential scan
-schedule), giving an independent cross-check of the instrumentation.
+not. Every matmul against a parameter is counted in nn.linear, bias
+included; the blocks count only their elementwise work and the ConvLSTM
+convolutions, where convlstm_step also counts the recurrent convolution
+it skips on a fresh (all-zero) state. :func:`count_analytic` reproduces
+the same totals from the configuration alone (sequential scan schedule),
+giving an independent cross-check of the instrumentation.
 """
 
 from __future__ import annotations

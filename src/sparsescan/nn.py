@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
+from .flops import NULL_METER, FlopsMeter
 
 
 def sigmoid(x):
@@ -30,6 +31,18 @@ def silu(x):
 def gelu(x):
     # tanh approximation
     return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)))
+
+
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+           meter: FlopsMeter = NULL_METER, label: str = "") -> np.ndarray:
+    """x @ w.T for (rows, in) x and (out, in) w, plus b if given, metered as
+    rows * in * out MACs and, with b, rows * out bias FLOPs."""
+    y = x @ w.T
+    meter.macs(label, y.size * w.shape[1])
+    if b is not None:
+        y += b
+        meter.elem(label, y.size)
+    return y
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):

@@ -84,6 +84,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .flops import NULL_METER, FlopsMeter
+from .nn import linear
 
 
 def value_fault(name: str, values) -> str | None:
@@ -225,13 +226,11 @@ def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
     if x.ndim not in (2, 3) or x.shape[-1] != lanes:
         raise ShapeError(f"expected (T, {lanes}) or (T, B, {lanes}) input, got {x.shape}")
     rows = x.reshape(-1, lanes)
-    dt = rows @ p.w_dt.T
-    dt += p.b_dt
+    dt = linear(rows, p.w_dt, p.b_dt, meter, label)
     softplus(dt, out=dt)
-    b_t = rows @ p.w_b.T
-    c_t = rows @ p.w_c.T
-    meter.macs(label, len(rows) * lanes * lanes + 2 * len(rows) * n * lanes)
-    meter.elem(label, 2 * len(rows) * lanes)
+    meter.elem(label, dt.size)
+    b_t = linear(rows, p.w_b, None, meter, label)
+    c_t = linear(rows, p.w_c, None, meter, label)
     lead = x.shape[:-1]
     a = np.ascontiguousarray(-np.exp(p.log_a).T)
     return a, dt.reshape(x.shape), b_t.reshape(lead + (n,)), c_t.reshape(lead + (n,))

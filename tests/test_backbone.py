@@ -30,6 +30,7 @@ from sparsescan.backbone import (
     backbone_forward,
     bidi_scan,
     convlstm_step,
+    count_params,
     downsample_features,
     gci_forward,
     init_backbone_params,
@@ -96,6 +97,14 @@ class TestConfig:
     def test_constants_not_settable(self, name):
         with pytest.raises(TypeError):
             BackboneConfig(**{name: getattr(BackboneConfig, name)})
+
+
+class TestCountParams:
+    @pytest.mark.parametrize("cfg", [BackboneConfig(), SMALL, BackboneConfig(96, 64, bins=3)],
+                             ids=["default", "small", "96x64"])
+    def test_closed_form_equals_drawn_tree(self, cfg):
+        drawn = sum(a.size for _, a in iter_arrays(init_backbone_params(cfg)))
+        assert count_params(cfg) == drawn
 
 
 class TestPatchEmbed:

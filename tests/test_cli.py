@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sparsescan.acceptance import CriterionResult
-from sparsescan.backbone import StagePlan
+from sparsescan.backbone import BackboneConfig, StagePlan, count_params
 from sparsescan.cli import _BUDGET_BYTES, _gen_bytes, _split_windows, main
 from sparsescan.event_io import EventStream, generate_synthetic_scene, load_events, \
     save_events, scene_preset
@@ -24,6 +24,10 @@ def _refuse_generation(spec, seed):
 
 def _refuse_stca(*args, **kwargs):
     raise AssertionError("STCA ran")
+
+
+def _refuse_params(*args, **kwargs):
+    raise AssertionError("parameters drawn")
 
 
 def write_csv(path, geometry, rows=()):
@@ -356,19 +360,38 @@ class TestForward:
         splits = []
         monkeypatch.setattr("sparsescan.cli._split_windows",
                             lambda stream, n: splits.append(n) or [stream] * n)
-        # float64 bytes of T (2B, 32, 32) voxel grids plus the (32, 2B * 16) embedding weight
-        need = 8 * 2 * 3 * (2 * 32 * 32 + 32 * 16)
-        monkeypatch.setattr("sparsescan.cli._BUDGET_BYTES", need)
+        def need(t, b):   # float64 bytes of T (2B, 32, 32) voxel grids plus the parameters
+            return 8 * (2 * b * t * 32 * 32 + count_params(BackboneConfig(32, 32, bins=b)))
+
+        monkeypatch.setattr("sparsescan.cli._BUDGET_BYTES", need(2, 3))
         capsys.readouterr()
         assert main(["forward", str(scene), "--timesteps", "2", "-B", "3"]) == 0
         assert splits == [2]
         for t, b in ((3, 3), (2, 4)):
             assert main(["forward", str(scene), "--timesteps", str(t), "-B", str(b)]) == 1
             assert capsys.readouterr().err == (
-                f"error: --timesteps {t} and -B {b} need an estimated "
-                f"{8 * 2 * b * (t * 32 * 32 + 32 * 16)} bytes of voxel grids and embedding "
-                f"weight, above the {need}-byte limit\n")
+                f"error: --timesteps {t} and -B {b} need an estimated {need(t, b)} bytes "
+                f"of voxel grids and parameters, above the {need(2, 3)}-byte limit\n")
         assert splits == [2]
+
+    def test_parameter_budget_refused_before_init(self, tmp_path, capsys, monkeypatch):
+        """A 2048x2048 sensor's parameters alone are 4.4 GiB (stage 3's GCI
+        w_dt is 2 GiB): refused before any is drawn."""
+        scene = write_csv(tmp_path / "big.csv", "W=2048,H=2048")
+        monkeypatch.setattr("sparsescan.cli.init_backbone_params", _refuse_params)
+        monkeypatch.setattr("sparsescan.cli.run_stca", _refuse_stca)
+        assert main(["forward", str(scene)]) == 1
+        params = 8 * count_params(BackboneConfig(2048, 2048))
+        need = 8 * 2 * 10 * 2048 * 2048 + params
+        assert need - params < _BUDGET_BYTES < params   # the voxel grid alone would fit
+        assert capsys.readouterr().err == (
+            f"error: --timesteps 1 and -B 10 need an estimated {need} bytes of voxel grids "
+            f"and parameters, above the {_BUDGET_BYTES}-byte limit\n")
+
+    def test_paper_geometry_fits_the_budget(self):
+        """1280x736 at T=1: 150 MB of voxel grid and 317 MiB of parameters."""
+        cfg = BackboneConfig(height=736, width=1280)
+        assert 8 * (2 * 10 * 736 * 1280 + count_params(cfg)) < _BUDGET_BYTES
 
 
 class TestExitCodes:

@@ -2,8 +2,8 @@
 
 Convention under test: one multiply-accumulate is 2 FLOPs, elementwise
 ops are 1 per element.  Token-wise blocks (names suffixed .ss2d / .mlp)
-must scale exactly linearly with the kept ratio in the analytic model
-and match the meters within 2% when measured.
+must scale exactly linearly with the kept ratio in the analytic model,
+and the measured meters equal it exactly.
 """
 
 import json
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sparsescan.backbone import BackboneConfig, init_backbone_params
+from sparsescan.cli import _split_windows
 from sparsescan.errors import ConfigError
 from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
 from sparsescan.flops import (
@@ -120,7 +121,7 @@ class TestMeasured:
         analytic = count_analytic(SMALL, [1.0] * 4)
         for name, cost in measured.blocks.items():
             ref = analytic.blocks[name].dense
-            assert cost.dense == pytest.approx(ref, rel=0.02), name
+            assert cost.dense == ref, name
 
     def test_token_wise_ratio_equals_kept_ratio(self):
         voxels, keep, scores = small_case(seed=2, p_keep=0.4)
@@ -154,6 +155,21 @@ class TestMeasured:
         assert lstm == {"stage1.lstm": 1192960, "stage2.lstm": 668544,
                         "stage3.lstm": 296576, "stage4.lstm": 166512}
         assert (r.dense_total, r.sparse_total) == (4021984, 3614816)
+
+    @pytest.mark.parametrize("preset, timesteps", [("sparse30", 1), ("edge-noise", 4)])
+    def test_default_config_matches_analytic_exactly(self, preset, timesteps):
+        """At the default 64x64 config, on a scene's STCA mask and the
+        sequential scan, every block's dense and sparse count equals the
+        closed form."""
+        cfg = BackboneConfig()
+        stream, _ = generate_synthetic_scene(scene_preset(preset), seed=0)
+        res = run_stca(stream, patch=cfg.patch)
+        voxels = [build_voxel_grid(sub, cfg.bins) for sub in _split_windows(stream, timesteps)]
+        r = measure(cfg, init_backbone_params(cfg), voxels, res.scores, res.keep)
+        analytic = count_analytic(cfg, r.kept_ratios, timesteps=timesteps)
+        assert 0.0 < r.kept_ratios[0] < 1.0
+        assert {n: (b.dense, b.sparse) for n, b in r.blocks.items()} == \
+            {n: (b.dense, b.sparse) for n, b in analytic.blocks.items()}
 
     def test_reduction_on_sparse_scene(self):
         """Desk config on a ~30% spatial-ratio scene lands in [0.20, 0.35]."""

@@ -1,10 +1,13 @@
-"""The 3x3 stencil primitives: bordered taps, the im2col convolution and
-the depthwise pass.
+"""The dense primitives: the metered linear projection, and the 3x3
+stencil primitives (bordered taps, the im2col convolution and the
+depthwise pass).
 
-Each is checked against a plain formulation: np.pad for the border, the
-np.pad + sliding_window_view im2col for conv2d_same (byte for byte, since
-the column order and the matmul are unchanged), and a per-pixel loop for
-the depthwise pass (whose summation order may differ).
+linear is checked byte for byte against x @ w.T + b, and its counts
+against flops._linear_cost. Each stencil primitive is checked against a
+plain formulation: np.pad for the border, the np.pad +
+sliding_window_view im2col for conv2d_same (byte for byte, since the
+column order and the matmul are unchanged), and a per-pixel loop for the
+depthwise pass (whose summation order may differ).
 """
 
 import numpy as np
@@ -13,7 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from sparsescan import nn
 from sparsescan.errors import ShapeError
-from sparsescan.nn import conv2d_same, depthwise_conv2d, patchify, stencil_taps
+from sparsescan.flops import NULL_METER, FlopsMeter, _linear_cost
+from sparsescan.nn import conv2d_same, depthwise_conv2d, linear, patchify, stencil_taps
 
 # channel-last 1x1, 2x2, 1x5, 5x1 and 3x4 maps, and a (T, H, W, C) stack
 SHAPES = [(1, 1, 3), (2, 2, 4), (1, 5, 2), (5, 1, 2), (3, 4, 5), (3, 3, 4, 2)]
@@ -69,6 +73,31 @@ class TestStencilTaps:
         x = np.zeros((3, 3, 1))
         stencil_taps(x, edge=True)[4][...] = 1.0
         assert not x.any()
+
+
+class TestLinear:
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_equals_matmul_plus_bias_bytes(self, rows):
+        rng = np.random.default_rng(5)
+        x, w, b = (rng.standard_normal(shape) for shape in ((rows, 6), (4, 6), 4))
+        got = linear(x, w, b)
+        assert got.shape == (rows, 4)
+        assert got.tobytes() == (x @ w.T + b).tobytes()
+        assert linear(x, w).tobytes() == (x @ w.T).tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_counts_macs_and_bias(self, rows):
+        x, w = np.ones((rows, 6)), np.ones((4, 6))
+        meter = FlopsMeter()
+        linear(x, w, np.zeros(4), meter, "proj")
+        assert meter.flops == {"proj": _linear_cost(rows, 6, 4)}
+        meter = FlopsMeter()
+        linear(x, w, None, meter, "proj")
+        assert meter.flops == {"proj": 2 * rows * 6 * 4}
+
+    def test_null_meter_stays_empty(self):
+        linear(np.ones((3, 2)), np.ones((5, 2)), np.ones(5), label="proj")
+        assert NULL_METER.flops == {}
 
 
 class TestConv2dSame:

@@ -8,12 +8,12 @@ the input-dependent step size:
     bbar = dt * b * phi1(z) = expm1(z) * b / a,    z = dt * a
 
 with phi1(z) = expm1(z) / z and phi1(0) = 1: Mamba's (dt a)^-1 (exp(dt a) - 1) dt b
-for diagonal a. 1/a is built once per call, so no pass divides. A zero or
-subnormal a, whose 1/a overflows, keeps the phi1 form, exact through a = 0
-and dt = 0 as expm1 is accurate for tiny z. Elsewhere the 1/a form is exact
-to rounding while z is normal; where dt * a is subnormal or underflows,
-bbar is off by less than 2^-1075 |b| / |a|, far under rounding at the
-state's scale |b x| / |a|. The recurrence is
+for diagonal a. 1/a is built once per parameter set, so no pass divides.
+A zero or subnormal a, whose 1/a overflows, keeps the phi1 form, exact
+through a = 0 and dt = 0 as expm1 is accurate for tiny z. Elsewhere the
+1/a form is exact to rounding while z is normal; where dt * a is
+subnormal or underflows, bbar is off by less than 2^-1075 |b| / |a|, far
+under rounding at the state's scale |b x| / |a|. The recurrence is
 
     h_t = abar_t * h_{t-1} + bbar_t * x_t
     y_t = <c_t, h_t> + skip * x_t
@@ -35,7 +35,11 @@ bx are (T, N, L), a state h is (N, L), and B sequences make them
 runs its inner loop over the L contiguous lanes, not over N = 16 states,
 and y_t = <c_t, h_t> is one (1, N) @ (N, L) product per step. S6Params
 keeps log_a as (L, N); the forward uses a = -exp(log_a) transposed to a
-C-contiguous (N, L).
+C-contiguous (N, L). a and zoh_reciprocal(a) depend on log_a alone, so
+each S6Params builds them once, at its first forward (S6Params.zoh), and
+keeps them on the instance, outside its dataclass fields: checkpoints and
+iter_arrays never see them. log_a turns read-only then, so an in-place
+write after the first forward raises instead of leaving them stale.
 
 There are two forward scans: a sequential loop, and a recursive-doubling
 (Hillis-Steele) scan over the associative operator
@@ -72,13 +76,15 @@ scans and contracts in two float64 chunk buffers allocated once per call
 and reused for every chunk. Each holds one chunk, max(_CHUNK_ELEMS,
 B * L * N) elements at most (256 KB while B * L * N <= _CHUNK_ELEMS),
 whatever T is; each doubling pass adds numpy temporaries of at most one
-chunk. Only y and h_T outlive the call; nothing is kept between calls.
+chunk. Only y and h_T outlive the call; the parameter set's a and 1/a
+are all that is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +106,8 @@ def value_fault(name: str, values) -> str | None:
 
 @dataclass
 class S6Params:
-    """Learnable state of one scan block over L lanes and N states, checked
+    """Learnable state of one scan block over L lanes and N states, each
+    field held as a float64 array (float64 input is not copied), checked
     at construction: ShapeError where the shapes disagree, ValidationError
     on a value_fault."""
 
@@ -112,19 +119,39 @@ class S6Params:
     skip: np.ndarray     # (L,)
 
     def __post_init__(self):
-        if np.ndim(self.log_a) != 2:
-            raise ShapeError(f"S6Params.log_a must be (L, N), got {np.shape(self.log_a)}")
-        lanes, n = np.shape(self.log_a)
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
+        if self.log_a.ndim != 2:
+            raise ShapeError(f"S6Params.log_a must be (L, N), got {self.log_a.shape}")
+        lanes, n = self.log_a.shape
         want = {"log_a": (lanes, n), "w_dt": (lanes, lanes), "b_dt": (lanes,),
                 "w_b": (n, lanes), "w_c": (n, lanes), "skip": (lanes,)}
         for f in fields(self):
             values = getattr(self, f.name)
-            if np.shape(values) != want[f.name]:
-                raise ShapeError(f"S6Params.{f.name} is {np.shape(values)}, "
+            if values.shape != want[f.name]:
+                raise ShapeError(f"S6Params.{f.name} is {values.shape}, "
                                  f"expected {want[f.name]}")
             fault = value_fault(f.name, values)
             if fault:
                 raise ValidationError(f"S6Params.{f.name} {fault}")
+
+    @cached_property
+    def zoh(self):
+        """(a, zoh_reciprocal(a)), a = -exp(log_a) as a C-contiguous (N, L),
+        built at the first use and kept on the instance.
+
+        np.exp keeps the strides of log_a.T, and a transposed a would bring
+        back the N-element inner loops. log_a turns read-only first, so a
+        later in-place write raises instead of leaving the two stale. Threads
+        that race here build the same bits.
+        """
+        self.log_a.flags.writeable = False
+        a = np.ascontiguousarray(-np.exp(self.log_a).T)
+        return a, zoh_reciprocal(a)
+
+    def __getstate__(self):
+        # copies and pickles rebuild zoh: their log_a comes back writeable
+        return {k: v for k, v in self.__dict__.items() if k != "zoh"}
 
     @property
     def n_lanes(self) -> int:
@@ -175,9 +202,10 @@ def discretize_zoh(a, b, dt, x=None, out=None, recip=None):
     given, bbar comes out multiplied by the input, as bbar * x. out, if
     given, is a pair of float64 arrays of the result shape to write
     (abar, bbar) into; it must not overlap the arguments. recip is
-    zoh_reciprocal(a), built here when not given; s6_forward builds it
-    once per call. The s6 kernels pass a (N, L) a, (..., N, 1) b and
-    (..., 1, L) dt and x, so every pass runs over contiguous lanes.
+    zoh_reciprocal(a), built here when not given; s6_forward and
+    parameterize pass the one their S6Params keeps (S6Params.zoh). The
+    s6 kernels pass a (N, L) a, (..., N, 1) b and (..., 1, L) dt and x,
+    so every pass runs over contiguous lanes.
     """
     a, b, dt = (np.asarray(v, dtype=np.float64) for v in (a, b, dt))
     if out is None:
@@ -215,12 +243,10 @@ def softplus(x, out=None):
 
 
 def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
-    """a (N, L) and the per-step dt (..., L), b (..., N), c (..., N) of x.
+    """The per-step dt (..., L), b (..., N) and c (..., N) of x.
 
     Each projection is one matmul over all T * B rows. dt takes its bias
-    and softplus in place, so it is the only (T * B, L) array made. a is
-    made C-contiguous: np.exp keeps the strides of log_a.T, and a
-    transposed a would bring back the N-element inner loops.
+    and softplus in place, so it is the only (T * B, L) array made.
     """
     lanes, n = p.log_a.shape
     if x.ndim not in (2, 3) or x.shape[-1] != lanes:
@@ -232,14 +258,15 @@ def _project(x: np.ndarray, p: S6Params, meter: FlopsMeter, label: str):
     b_t = linear(rows, p.w_b, None, meter, label)
     c_t = linear(rows, p.w_c, None, meter, label)
     lead = x.shape[:-1]
-    a = np.ascontiguousarray(-np.exp(p.log_a).T)
-    return a, dt.reshape(x.shape), b_t.reshape(lead + (n,)), c_t.reshape(lead + (n,))
+    return dt.reshape(x.shape), b_t.reshape(lead + (n,)), c_t.reshape(lead + (n,))
 
 
 def parameterize(x: np.ndarray, p: S6Params) -> S6Discretized:
     """Build per-step (T, N, L) coefficients from the input sequence x of shape (T, L)."""
-    a, dt, b_t, c_t = _project(x, p, NULL_METER, "")
-    abar, bx = discretize_zoh(a, b_t[..., :, None], dt[..., None, :], x=x[..., None, :])
+    dt, b_t, c_t = _project(x, p, NULL_METER, "")
+    a, recip = p.zoh
+    abar, bx = discretize_zoh(a, b_t[..., :, None], dt[..., None, :], x=x[..., None, :],
+                              recip=recip)
     return S6Discretized(abar=abar, bx=bx, c=c_t)
 
 
@@ -412,8 +439,8 @@ def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
     scan run chunk by chunk, the B sequences side by side as extra lanes.
     y and h_T are new arrays.
     """
-    a, dt, b_t, c_t = _project(x, p, meter, label)
-    recip = zoh_reciprocal(a)
+    dt, b_t, c_t = _project(x, p, meter, label)
+    a, recip = p.zoh
 
     def fill(s, e, abar, bx):
         discretize_zoh(a, b_t[s:e, ..., :, None], dt[s:e, ..., None, :],

@@ -269,3 +269,25 @@ class TestConcurrentForwards:
                 [o.tobytes() for step in want[0] for o in step]
             assert [(s.h.tobytes(), s.c.tobytes()) for s in states] == \
                 [(s.h.tobytes(), s.c.tobytes()) for s in want[1]]
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_first_forwards_racing_on_fresh_parameters_match_sequential(self, parallel,
+                                                                        monkeypatch):
+        """Both threads may build a block's cached a and 1/a; the bits agree."""
+        voxels, keep, scores = scene_inputs(1, dense=False)
+        want_outs, want_states = backbone_forward(voxels, keep, scores, SMALL,
+                                                  init_backbone_params(SMALL, seed=62),
+                                                  parallel=parallel)
+        shared = init_backbone_params(SMALL, seed=62)
+        overlap_in_embed(monkeypatch)
+        got = [None, None]
+
+        def client(i):
+            got[i] = backbone_forward(voxels, keep, scores, SMALL, shared, parallel=parallel)
+
+        assert run_threads([lambda: client(0), lambda: client(1)]) == [None, None]
+        for outs, states in got:
+            assert [o.tobytes() for step in outs for o in step] == \
+                [o.tobytes() for step in want_outs for o in step]
+            assert [(s.h.tobytes(), s.c.tobytes()) for s in states] == \
+                [(s.h.tobytes(), s.c.tobytes()) for s in want_states]

@@ -5,6 +5,7 @@ h_t = abar_t * h_{t-1} + bx_t, y_t = <c_t, h_t> + skip * x_t.
 Coefficients and states are (T, N, L) and (N, L): state axis before lanes.
 """
 
+import copy
 import math
 import sys
 import threading
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 from sparsescan import s6
+from sparsescan.backbone import BackboneConfig, init_backbone_params, iter_arrays, \
+    load_checkpoint, save_checkpoint
 from sparsescan.flops import NULL_METER, FlopsMeter, _s6_cost
 from sparsescan.s6 import (
     S6Discretized,
@@ -632,7 +635,7 @@ class TestBatchedSequences:
 
 class TestWorkspace:
     """s6_forward allocates its chunk buffers once per call and keeps
-    nothing between calls."""
+    nothing between calls but its S6Params' a and 1/a."""
 
     SHAPE = (81, 128, 16)    # stage-1 token count, lanes and state size
 
@@ -710,6 +713,94 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert mismatches == []
+
+
+class TestParameterConstants:
+    """Each S6Params builds a = -exp(log_a) and its ZOH reciprocal once, at its
+    first forward, and then holds log_a read-only."""
+
+    @staticmethod
+    def rebuilt(p):
+        """A fresh block from copies of p's six arrays."""
+        return S6Params(**TestParameterize.fields_of(p))
+
+    def test_list_built_block_scans_like_its_array_form(self):
+        fields = dict(log_a=[[0.0, 0.5]], w_dt=[[0.1]], b_dt=[0.0], w_b=[[1.0], [1.0]],
+                      w_c=[[1.0], [1.0]], skip=[1.0])
+        listed = S6Params(**fields)
+        arrays = S6Params(**{k: np.array(v) for k, v in fields.items()})
+        assert all(isinstance(getattr(listed, k), np.ndarray) and
+                   getattr(listed, k).dtype == np.float64 for k in fields)
+        x = np.ones((3, 1))
+        for parallel in (False, True):
+            y, h = s6_forward(x, listed, parallel=parallel)
+            y_ref, h_ref = s6_forward(x, arrays, parallel=parallel)
+            assert y.tobytes() == y_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+
+    def test_float64_fields_are_not_copied(self):
+        p = init_s6_params(3, 4, np.random.default_rng(70))
+        w_c = p.w_c
+        q = S6Params(p.log_a, p.w_dt, p.b_dt, p.w_b, w_c, p.skip)
+        assert q.w_c is w_c
+
+    def test_two_forwards_build_the_constants_once(self, monkeypatch):
+        real, calls = s6.zoh_reciprocal, []
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(s6, "zoh_reciprocal", counting)
+        rng = np.random.default_rng(71)
+        p = init_s6_params(5, 4, rng)
+        x = rng.standard_normal((9, 5))
+        y1, _ = s6_forward(x, p)
+        y2, _ = s6_forward(x, p, parallel=True)
+        parameterize(x, p)
+        assert calls == [(4, 5)]
+        assert rel_err(y2, y1) <= 1e-12
+
+    def test_write_after_first_forward_raises(self):
+        rng = np.random.default_rng(72)
+        p = init_s6_params(3, 4, rng)
+        s6_forward(rng.standard_normal((4, 3)), p)
+        with pytest.raises(ValueError, match="read-only"):
+            p.log_a[0, 0] = 1.0
+        p.w_c[:] = 0.0      # the other fields stay writeable
+
+    def test_write_before_first_forward_takes_effect(self):
+        rng = np.random.default_rng(73)
+        p = init_s6_params(3, 4, rng)
+        x = rng.standard_normal((6, 3))
+        p.log_a[:] = rng.uniform(-2.0, 2.0, size=p.log_a.shape)
+        want = s6_forward(x, self.rebuilt(p))
+        got = s6_forward(x, p)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_copy_after_a_forward_rebuilds_from_its_own_log_a(self):
+        rng = np.random.default_rng(74)
+        p = init_s6_params(3, 4, rng)
+        x = rng.standard_normal((6, 3))
+        s6_forward(x, p)
+        q = copy.deepcopy(p)
+        q.log_a[:] += 0.5
+        want = s6_forward(x, self.rebuilt(q))
+        assert [v.tobytes() for v in s6_forward(x, q)] == [v.tobytes() for v in want]
+
+    def test_loaded_checkpoint_scans_with_the_loaded_log_a(self, tmp_path):
+        cfg = BackboneConfig(height=32, width=32, bins=2, channels=(8, 12, 16, 24),
+                             n_state=4, inner_expand=2)
+        saved = init_backbone_params(cfg, seed=75)
+        rng = np.random.default_rng(75)
+        for _, arr in iter_arrays(saved):
+            arr += rng.uniform(-0.5, 0.5, size=arr.shape)   # log_a differs from the init one
+        path = tmp_path / "params.bin"
+        save_checkpoint(saved, path)
+        loaded = load_checkpoint(path, cfg)
+        p = loaded.stages[0].ss2d.s6_fwd
+        x = rng.standard_normal((7, p.n_lanes))
+        want = s6_forward(x, self.rebuilt(saved.stages[0].ss2d.s6_fwd))
+        assert [v.tobytes() for v in s6_forward(x, p)] == [v.tobytes() for v in want]
 
 
 def rel_err(got, want):

@@ -11,7 +11,7 @@ from .errors import ConfigError, FormatError, OrderingError, ShapeError, \
     SparseScanError, ValidationError
 from .event_io import EdgeSegment, EventStream, SceneSpec, VoxelGrid, \
     build_voxel_grid, event_spatial_ratio, generate_synthetic_scene, \
-    load_events, save_events, scene_preset
+    load_events, save_events, scene_preset, split_windows
 from .stca import GaussianConfig, StcaResult, accumulate_temporal_scores, \
     build_sparsification_map, compute_threshold, gaussian_aggregate, \
     kept_ratio, max_pool2d, pool_to_tokens, run_stca
@@ -44,5 +44,5 @@ __all__ = [
     "max_pool2d", "measure", "patch_embed", "pool_to_tokens", "run_stca",
     "s6_forward", "save_checkpoint", "save_events",
     "scene_preset", "selective_scan_backward", "selective_scan_parallel",
-    "selective_scan_seq", "softplus", "sparse_mlp", "sparse_ss2d",
+    "selective_scan_seq", "softplus", "sparse_mlp", "sparse_ss2d", "split_windows",
 ]

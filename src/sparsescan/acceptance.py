@@ -26,6 +26,10 @@ from .s6 import S6Discretized, discretize_zoh, selective_scan_backward, \
 from .scan_order import invert, ipl_order
 from .stca import GaussianConfig, gaussian_aggregate, max_pool2d, run_stca
 
+# A backbone small enough for block-level checks: 8x8 stage-1 tokens, 8 channels
+SMALL_CONFIG = bb.BackboneConfig(height=32, width=32, bins=2, channels=(8, 12, 16, 24),
+                                 n_state=4, inner_expand=2)
+
 
 @dataclass
 class CriterionResult:
@@ -333,9 +337,7 @@ def criterion_gather_scatter() -> CriterionResult:
             ok, detail = False, f"round-trip mismatch at trial {trial}"
             break
     if ok:
-        cfg = bb.BackboneConfig(height=32, width=32, channels=(8, 12, 16, 24),
-                                bins=2, n_state=4, inner_expand=2)
-        params = bb.init_backbone_params(cfg, seed=3)
+        params = bb.init_backbone_params(SMALL_CONFIG, seed=3)
         for trial in range(20):
             x = rng.normal(size=(8, 8, 8))
             keep = rng.random((8, 8)) < 0.5
@@ -419,9 +421,7 @@ def criterion_dense_consistency() -> CriterionResult:
     start = time.perf_counter()
     rng = np.random.default_rng(79)
     worst = 0.0
-    small = bb.BackboneConfig(height=32, width=32, channels=(8, 12, 16, 24),
-                              bins=2, n_state=4, inner_expand=2)
-    sp = bb.init_backbone_params(small, seed=5)
+    sp = bb.init_backbone_params(SMALL_CONFIG, seed=5)
     ones = np.ones((8, 8), dtype=bool)
     for _ in range(5):
         x = rng.normal(size=(8, 8, 8))

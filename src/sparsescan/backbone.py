@@ -28,12 +28,12 @@ stack's working set.
 
 A stage is the public map-level blocks composed, and the forward has no
 other route: sparse_ss2d, then gci_forward or sparse_mlp, then
-convlstm_step and downsample_features, with the keep mask and score map
-max-pooled 2x after each downsample. backbone_forward builds each
+convlstm_step and downsample_features. backbone_forward builds each
 stage's StagePlan (kept coordinates, grid index, neighbour table and the
-IPL order, in the window ipl_window derives from the stage grid) once
-per batch of timesteps, and both token blocks of the stage take that one
-plan. They compute only at kept token positions, gathering the
+IPL order, in the window ipl_window derives from the stage grid) from
+the keep mask and score map max-pooled 2**s for stage s, once per call,
+and both token blocks of the stage take that one plan in every batch.
+They compute only at kept token positions, gathering the
 (T, n, C) kept tokens of the stack through the plan and scattering them
 back, and pass discarded positions through bit-unchanged.
 
@@ -89,9 +89,6 @@ class BackboneConfig:
     n_state: int = 16
     inner_expand: int = 4
 
-    def __post_init__(self):
-        self.validate()
-
     @property
     def n_stages(self) -> int:
         return len(self.channels)
@@ -101,7 +98,7 @@ class BackboneConfig:
         f = self.patch * (1 << stage)
         return self.height // f, self.width // f
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if min(self.height, self.width, self.bins, self.n_state, self.inner_expand,
                *self.channels) < 1:
             raise ConfigError("height, width, bins, channels, n_state and inner_expand "
@@ -541,8 +538,9 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
                      meter: FlopsMeter = NULL_METER, parallel: bool = False):
     """Run the backbone over a sequence of voxel grids, stage-major.
 
-    Each batch of timesteps runs stage by stage over its (T, ...) stack,
-    with the LSTM states carried from step to step and batch to batch.
+    Each stage's StagePlan is built once per call. Each batch of timesteps
+    runs stage by stage over its (T, ...) stack through those plans, with
+    the LSTM states carried from step to step and batch to batch.
     Returns (outputs, states): one list of per-stage (C, H, W) feature
     maps per timestep, each a view of the stage's channel-last stack, and
     a new list of the updated (H, W, C) LSTM states; the given states
@@ -566,6 +564,8 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
         for v in values:
             if v.shape != (2 * cfg.bins, cfg.height, cfg.width):
                 raise ShapeError(f"voxel grid shape {v.shape} does not match config")
+        plans = [StagePlan.build(max_pool2d(keep, 1 << s), max_pool2d(scores, 1 << s))
+                 for s in range(cfg.n_stages)]
         outputs = []
         batch = _timesteps_per_batch(cfg)
         for start in range(0, len(values), batch):
@@ -574,11 +574,9 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
             # embedding weight gains nothing from a batch
             x = np.stack([patch_embed(v, cfg.patch, params.w_embed, params.b_embed, meter)
                           for v in values[start:start + batch]])
-            k_map, s_map = keep, scores
             stage_outs = []
-            for s, sp in enumerate(params.stages):
+            for s, (sp, plan) in enumerate(zip(params.stages, plans)):
                 tag = f"stage{s + 1}"
-                plan = StagePlan.build(k_map, s_map)
                 x = sparse_ss2d(x, plan, sp.ss2d, meter, f"{tag}.ss2d", parallel)
                 if isinstance(sp.mixer, GciParams):
                     x = gci_forward(x, sp.mixer, meter, f"{tag}.gci", parallel)
@@ -588,7 +586,6 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
                 stage_outs.append(np.moveaxis(x, -1, -3))
                 if sp.down_w is not None:
                     x = downsample_features(x, sp.down_w, sp.down_b, meter, f"{tag}.down")
-                    k_map, s_map = max_pool2d(k_map, 2), max_pool2d(s_map, 2)
             outputs += [list(step) for step in zip(*stage_outs)]
         return outputs, states
 

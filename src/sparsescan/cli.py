@@ -3,11 +3,11 @@
 Subcommands: gen (synthetic scenes), stca (score and threshold a stream),
 scan-viz (dump the forward's stage-1 bidi-forward, bidi-backward or IPL
 order at the forward's patch size, the IPL window taken from the token
-grid), forward (run the backbone on --timesteps sub-windows, slices of
-the time-sorted stream cut by np.searchsorted, with an optional FLOPs
-report), bench (one FLOPs and wall-time row per scene, printed as each
-scene finishes), selftest (the acceptance battery). Domain, file and
-out-of-memory errors exit 1, usage errors exit 2.
+grid), forward (run the backbone on the --timesteps sub-windows
+event_io.split_windows cuts, with an optional FLOPs report), bench (one
+FLOPs and wall-time row per scene, printed as each scene finishes),
+selftest (the acceptance battery). Domain, file and out-of-memory errors
+exit 1, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .backbone import BackboneConfig, StagePlan, backbone_forward, count_params,
 from .errors import ConfigError, SparseScanError
 from .event_io import EVENTS_PER_CROSSING, EventStream, SceneSpec, build_voxel_grid, \
     check_geometry_fits, event_spatial_ratio, generate_synthetic_scene, load_events, \
-    save_events, scene_preset
+    save_events, scene_preset, split_windows
 from .flops import measure
 from .stca import GaussianConfig, kept_ratio, run_stca, write_map_csv, write_map_pgm
 
@@ -60,19 +60,6 @@ def _check_score_map(stream: EventStream) -> None:
     if need > _BUDGET_BYTES:
         raise ConfigError(f"a {stream.width}x{stream.height} sensor needs a {need}-byte "
                           f"score map, above the {_BUDGET_BYTES}-byte limit")
-
-
-def _split_windows(stream: EventStream, n: int) -> list[EventStream]:
-    """Cut the stream into n equal sub-windows, [lo, hi) and the last [lo, end]."""
-    # offsets from window_start, so no edge leaves int64 on its way to a Python int
-    steps = np.rint(np.linspace(0, stream.span, n + 1))
-    edges = [stream.window_start] + [stream.window_start + int(v) for v in steps[1:-1]] \
-        + [stream.window_end]
-    cuts = np.searchsorted(stream.ts, edges[:-1]).tolist() + [stream.n_events]
-    return [EventStream(stream.xs[a:b], stream.ys[a:b], stream.ts[a:b], stream.ps[a:b],
-                        width=stream.width, height=stream.height,
-                        window_start=lo, window_end=hi)
-            for a, b, lo, hi in zip(cuts, cuts[1:], edges, edges[1:])]
 
 
 def cmd_gen(args) -> int:
@@ -153,7 +140,7 @@ def cmd_forward(args) -> int:
                           f"{_BUDGET_BYTES}-byte limit")
     res = run_stca(stream, patch=cfg.patch, beta=args.beta)
     voxels = [build_voxel_grid(sub, cfg.bins) for sub in
-              _split_windows(stream, args.timesteps)]
+              split_windows(stream, args.timesteps)]
     params = init_backbone_params(cfg, seed=args.seed)
     t0 = time.perf_counter()
     outputs, _ = backbone_forward(voxels, res.keep, res.scores, cfg, params)

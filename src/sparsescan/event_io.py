@@ -20,6 +20,7 @@ Synthetic scenes move line segments over uniform Poisson noise; each
 pixel a segment sweeps emits a burst of EVENTS_PER_CROSSING events.
 Voxelization adds every event's two bilinear time shares to the grid with
 one np.bincount over flat (channel, y, x) indices, in stream order.
+split_windows cuts a stream into the forward's n equal timesteps.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ class EventStream:
         """
         start = np.uint64(self.window_start % (1 << 64))
         return (self.ts.view(np.uint64) - start).astype(np.float64)
+
+
+def split_windows(stream: EventStream, n: int) -> list[EventStream]:
+    """Cut the stream into n equal sub-windows, [lo, hi) and the last [lo, end]."""
+    if n < 1:
+        raise ConfigError(f"need at least 1 sub-window, got {n}")
+    # offsets from window_start, so no edge leaves int64 on its way to a Python int
+    steps = np.rint(np.linspace(0, stream.span, n + 1))
+    edges = [stream.window_start] + [stream.window_start + int(v) for v in steps[1:-1]] \
+        + [stream.window_end]
+    cuts = np.searchsorted(stream.ts, edges[:-1]).tolist() + [stream.n_events]
+    return [EventStream(stream.xs[a:b], stream.ys[a:b], stream.ts[a:b], stream.ps[a:b],
+                        width=stream.width, height=stream.height,
+                        window_start=lo, window_end=hi)
+            for a, b, lo, hi in zip(cuts, cuts[1:], edges, edges[1:])]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsescan import backbone as bb
+from sparsescan.acceptance import SMALL_CONFIG as SMALL
 from sparsescan.backbone import (
     BackboneConfig,
     ConvLstmParams,
@@ -49,10 +50,6 @@ from sparsescan.nn import conv2d_same, depthwise_conv2d, gelu, layer_norm, sigmo
 from sparsescan import s6
 from sparsescan.s6 import init_s6_params, s6_forward
 from sparsescan.stca import max_pool2d, run_stca
-
-SMALL = BackboneConfig(height=32, width=32, bins=2,
-                       channels=(8, 12, 16, 24), n_state=4,
-                       inner_expand=2)
 
 
 def small_inputs(seed=0, p_keep=0.5):
@@ -709,10 +706,11 @@ class TestStagePlans:
         assert tuple(calls) == tuple(ipl_window(SMALL.grid(s)) for s in range(SMALL.n_stages))
 
     @pytest.mark.parametrize("batch, batches", [(8, 1), (3, 2)])
-    def test_one_plan_per_stage_per_batch_shared_by_both_blocks(self, monkeypatch, batch,
-                                                                batches):
-        """backbone_forward builds n_stages plans per batch of timesteps, and a
-        stage's sparse_mlp receives the very plan its sparse_ss2d used."""
+    def test_one_plan_per_stage_per_call_shared_by_both_blocks(self, monkeypatch, batch,
+                                                               batches):
+        """backbone_forward builds n_stages plans per call, however many
+        batches its timesteps run in, and every batch's sparse_ss2d and
+        sparse_mlp of a stage receive that stage's one plan."""
         built, used = [], {"ss2d": [], "mlp": []}
         real_build = StagePlan.build.__func__
         real_ss2d, real_mlp = bb.sparse_ss2d, bb.sparse_mlp
@@ -735,11 +733,10 @@ class TestStagePlans:
         monkeypatch.setattr(bb, "_timesteps_per_batch", lambda cfg: batch)
         voxels, keep, scores = small_inputs(seed=42)
         backbone_forward([voxels] * 4, keep, scores, SMALL, init_backbone_params(SMALL, seed=41))
-        assert len(built) == batches * SMALL.n_stages
-        assert [id(p) for p in used["ss2d"]] == [id(p) for p in built]
+        assert len(built) == SMALL.n_stages
+        assert [id(p) for p in used["ss2d"]] == [id(p) for p in built] * batches
         mlp_stages = [s for s in range(SMALL.n_stages) if s + 1 not in SMALL.gci_stages]
-        assert [id(p) for p in used["mlp"]] == [id(built[b * SMALL.n_stages + s])
-                                                for b in range(batches) for s in mlp_stages]
+        assert [id(p) for p in used["mlp"]] == [id(built[s]) for s in mlp_stages] * batches
 
 
 def rel_err(got, want):
@@ -843,30 +840,45 @@ class TestStageMajor:
 
     @pytest.mark.parametrize("batch, stacks", [(1, [1, 1, 1, 1]), (3, [3, 1])])
     def test_batches_carry_states(self, four_steps, monkeypatch, batch, stacks):
-        voxels, keep, scores = four_steps
+        """Under the STCA, all-true, all-false and single-token masks, a call
+        in batches equals one unbatched call and builds n_stages plans."""
+        voxels, stca_keep, scores = four_steps
         params = init_backbone_params(SMALL, seed=45)
-        want, want_states = backbone_forward(voxels, keep, scores, SMALL, params)
-        seen = []
-        real_lstm = bb.convlstm_step
+        single = np.zeros_like(stca_keep)
+        single[3, 5] = True
+        seen, built = [], []
+        real_lstm, real_build = bb.convlstm_step, StagePlan.build.__func__
 
         def lstm_recording(x, *args, **kwargs):
             seen.append(len(x))
             return real_lstm(x, *args, **kwargs)
 
-        monkeypatch.setattr(bb, "convlstm_step", lstm_recording)
-        monkeypatch.setattr(bb, "_timesteps_per_batch", lambda cfg: batch)
-        got, got_states = backbone_forward(voxels, keep, scores, SMALL, params)
-        assert seen == [size for size in stacks for _ in range(SMALL.n_stages)]
-        for step_got, step_want in zip(got, want, strict=True):
-            for a, b in zip(step_got, step_want):
-                assert rel_err(a, b) <= 1e-12
-        for a, b in zip(got_states, want_states):
-            assert rel_err(a.h, b.h) <= 1e-12 and rel_err(a.c, b.c) <= 1e-12
+        def build_counting(cls, keep, scores):
+            built.append(keep.shape)
+            return real_build(cls, keep, scores)
+
+        for keep in (stca_keep, np.ones_like(stca_keep), np.zeros_like(stca_keep), single):
+            want, want_states = backbone_forward(voxels, keep, scores, SMALL, params)
+            seen.clear()
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(bb, "convlstm_step", lstm_recording)
+                m.setattr(StagePlan, "build", classmethod(build_counting))
+                m.setattr(bb, "_timesteps_per_batch", lambda cfg: batch)
+                got, got_states = backbone_forward(voxels, keep, scores, SMALL, params)
+            assert seen == [size for size in stacks for _ in range(SMALL.n_stages)]
+            assert built == [SMALL.grid(s) for s in range(SMALL.n_stages)]
+            for step_got, step_want in zip(got, want, strict=True):
+                for a, b in zip(step_got, step_want):
+                    assert rel_err(a, b) <= 1e-12
+            for a, b in zip(got_states, want_states):
+                assert rel_err(a.h, b.h) <= 1e-12 and rel_err(a.c, b.c) <= 1e-12
 
 
     def test_stages_run_the_map_level_blocks_once_per_batch(self, four_steps, monkeypatch):
-        """Each batch builds every stage's plan, which runs ipl_order once,
-        then runs sparse_ss2d and sparse_mlp or gci_forward: one route per stage."""
+        """The call builds every stage's plan first, each running ipl_order
+        once; then each batch runs sparse_ss2d and sparse_mlp or gci_forward:
+        one route per stage."""
         voxels, keep, scores = four_steps
         params = init_backbone_params(SMALL, seed=45)
         calls = []
@@ -890,11 +902,11 @@ class TestStageMajor:
             out = []
             for s in range(SMALL.n_stages):
                 mixer = "gci" if s + 1 in SMALL.gci_stages else "mlp"
-                out += [("ipl", ipl_window(SMALL.grid(s))), (f"stage{s + 1}.ss2d", t),
-                        (f"stage{s + 1}.{mixer}", t)]
+                out += [(f"stage{s + 1}.ss2d", t), (f"stage{s + 1}.{mixer}", t)]
             return out
+        plans = [("ipl", ipl_window(SMALL.grid(s))) for s in range(SMALL.n_stages)]
         assert len(voxels) == 4
-        assert calls == batch(3) + batch(1)
+        assert calls == plans + batch(3) + batch(1)
 
 
 class TestCheckpoint:
@@ -1047,9 +1059,7 @@ class TestCheckpoint:
         params = init_backbone_params(SMALL, seed=25)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
-        other = BackboneConfig(height=32, width=32, bins=2,
-                               channels=(16, 24, 32, 48), n_state=4,
-                               inner_expand=2)
+        other = dataclasses.replace(SMALL, channels=(16, 24, 32, 48))
         with pytest.raises(FormatError):
             load_checkpoint(path, other)
 

@@ -17,14 +17,13 @@ import pytest
 
 from sparsescan import backbone as bb
 from sparsescan import blas
-from sparsescan.backbone import BackboneConfig, LstmState, backbone_forward, \
-    init_backbone_params, init_lstm_states
+from sparsescan.acceptance import SMALL_CONFIG as SMALL
+from sparsescan.backbone import LstmState, backbone_forward, init_backbone_params, \
+    init_lstm_states
 from sparsescan.errors import ShapeError
 from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
 from sparsescan.stca import run_stca
 
-SMALL = BackboneConfig(height=32, width=32, bins=2, channels=(8, 12, 16, 24), n_state=4,
-                       inner_expand=2)
 PARAMS = init_backbone_params(SMALL, seed=61)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from sparsescan.acceptance import CriterionResult
 from sparsescan.backbone import BackboneConfig, StagePlan, count_params
-from sparsescan.cli import _BUDGET_BYTES, _gen_bytes, _split_windows, main
+from sparsescan.cli import _BUDGET_BYTES, _gen_bytes, main
 from sparsescan.event_io import EventStream, generate_synthetic_scene, load_events, \
     save_events, scene_preset
 from sparsescan.stca import run_stca
@@ -287,27 +287,6 @@ class TestScoreMapBudget:
         assert "score map" in capsys.readouterr().err
 
 
-class TestSplitWindows:
-    @pytest.mark.parametrize("t0,t1", [(0, 2**63 - 1), (-2**63, 2**63 - 1), (-2**63, -2**63 + 7)])
-    def test_edges_span_the_window_at_int64_bounds(self, t0, t1):
-        ts = [t0, t0 + 1, t1 - 1, t1]
-        stream = EventStream([0, 1, 2, 3], [0] * 4, ts, [1] * 4, 4, 4, t0, t1)
-        subs = _split_windows(stream, 2)
-        assert subs[0].window_start == t0 and subs[-1].window_end == t1
-        assert subs[0].window_end == subs[1].window_start
-        assert subs[0].window_start < subs[0].window_end < subs[1].window_end
-        assert sum(sub.n_events for sub in subs) == 4
-
-    def test_edges_unchanged_from_window_start_zero(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            span, n = int(rng.integers(1, 2**53)), int(rng.integers(2, 65))
-            stream = EventStream([], [], [], [], 4, 4, 0, span)
-            subs = _split_windows(stream, n)
-            edges = [sub.window_start for sub in subs] + [subs[-1].window_end]
-            assert edges == np.rint(np.linspace(0, span, n + 1)).astype(np.int64).tolist()
-
-
 class TestForward:
     @pytest.mark.parametrize("t0", [None, -2**63])
     def test_window_end_at_int64_max_runs(self, tmp_path, capsys, t0):
@@ -342,7 +321,7 @@ class TestForward:
         assert main(["gen", "--preset", "sparse30", "--width", "32", "--height", "32",
                      "--duration-us", "6", "-o", str(scene)]) == 0
         splits = []
-        monkeypatch.setattr("sparsescan.cli._split_windows",
+        monkeypatch.setattr("sparsescan.cli.split_windows",
                             lambda stream, n: splits.append(n) or [stream] * n)
         capsys.readouterr()
         assert main(["forward", str(scene), "--timesteps", "7"]) == 1
@@ -358,7 +337,7 @@ class TestForward:
         assert main(["gen", "--preset", "sparse30", "--width", "32", "--height", "32",
                      "-o", str(scene)]) == 0
         splits = []
-        monkeypatch.setattr("sparsescan.cli._split_windows",
+        monkeypatch.setattr("sparsescan.cli.split_windows",
                             lambda stream, n: splits.append(n) or [stream] * n)
         def need(t, b):   # float64 bytes of T (2B, 32, 32) voxel grids plus the parameters
             return 8 * (2 * b * t * 32 * 32 + count_params(BackboneConfig(32, 32, bins=b)))

@@ -1,7 +1,7 @@
 """Event accumulation against scatter-and-mask oracles.
 
 build_voxel_grid and accumulate_temporal_scores sum each event's shares
-with one flat np.bincount, and the CLI's _split_windows cuts the sorted
+with one flat np.bincount, and event_io.split_windows cuts the sorted
 stream into slices. The oracles below are the earlier forms of the same
 three functions: np.add.at scatters into the grid and one boolean mask
 per sub-window. Every output must match them byte for byte, and every
@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsescan.cli import _split_windows
 from sparsescan.errors import ConfigError, ValidationError
-from sparsescan.event_io import EventStream, build_voxel_grid
+from sparsescan.event_io import EventStream, build_voxel_grid, split_windows
 from sparsescan.stca import accumulate_temporal_scores
 
 
@@ -118,7 +117,7 @@ class TestAccumulationFuzz:
                          lambda: voxel_oracle(stream, bins))
         same_outcome(lambda: accumulate_temporal_scores(stream), lambda: scores_oracle(stream))
         for k in (1, 2, 3, 5):
-            got, want = _split_windows(stream, k), split_oracle(stream, k)
+            got, want = split_windows(stream, k), split_oracle(stream, k)
             assert len(got) == len(want) == k
             for g, o in zip(got, want):
                 assert (g.width, g.height, g.window_start, g.window_end) == \

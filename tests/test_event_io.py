@@ -26,6 +26,7 @@ from sparsescan.event_io import (
     load_events,
     save_events,
     scene_preset,
+    split_windows,
 )
 
 
@@ -238,6 +239,33 @@ class TestStreamValidation:
     def test_span_property(self):
         s = make_stream([1], [1], [100], [1], t0=50, t1=900)
         assert s.span == 850
+
+
+class TestSplitWindows:
+    @pytest.mark.parametrize("t0,t1", [(0, 2**63 - 1), (-2**63, 2**63 - 1), (-2**63, -2**63 + 7)])
+    def test_edges_span_the_window_at_int64_bounds(self, t0, t1):
+        ts = [t0, t0 + 1, t1 - 1, t1]
+        stream = EventStream([0, 1, 2, 3], [0] * 4, ts, [1] * 4, 4, 4, t0, t1)
+        subs = split_windows(stream, 2)
+        assert subs[0].window_start == t0 and subs[-1].window_end == t1
+        assert subs[0].window_end == subs[1].window_start
+        assert subs[0].window_start < subs[0].window_end < subs[1].window_end
+        assert sum(sub.n_events for sub in subs) == 4
+
+    def test_edges_unchanged_from_window_start_zero(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            span, n = int(rng.integers(1, 2**53)), int(rng.integers(2, 65))
+            stream = EventStream([], [], [], [], 4, 4, 0, span)
+            subs = split_windows(stream, n)
+            edges = [sub.window_start for sub in subs] + [subs[-1].window_end]
+            assert edges == np.rint(np.linspace(0, span, n + 1)).astype(np.int64).tolist()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_window_refused(self, n):
+        stream = EventStream([0, 1], [0, 0], [3, 9], [1, -1], 4, 4, 0, 10)
+        with pytest.raises(ConfigError, match=f"at least 1 sub-window, got {n}"):
+            split_windows(stream, n)
 
 
 class TestVoxelGrid:

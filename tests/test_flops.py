@@ -11,10 +11,11 @@ import json
 import numpy as np
 import pytest
 
+from sparsescan.acceptance import SMALL_CONFIG as SMALL
 from sparsescan.backbone import BackboneConfig, init_backbone_params
-from sparsescan.cli import _split_windows
 from sparsescan.errors import ConfigError
-from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset
+from sparsescan.event_io import build_voxel_grid, generate_synthetic_scene, scene_preset, \
+    split_windows
 from sparsescan.flops import (
     NULL_METER,
     FlopsMeter,
@@ -23,10 +24,6 @@ from sparsescan.flops import (
     measure,
 )
 from sparsescan.stca import run_stca
-
-SMALL = BackboneConfig(height=32, width=32, bins=2,
-                       channels=(8, 12, 16, 24), n_state=4,
-                       inner_expand=2)
 
 
 def small_case(seed=0, p_keep=0.5):
@@ -164,7 +161,7 @@ class TestMeasured:
         cfg = BackboneConfig()
         stream, _ = generate_synthetic_scene(scene_preset(preset), seed=0)
         res = run_stca(stream, patch=cfg.patch)
-        voxels = [build_voxel_grid(sub, cfg.bins) for sub in _split_windows(stream, timesteps)]
+        voxels = [build_voxel_grid(sub, cfg.bins) for sub in split_windows(stream, timesteps)]
         r = measure(cfg, init_backbone_params(cfg), voxels, res.scores, res.keep)
         analytic = count_analytic(cfg, r.kept_ratios, timesteps=timesteps)
         assert 0.0 < r.kept_ratios[0] < 1.0

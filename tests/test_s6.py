@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from sparsescan import s6
-from sparsescan.backbone import BackboneConfig, init_backbone_params, iter_arrays, \
-    load_checkpoint, save_checkpoint
+from sparsescan.acceptance import SMALL_CONFIG
+from sparsescan.backbone import init_backbone_params, iter_arrays, load_checkpoint, \
+    save_checkpoint
 from sparsescan.flops import NULL_METER, FlopsMeter, _s6_cost
 from sparsescan.s6 import (
     S6Discretized,
@@ -788,15 +789,13 @@ class TestParameterConstants:
         assert [v.tobytes() for v in s6_forward(x, q)] == [v.tobytes() for v in want]
 
     def test_loaded_checkpoint_scans_with_the_loaded_log_a(self, tmp_path):
-        cfg = BackboneConfig(height=32, width=32, bins=2, channels=(8, 12, 16, 24),
-                             n_state=4, inner_expand=2)
-        saved = init_backbone_params(cfg, seed=75)
+        saved = init_backbone_params(SMALL_CONFIG, seed=75)
         rng = np.random.default_rng(75)
         for _, arr in iter_arrays(saved):
             arr += rng.uniform(-0.5, 0.5, size=arr.shape)   # log_a differs from the init one
         path = tmp_path / "params.bin"
         save_checkpoint(saved, path)
-        loaded = load_checkpoint(path, cfg)
+        loaded = load_checkpoint(path, SMALL_CONFIG)
         p = loaded.stages[0].ss2d.s6_fwd
         x = rng.standard_normal((7, p.n_lanes))
         want = s6_forward(x, self.rebuilt(saved.stages[0].ss2d.s6_fwd))

@@ -292,7 +292,7 @@ def _patch_linear(x: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
     col = patchify(x, patch)
     y = linear(col.reshape(-1, col.shape[-1]), w, b, meter, label)
     h, wd = x.shape[-3:-1]
-    return y.reshape(x.shape[:-3] + (h // patch, wd // patch, -1))
+    return y.reshape(x.shape[:-3] + (h // patch, wd // patch, len(w)))
 
 
 def patch_embed(values: np.ndarray, patch: int, w: np.ndarray, b: np.ndarray,
@@ -449,7 +449,7 @@ def bidi_scan(x: np.ndarray, s6_fwd: S6Params, s6_bwd: S6Params,
 
 
 def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
-                label: str = "gci", parallel: bool = False) -> np.ndarray:
+                label: str = "gci") -> np.ndarray:
     """Global channel interaction on a dense (H, W, C) map or (T, H, W, C) stack.
 
     Branch 1 projects, depthwise-mixes (edge padding, so constant fields
@@ -457,7 +457,8 @@ def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
     map, the T maps scanning as T sequences of one call; branch 2 is a
     pointwise 1x1 channel mix of the input. The output projection of their
     sum is added residually. Every projection is one matmul over the
-    (cells, C) rows of all maps.
+    (cells, C) rows of all maps. The channel scans run the sequential
+    kernel, faster than the recursive doubling at GCI's shapes.
     """
     h, w, c = x.shape[-3:]
     if h * w != p.s6_fwd.n_lanes:
@@ -469,7 +470,7 @@ def gci_forward(x: np.ndarray, p: GciParams, meter: FlopsMeter = NULL_METER,
     meter.macs(label, 9 * cells * c)
     meter.elem(label, 2 * cells * c)
     # the one transpose: channels become the scan axis, the cells its lanes
-    b1 = bidi_scan(np.moveaxis(b1_in, -1, 0), p.s6_fwd, p.s6_bwd, meter, label, parallel)
+    b1 = bidi_scan(np.moveaxis(b1_in, -1, 0), p.s6_fwd, p.s6_bwd, meter, label)
     b2 = linear(rows, p.w_mix, p.b_mix, meter, label)
     merged = b1.reshape(c, cells).T + b2
     meter.elem(label, cells * c)
@@ -544,7 +545,8 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
     Returns (outputs, states): one list of per-stage (C, H, W) feature
     maps per timestep, each a view of the stage's channel-last stack, and
     a new list of the updated (H, W, C) LSTM states; the given states
-    list is left as it was.
+    list is left as it was. parallel runs the SS2D token scans, and only
+    those, on the recursive-doubling kernel.
 
     Forwards may run in several threads at once. While more than one is
     in flight, OpenBLAS runs one thread per call so that the forwards
@@ -579,7 +581,7 @@ def backbone_forward(voxels, keep: np.ndarray, scores: np.ndarray,
                 tag = f"stage{s + 1}"
                 x = sparse_ss2d(x, plan, sp.ss2d, meter, f"{tag}.ss2d", parallel)
                 if isinstance(sp.mixer, GciParams):
-                    x = gci_forward(x, sp.mixer, meter, f"{tag}.gci", parallel)
+                    x = gci_forward(x, sp.mixer, meter, f"{tag}.gci")
                 else:
                     x = sparse_mlp(x, plan, sp.mixer, meter, f"{tag}.mlp")
                 x, states[s] = convlstm_step(x, states[s], sp.lstm, meter, f"{tag}.lstm")

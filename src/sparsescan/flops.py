@@ -196,7 +196,9 @@ def count_analytic(cfg, kept_ratios, timesteps: int = 1) -> FlopsReport:
 
 
 def measure(cfg, params, voxels, scores, keep, parallel: bool = False) -> FlopsReport:
-    """Instrumented dense and sparse forward runs over the same inputs."""
+    """Instrumented dense and sparse forward runs over the same inputs.
+    parallel picks the SS2D token-scan kernel, as in backbone_forward;
+    count_analytic follows the sequential one."""
     import numpy as np
 
     from .backbone import backbone_forward

@@ -47,29 +47,32 @@ There are two forward scans: a sequential loop, and a recursive-doubling
 passes over R rows. Both start from the bx terms, with h0 folded into
 step 0 as abar_0 * h0. The two state kernels, _scan_states_seq and
 _scan_states_doubling, share one signature (abar, hs, h0, meter, label)
-and each meters its own state updates. s6_forward alone picks one, from
-its parallel flag, and the chunk driver _scan_chunked runs whichever it
-is given. A manual reverse-mode adjoint of the recurrence completes the
-kernels.
+and each meters its own state updates. s6_forward picks one from its
+parallel flag; the doubling, slower than the loop in numpy, is otherwise
+the scan-equivalence oracle. A manual reverse-mode adjoint of the
+recurrence completes the kernels.
 
 s6_forward takes a (T, L) sequence, or B equal-length sequences as
 (T, B, L), which it scans together as B * L lanes; (T, L) is the B = 1
-case of the same code, and h_T is (N, L) or (B, N, L). It and
-selective_scan_parallel cut the T steps into chunks of
-rows = max(1, _CHUNK_ELEMS // (B * L * N)) steps, 16 at B = 1, L = 128
-and N = 16. Each chunk is scanned from the last state of the chunk
-before, so the doubling scan makes ceil(log2 rows) passes per chunk and
-O(T log rows) work in all. selective_scan_seq scans the whole sequence
-at once and is the reference both are checked against.
+case of the same code, and h_T is (N, L) or (B, N, L). It cuts the T
+steps into chunks of rows = max(1, _CHUNK_ELEMS // (B * L * N)) steps,
+16 at B = 1, L = 128 and N = 16; an empty stack (B = 0) counts as one
+lane. Each chunk is scanned from the last state of the chunk before, so
+the doubling scan makes ceil(log2 rows) passes per chunk and
+O(T log rows) work in all. selective_scan_seq and
+selective_scan_parallel scan the whole sequence at once, through one
+helper that takes the kernel; applied chunk by chunk with the state
+carried, each reproduces s6_forward with its kernel bit for bit.
 
 discretize_zoh writes into a given out= pair of arrays, and the state
 kernels of both scans work in place, using their abar argument as
 scratch: the sequential scan overwrites each abar_t with abar_t * h_{t-1},
 so no step allocates, and the doubling scan multiplies in place the
-products of abars later passes read; selective_scan_seq and
-selective_scan_backward scan copies. The outputs y_t = <c_t, h_t> come
-from one stacked (1, N) @ (N, L) product per step (np.matmul), in
-s6_forward and selective_scan_seq alike, so the two give the same bits.
+products of abars later passes read; selective_scan_seq,
+selective_scan_parallel and selective_scan_backward scan copies. The
+outputs y_t = <c_t, h_t> come from one stacked (1, N) @ (N, L) product
+per step (np.matmul), in s6_forward and the whole-sequence scans alike,
+so they give the same bits.
 The public functions return new arrays. s6_forward projects all T * B
 rows once in one matmul each (dt, b and c), then per chunk discretizes,
 scans and contracts in two float64 chunk buffers allocated once per call
@@ -322,32 +325,29 @@ def _scan_states_doubling(a: np.ndarray, hs: np.ndarray, h0: np.ndarray | None,
     return hs
 
 
-def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
-                       skip: np.ndarray | None = None, x: np.ndarray | None = None):
-    """Evaluate the recurrence step by step over the whole sequence. Returns (y, h_T)."""
-    t_len, n, lanes = d.abar.shape
-    hs = _scan_states_seq(d.abar.copy(), d.bx.copy(), h0)
+def _scan_whole(d: S6Discretized, h0, skip, x, scan):
+    """Scan the whole sequence of d at once with the state kernel scan, on
+    copies of its coefficients. Returns new arrays (y, h_T)."""
+    hs = scan(d.abar.copy(), d.bx.copy(), h0, NULL_METER, "")
     y = _contract(hs, d.c)
     if skip is not None:
         y = y + skip * x
     # a copy, so that h_T does not keep the whole (T, N, L) state array alive
-    last = hs[-1].copy() if t_len else (np.zeros((n, lanes)) if h0 is None else h0.copy())
+    last = hs[-1].copy() if len(hs) else (np.zeros(hs.shape[1:]) if h0 is None else h0.copy())
     return y, last
+
+
+def selective_scan_seq(d: S6Discretized, h0: np.ndarray | None = None,
+                       skip: np.ndarray | None = None, x: np.ndarray | None = None):
+    """Evaluate the recurrence step by step over the whole sequence. Returns (y, h_T)."""
+    return _scan_whole(d, h0, skip, x, _scan_states_seq)
 
 
 def selective_scan_parallel(d: S6Discretized, h0: np.ndarray | None = None,
                             skip: np.ndarray | None = None, x: np.ndarray | None = None):
-    """Recursive-doubling evaluation; matches the sequential path to rounding.
-
-    The doubling runs over the same chunks as s6_forward(parallel=True),
-    whose results it reproduces bit for bit.
-    """
-    def fill(s, e, abar, bx):
-        np.copyto(abar, d.abar[s:e])
-        np.copyto(bx, d.bx[s:e])
-
-    return _scan_chunked(fill, d.abar.shape, d.c, h0, skip, x, _scan_states_doubling,
-                         NULL_METER, "")
+    """Recursive-doubling evaluation over the whole sequence; matches the
+    sequential path to rounding. Returns (y, h_T)."""
+    return _scan_whole(d, h0, skip, x, _scan_states_doubling)
 
 
 @dataclass
@@ -395,38 +395,7 @@ _CHUNK_ELEMS = 32768
 
 
 def _chunk_rows(lanes: int, n: int) -> int:
-    return max(1, _CHUNK_ELEMS // (lanes * n))
-
-
-def _scan_chunked(fill, shape, c, h0, skip, x, scan, meter, label):
-    """Scan a (T, N, L) or (T, B, N, L) recurrence chunk by chunk.
-
-    fill(s, e, abar, bx) writes steps s to e - 1 of abar and bx into the
-    given (e - s, ..., N, L) buffers, which are allocated once per call and
-    reused for every chunk. scan(abar, hs, h, meter, label) is a state
-    kernel, _scan_states_seq or _scan_states_doubling; each chunk's scan
-    starts from the last state of the one before. Returns new arrays (y, h_T).
-    """
-    t_len, state = shape[0], shape[1:]
-    n = state[-2]
-    rows = _chunk_rows(math.prod(state) // n, n)     # B * L lanes
-    bufs = [np.empty((min(rows, t_len),) + state) for _ in range(2)]
-    y = np.empty(shape[:-2] + shape[-1:])
-    h = h0
-    for s in range(0, t_len, rows):
-        e = min(s + rows, t_len)
-        abar, hs = (buf[:e - s] for buf in bufs)
-        fill(s, e, abar, hs)
-        scan(abar, hs, h, meter, label)
-        _contract(hs, c[s:e], out=y[s:e])
-        h = hs[-1].copy()        # the next chunk overwrites hs
-    meter.macs(label, y.size * n)           # output contraction
-    if skip is not None:
-        y += skip * x
-        meter.macs(label, y.size)
-    if h is h0:
-        h = np.zeros(state) if h0 is None else h0.copy()
-    return y, h
+    return max(1, _CHUNK_ELEMS // max(1, lanes * n))
 
 
 def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
@@ -436,17 +405,28 @@ def s6_forward(x: np.ndarray, p: S6Params, parallel: bool = False,
     or (B, N, L).
 
     The projections run once over all T * B rows; discretization and the
-    scan run chunk by chunk, the B sequences side by side as extra lanes.
-    y and h_T are new arrays.
+    scan run chunk by chunk, the B sequences side by side as extra lanes,
+    with the doubling state kernel if parallel. y and h_T are new arrays.
     """
     dt, b_t, c_t = _project(x, p, meter, label)
     a, recip = p.zoh
-
-    def fill(s, e, abar, bx):
-        discretize_zoh(a, b_t[s:e, ..., :, None], dt[s:e, ..., None, :],
-                       x=x[s:e, ..., None, :], out=(abar, bx), recip=recip)
-        meter.elem(label, 6 * bx.size)
-
-    shape = x.shape[:-1] + (p.n_state, p.n_lanes)
     scan = _scan_states_doubling if parallel else _scan_states_seq
-    return _scan_chunked(fill, shape, c_t, None, p.skip, x, scan, meter, label)
+    t_len, n = len(x), p.n_state
+    state = x.shape[1:-1] + (n, p.n_lanes)
+    rows = _chunk_rows(math.prod(x.shape[1:]), n)     # B * L lanes
+    bufs = [np.empty((min(rows, t_len),) + state) for _ in range(2)]
+    y = np.empty(x.shape)
+    h = None
+    for s in range(0, t_len, rows):
+        e = min(s + rows, t_len)
+        abar, hs = (buf[:e - s] for buf in bufs)
+        discretize_zoh(a, b_t[s:e, ..., :, None], dt[s:e, ..., None, :],
+                       x=x[s:e, ..., None, :], out=(abar, hs), recip=recip)
+        meter.elem(label, 6 * hs.size)
+        scan(abar, hs, h, meter, label)
+        _contract(hs, c_t[s:e], out=y[s:e])
+        h = hs[-1].copy()        # the next chunk overwrites hs
+    meter.macs(label, y.size * n)           # output contraction
+    y += p.skip * x
+    meter.macs(label, y.size)
+    return y, (np.zeros(state) if h is None else h)

@@ -397,6 +397,40 @@ class TestChannelLastMaps:
             downsample_features(np.zeros((4, 4, channels)), sp.down_w, sp.down_b)
 
 
+class TestEmptyStacks:
+    @pytest.mark.parametrize("block", ["patch_embed", "sparse_ss2d", "sparse_mlp", "bidi_scan",
+                                       "gci_forward", "convlstm_step", "downsample_features",
+                                       "s6_forward"])
+    def test_stack_of_no_maps_runs(self, block):
+        """A (0, ...) stack of maps gives a (0, ...) stack of the block's
+        output shape, and s6_forward scans a (T, 0, L) input as no sequences."""
+        params = init_backbone_params(SMALL, seed=49)
+        s = 1 if block == "sparse_mlp" else 2     # stage 3 is a 2x2 GCI stage
+        sp, (gh, gw), c = params.stages[s], SMALL.grid(s), SMALL.channels[s]
+        plan = StagePlan.build(np.ones((gh, gw), dtype=bool), np.ones((gh, gw)))
+        scan = sp.ss2d.s6_fwd if block == "sparse_mlp" else sp.mixer.s6_fwd
+        x = np.zeros((0, gh, gw, c))
+        voxels = np.zeros((0, 2 * SMALL.bins, SMALL.height, SMALL.width))
+        run, want = {
+            "patch_embed": (lambda: patch_embed(voxels, SMALL.patch, params.w_embed,
+                                                params.b_embed),
+                            (0,) + SMALL.grid(0) + (SMALL.channels[0],)),
+            "sparse_ss2d": (lambda: sparse_ss2d(x, plan, sp.ss2d), x.shape),
+            "sparse_mlp": (lambda: sparse_mlp(x, plan, sp.mixer), x.shape),
+            "bidi_scan": (lambda: bidi_scan(np.moveaxis(x, -1, 0), sp.mixer.s6_fwd,
+                                            sp.mixer.s6_bwd), (c, 0, gh, gw)),
+            "gci_forward": (lambda: gci_forward(x, sp.mixer), x.shape),
+            "convlstm_step": (lambda: convlstm_step(x, init_lstm_states(SMALL)[s], sp.lstm)[0],
+                              x.shape),
+            "downsample_features": (lambda: downsample_features(x, sp.down_w, sp.down_b),
+                                    (0, gh // 2, gw // 2, SMALL.channels[s + 1])),
+            "s6_forward": (lambda: s6_forward(np.zeros((5, 0, scan.n_lanes)), scan),
+                           ((5, 0, scan.n_lanes), (0, scan.n_state, scan.n_lanes))),
+        }[block]
+        out = run()
+        assert (tuple(a.shape for a in out) if block == "s6_forward" else out.shape) == want
+
+
 class TestSigmoid:
     def test_half_at_zero(self):
         assert sigmoid(np.array(0.0)) == 0.5
@@ -653,7 +687,7 @@ def stage_composition(voxels, keep, scores, cfg, params, parallel):
         plan = StagePlan.build(k_map, s_map)
         x = sparse_ss2d(x, plan, sp.ss2d, parallel=parallel)
         if isinstance(sp.mixer, GciParams):
-            x = gci_forward(x, sp.mixer, parallel=parallel)
+            x = gci_forward(x, sp.mixer)
         else:
             x = sparse_mlp(x, plan, sp.mixer)
         x, states[s] = convlstm_step(x, states[s], sp.lstm)

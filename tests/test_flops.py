@@ -168,6 +168,22 @@ class TestMeasured:
         assert {n: (b.dense, b.sparse) for n, b in r.blocks.items()} == \
             {n: (b.dense, b.sparse) for n, b in analytic.blocks.items()}
 
+    def test_parallel_runs_keep_every_block_but_ss2d_on_the_closed_form(self):
+        """parallel=True hands only the SS2D token scans to the recursive
+        doubling, whose meter counts its passes; GCI's channel scans stay
+        sequential, so the stage3.gci and stage4.gci counts equal the closed form."""
+        cfg = BackboneConfig()
+        stream, _ = generate_synthetic_scene(scene_preset("edge-noise"), seed=0)
+        res = run_stca(stream, patch=cfg.patch)
+        voxels = [build_voxel_grid(sub, cfg.bins) for sub in split_windows(stream, 4)]
+        r = measure(cfg, init_backbone_params(cfg), voxels, res.scores, res.keep,
+                    parallel=True)
+        analytic = count_analytic(cfg, r.kept_ratios, timesteps=4)
+        off = {n for n, b in r.blocks.items()
+               if (b.dense, b.sparse) != (analytic.blocks[n].dense, analytic.blocks[n].sparse)}
+        assert {"stage3.gci", "stage4.gci"} <= r.blocks.keys()
+        assert off and all(n.endswith(".ss2d") for n in off)
+
     def test_reduction_on_sparse_scene(self):
         """Desk config on a ~30% spatial-ratio scene lands in [0.20, 0.35]."""
         cfg = BackboneConfig()
